@@ -8,6 +8,14 @@ the period first, which makes every instance a T-periodic function on the
 whole line. Breakpoints follow the right-continuous convention (the piece to
 the right owns its left endpoint), matching fractional-part semantics.
 
+Polynomial evaluation runs in integers: on its first call a polynomial
+caches its coefficients as integer numerators over their least common
+denominator D, and evaluation at a/b is the homogeneous Horner sum
+sum(c_k a^k b^(d-k)) divided once by D b^d. The result is the same canonical
+``Fraction`` as a Fraction Horner loop would give. The cache is per instance
+and lazy, so polynomials that are only built (Sturm sequences, quotients)
+never pay for it, and it is not part of equality, hashing or repr.
+
 All values are immutable after construction and every operation is a pure
 function, so instances are safe to share between threads.
 """
@@ -17,6 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -115,12 +124,27 @@ class Polynomial:
             return Fraction(0)
         return self.coeffs[-1]
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators over the least common denominator D of the coefficients."""
+        D = 1
+        for c in self.coeffs:
+            D = math.lcm(D, c.denominator)
+        return tuple(c.numerator * (D // c.denominator) for c in self.coeffs), D
+
     def __call__(self, x: RationalLike) -> Fraction:
         x = to_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        nums, D = self._integer_form
+        if not nums:
+            return Fraction(0)
+        # homogeneous Horner at x = a/b: sum of nums[k] a^k b^(d-k), over D b^d
+        a, b = x.numerator, x.denominator
+        acc = nums[-1]
+        bpow = 1
+        for c in reversed(nums[:-1]):
+            bpow *= b
+            acc = acc * a + c * bpow
+        return Fraction(acc, D * bpow)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -315,14 +339,15 @@ class PiecewisePolynomial:
         Differentiating the result recovers the original pieces exactly (equality
         away from breakpoints).
         """
-        if self.mean() != 0:
-            raise ValueError("periodic antiderivative requires zero mean")
         out = []
         running = Fraction(0)
         for p, a, b in self._spans():
             P = p.antiderivative()
-            out.append((Polynomial.const(running - P(a)) + P) * self.period)
-            running += p.integrate(a, b)
+            Pa = P(a)
+            out.append((Polynomial.const(running - Pa) + P) * self.period)
+            running += P(b) - Pa
+        if running != 0:  # running is now the mean over the period
+            raise ValueError("periodic antiderivative requires zero mean")
         return PiecewisePolynomial(self.breakpoints, tuple(out), self.period)
 
     def plus_constant(self, c: RationalLike) -> "PiecewisePolynomial":

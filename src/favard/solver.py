@@ -27,8 +27,12 @@ same way since p times an indicator is still a step function.
 
 Edge case: L = 0 degenerates (the homogeneous problem then admits all
 constants, but the zero-mean row no longer follows from y^(n) = 0), so it is
-special-cased to a nontrivial-kernel verdict rather than run through the
-reduction.
+special-cased to a nontrivial-kernel verdict instead of being decided by the
+reduced system's determinant, on the homogeneous and the forced path alike.
+
+The float margin is advisory: when an entry of the reduced matrix does not
+fit in a double it is reported as null with the reason in the provenance,
+and the exact determinant verdict stands alone.
 
 A dense float collocation fallback handles measurable deviations by
 piecewise-constant interpolation of tau onto a uniform grid with midpoint
@@ -127,13 +131,6 @@ class StepFunction:
             out.setdefault(v, []).append((lo, hi))
         return out
 
-    def refine_with(self, other: "StepFunction") -> list[tuple[Fraction, Fraction]]:
-        """Common partition intervals of the two step functions."""
-        if other.period != self.period:
-            raise ValueError("period mismatch")
-        cuts = sorted(set(self.breakpoints) | set(other.breakpoints))
-        return list(zip(cuts, cuts[1:]))
-
     def to_json_dict(self) -> dict:
         return {
             "breakpoints": [format_rational(b) for b in self.breakpoints],
@@ -183,10 +180,10 @@ class ReducedSystem:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solvability verdict with exact determinant and float margin."""
+    """Solvability verdict with exact determinant and float margin (None when it overflows)."""
 
     status: str  # "unique" | "nontrivial_kernel" | "near_singular"
-    margin: float
+    margin: float | None
     determinant: Fraction
     solution_samples: tuple[Fraction, ...] | None = None
     constant: Fraction | None = None
@@ -435,9 +432,27 @@ def reduce_weighted(
     return _assemble(n, T, pre_vals, kernel, constraint, "weighted", tau, None, Fraction(0))
 
 
-def _margin(sys: ReducedSystem) -> float:
-    svals = np.linalg.svd(sys.float_matrix(), compute_uv=False)
+MARGIN_OVERFLOW = "reduced matrix entry exceeds the float64 range"
+
+
+def _margin(sys: ReducedSystem) -> float | None:
+    """Smallest singular value of the float matrix; None when an entry overflows a double."""
+    try:
+        matrix = sys.float_matrix()
+    except OverflowError:
+        return None
+    svals = np.linalg.svd(matrix, compute_uv=False)
     return float(svals[-1])
+
+
+def _degenerate_l0() -> SolveReport:
+    """L = 0: every constant solves y^(n) = 0, so the kernel is never trivial."""
+    return SolveReport(
+        status="nontrivial_kernel",
+        margin=0.0,
+        determinant=Fraction(0),
+        provenance={"route": "degenerate_L0", "kind": "lipschitz"},
+    )
 
 
 def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
@@ -445,8 +460,12 @@ def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
 
     ``near_singular`` flags a nonzero determinant whose float margin falls
     below NEAR_SINGULAR_BAND relative to the Frobenius norm, the interesting
-    regime next to the sharp threshold.
+    regime next to the sharp threshold; without a float margin the exact
+    verdict alone decides. A Lipschitz system with L = 0 gets the degenerate
+    nontrivial-kernel verdict, as in :func:`solve_periodic`.
     """
+    if sys.kind == "lipschitz" and sys.L == 0:
+        return _degenerate_l0()
     det = sys.determinant()
     margin = _margin(sys)
     provenance = {
@@ -454,6 +473,8 @@ def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
         "size": sys.size,
         "kind": sys.kind,
     }
+    if margin is None:
+        provenance["margin_unavailable"] = MARGIN_OVERFLOW
     if det == 0:
         vec = nullspace_vector(sys.matrix)
         samples = tuple(vec[:-1]) if vec is not None else None
@@ -465,8 +486,9 @@ def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
             constant=vec[-1] if vec is not None else None,
             provenance=provenance,
         )
-    norm = float(np.linalg.norm(sys.float_matrix()))
-    status = "near_singular" if margin < NEAR_SINGULAR_BAND * norm else "unique"
+    status = "unique"
+    if margin is not None and margin < NEAR_SINGULAR_BAND * float(np.linalg.norm(sys.float_matrix())):
+        status = "near_singular"
     return SolveReport(status=status, margin=margin, determinant=det, provenance=provenance)
 
 
@@ -487,15 +509,13 @@ def solve_periodic(
     T, L, C = to_rational(T), to_rational(L), to_rational(C)
     if L == 0:
         # Degenerate: y^(n) = C has periodic solutions iff C = 0, then all constants.
-        return SolveReport(
-            status="nontrivial_kernel",
-            margin=0.0,
-            determinant=Fraction(0),
-            provenance={"route": "degenerate_L0", "kind": "lipschitz"},
-        )
+        return _degenerate_l0()
     sys = reduce_system(n, T, L, tau)
     det = sys.determinant()
     margin = _margin(sys)
+    provenance = {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False}
+    if margin is None:
+        provenance["margin_unavailable"] = MARGIN_OVERFLOW
     if det == 0:
         vec = nullspace_vector(sys.matrix)
         return SolveReport(
@@ -504,7 +524,7 @@ def solve_periodic(
             determinant=det,
             solution_samples=tuple(vec[:-1]) if vec is not None else None,
             constant=vec[-1] if vec is not None else None,
-            provenance={"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False},
+            provenance=provenance,
         )
     J = len(sys.sample_points)
     matrix = [list(row) for row in sys.matrix]
@@ -517,7 +537,7 @@ def solve_periodic(
         determinant=det,
         solution_samples=tuple(solution[:-1]),
         constant=solution[-1],
-        provenance={"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False},
+        provenance=provenance,
     )
 
 

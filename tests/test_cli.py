@@ -110,6 +110,45 @@ def test_solve_weighted_instance(tmp_path, capsys):
     assert json.loads(out)["status"] == "unique"
 
 
+def test_solve_L_zero_homogeneous_is_degenerate(tmp_path, capsys):
+    instance = {
+        "kind": "lipschitz",
+        "n": 2,
+        "T": "1",
+        "L": "0",
+        "tau": {"breakpoints": ["0", "1/2", "1"], "values": ["3/4", "1/4"]},
+    }
+    path = tmp_path / "l0.json"
+    path.write_text(json.dumps(instance))
+    code, out, _ = run_cli(capsys, "solve", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["status"] == "nontrivial_kernel"
+    assert report["determinant"] == "0"
+    assert report["provenance"]["route"] == "degenerate_L0"
+
+
+@pytest.mark.parametrize("extra", [{}, {"C": "3"}])
+def test_solve_huge_period_reports_null_margin(tmp_path, capsys, extra):
+    instance = {
+        "kind": "lipschitz",
+        "n": 2,
+        "T": "1e400",
+        "L": "1",
+        "tau": {"breakpoints": ["0", "1e399", "1e400"], "values": ["0", "5e399"]},
+        **extra,
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["margin"] is None
+    assert "margin_unavailable" in report["provenance"]
+    assert report["status"] == "unique"
+    assert report["determinant"] != "0"
+
+
 def test_solve_schema_violation_reports_field_path(tmp_path, capsys):
     instance = {
         "kind": "lipschitz",

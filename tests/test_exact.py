@@ -2,6 +2,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favard.exact import (
     PiecewisePolynomial,
@@ -26,7 +28,46 @@ def test_frac_part():
     assert frac_part(F(3)) == 0
 
 
+rationals = st.builds(F, st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+eval_points = st.one_of(
+    rationals,
+    st.just(F(0)),
+    st.integers(-(10**6), 10**6),
+    rationals.map(format_rational),
+)
+
+
+def reference_horner(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestPolynomial:
+    @settings(max_examples=400, derandomize=True)
+    @given(st.lists(rationals, max_size=13), eval_points)
+    def test_call_matches_fraction_horner(self, coeffs, x):
+        p = Polynomial(tuple(coeffs))
+        got = p(x)
+        want = reference_horner(p.coeffs, F(x))
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert p(x) == got  # the cached integer form gives the same value again
+
+    def test_call_edge_cases(self):
+        assert Polynomial.zero()(F(3, 7)) == 0
+        assert Polynomial.const(F(-5, 3))(F(-2, 9)) == F(-5, 3)
+        p = Polynomial.of(F(1, 6), -1, 1)
+        assert p(0) == F(1, 6)
+        assert p("-1/2") == F(1, 6) + F(1, 2) + F(1, 4)
+        assert p(-3) == F(1, 6) + 3 + 9
+
+    def test_cache_leaves_value_semantics_alone(self):
+        p, q = Polynomial.of(F(1, 2), 3), Polynomial.of(F(1, 2), 3)
+        p(F(1, 3))
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
     def test_normalization_and_degree(self):
         p = Polynomial.of(1, 2, 0, 0)
         assert p.degree == 1
@@ -100,6 +141,34 @@ class TestPiecewisePolynomial:
         pw = PiecewisePolynomial.step((0, 1), (1,), 1)
         with pytest.raises(ValueError):
             pw.antiderivative()
+        tilted = PiecewisePolynomial(
+            (0, F(1, 3), 1), (Polynomial.of(1, -2), Polynomial.of(0, 0, 3)), F(5, 2)
+        )
+        assert tilted.mean() != 0
+        with pytest.raises(ValueError, match="zero mean"):
+            tilted.antiderivative()
+
+    @settings(max_examples=150, derandomize=True)
+    @given(
+        st.lists(st.lists(rationals, max_size=5), min_size=1, max_size=5),
+        st.fractions(min_value=F(1, 8), max_value=8, max_denominator=16),
+        st.data(),
+    )
+    def test_antiderivative_derivative_recovers_pieces(self, raw, period, data):
+        cuts = data.draw(
+            st.lists(
+                st.builds(F, st.integers(1, 63), st.just(64)),
+                min_size=len(raw) - 1,
+                max_size=len(raw) - 1,
+                unique=True,
+            )
+        )
+        pw = PiecewisePolynomial(
+            (F(0), *sorted(cuts), F(1)), tuple(Polynomial(tuple(c)) for c in raw), period
+        ).zero_mean()
+        F1 = pw.antiderivative()
+        assert F1(0) == 0
+        assert F1.derivative().pieces == pw.pieces
 
     def test_scaled_period(self):
         h = PiecewisePolynomial.step((0, F(1, 2), 1), (1, -1), F(5, 2))

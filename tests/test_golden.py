@@ -1,0 +1,32 @@
+"""Byte equality of CLI stdout against recorded golden files.
+
+Each ``tests/golden/<name>.out`` holds the exact stdout of one command. A
+change that alters any of these bytes changes the CLI contract and must
+re-record the file on purpose.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from favard.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "constants": ["constants", "--n-max", "12", "--format", "json"],
+    "kernel_min_abs": ["kernel", "--n", "6", "--min-abs", "--format", "json"],
+    "witness": ["witness", "--n", "5", "--T", "5/2", "--format", "json"],
+    "suite": ["suite", "--criteria", "5,10", "--format", "json"],
+    "solve_lipschitz": ["solve", str(GOLDEN / "instances" / "solve_lipschitz.json")],
+    "solve_lipschitz_forced": ["solve", str(GOLDEN / "instances" / "solve_lipschitz_forced.json")],
+    "solve_weighted": ["solve", str(GOLDEN / "instances" / "solve_weighted.json")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_golden(name, capsys):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.out").read_text()

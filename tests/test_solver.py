@@ -195,6 +195,28 @@ class TestSolvePeriodic:
         report = solve_periodic(2, 1, 0, tau, 1)
         assert report.status == "nontrivial_kernel"
 
+    def test_L_zero_homogeneous_matches_forced_path(self):
+        # every constant solves y^(n) = 0, so the homogeneous verdict is never "unique"
+        tau = StepFunction((F(0), F(1, 2), F(1)), (F(3, 4), F(1, 4)), F(1))
+        report = uniqueness_margin(reduce_system(2, 1, 0, tau))
+        assert report.status == "nontrivial_kernel"
+        assert report.determinant == 0
+        assert report.provenance["route"] == "degenerate_L0"
+        assert report == solve_periodic(2, 1, 0, tau, 0)
+
+    def test_margin_overflow_keeps_exact_verdict(self):
+        T = F(10) ** 400
+        tau = StepFunction((F(0), T / 10, T), (F(0), T / 2), T)
+        report = uniqueness_margin(reduce_system(2, T, 1, tau))
+        assert report.margin is None
+        assert report.status == "unique"
+        assert report.determinant == reduce_system(2, T, 1, tau).determinant() != 0
+        assert "float64" in report.provenance["margin_unavailable"]
+        forced = solve_periodic(2, T, 1, tau, 3)
+        assert forced.margin is None and "margin_unavailable" in forced.provenance
+        assert forced.status == "unique"
+        assert forced.solution_samples == (F(-3), F(-3)) and forced.constant == -3
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_reconstruction_satisfies_ode(self, n):
         # independent closure: y from the representation obeys
