@@ -23,7 +23,12 @@ arguments modulo T. Where tau lands exactly on a partition breakpoint the
 right-continuous convention applies.
 
 Weighted problems y^(n) = p(t) (y(tau(t)) + C) with step p >= 0 reduce the
-same way since p times an indicator is still a step function.
+same way since p times an indicator is still a step function. Both reductions
+walk the pieces of the partition once, giving each its column and weight, and
+evaluate PB_{n+1} once per (sample, breakpoint); each entry is a sum of
+differences of those values. One integer Bareiss elimination of [M | rhs]
+gives the determinant and, by fraction-free back substitution, the exact
+solution.
 
 Edge case: L = 0 degenerates (the homogeneous problem then admits all
 constants, but the zero-mean row no longer follows from y^(n) = 0), so it is
@@ -47,6 +52,7 @@ instance is single-threaded and deterministic.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -105,8 +111,6 @@ class StepFunction:
     def __call__(self, t: RationalLike) -> Fraction:
         t = to_rational(t)
         u = t - math.floor(t / self.period) * self.period
-        from bisect import bisect_right
-
         idx = bisect_right(self.breakpoints, u) - 1
         if idx == len(self.values):  # u == T exactly after wrap, cannot happen
             idx -= 1
@@ -172,7 +176,7 @@ class ReducedSystem:
         return len(self.matrix)
 
     def determinant(self) -> Fraction:
-        return fraction_determinant([list(row) for row in self.matrix])
+        return fraction_determinant(self.matrix)
 
     def float_matrix(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.matrix], dtype=np.float64)
@@ -203,58 +207,58 @@ class SolveReport:
         return out
 
 
-def fraction_determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def _bareiss(
+    matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]",
+    rhs: list[Fraction] | None = None,
+) -> tuple[Fraction, list[Fraction] | None]:
+    """Determinant and, given ``rhs``, the solution (None if singular) from one Bareiss pass.
 
-    Rows are cleared to integers first (tracking the scaling), then the
-    integer Bareiss recurrence runs without any intermediate fractions.
+    Each row of [M | rhs] is cleared to integers by its own denominator, then
+    eliminated with exact integer divisions (Bareiss 1968). The last pivot D
+    is the determinant of the scaled, row-permuted M, so D x is integral by
+    Cramer's rule and back substitution stays in integers until x = y / D.
     """
     m = len(matrix)
-    if m == 0:
-        return Fraction(1)
-    if any(len(row) != m for row in matrix):
-        raise ValueError("matrix must be square")
-    scale = Fraction(1)
+    width = m if rhs is None else m + 1
+    scale = 1
     rows: list[list[int]] = []
-    for row in matrix:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        scale /= denom
-        rows.append([int(x * denom) for x in row])
+    for i, row in enumerate(matrix):
+        entries = list(row) if rhs is None else [*row, rhs[i]]
+        denom = math.lcm(*(x.denominator for x in entries))
+        scale *= denom
+        rows.append([x.numerator * (denom // x.denominator) for x in entries])
     sign = 1
     prev = 1
-    for k in range(m - 1):
+    for k in range(m):
         if rows[k][k] == 0:
             pivot = next((i for i in range(k + 1, m) if rows[i][k] != 0), None)
             if pivot is None:
-                return Fraction(0)
+                return Fraction(0), None
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * scale * rows[m - 1][m - 1]
+        top = rows[k]
+        pk = top[k]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pk - f * top[j]) // prev
+            row[k] = 0
+        prev = pk
+    det = Fraction(sign * prev, scale)
+    if rhs is None:
+        return det, None
+    y = [0] * m
+    for i in reversed(range(m)):
+        row = rows[i]
+        y[i] = (prev * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))) // row[i]
+    return det, [Fraction(v, prev) for v in y]
 
 
-def _gauss_eliminate(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact solve of a square system; None when singular."""
-    m = len(matrix)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[r][m] for r in range(m)]
+def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]") -> Fraction:
+    """Exact determinant by fraction-free (Bareiss) elimination; see :func:`_bareiss`."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square")
+    return _bareiss(matrix)[0]
 
 
 def nullspace_vector(matrix: tuple[tuple[Fraction, ...], ...]) -> list[Fraction] | None:
@@ -288,17 +292,6 @@ def nullspace_vector(matrix: tuple[tuple[Fraction, ...], ...]) -> list[Fraction]
     for r, c in pivots:
         vec[c] = -a[r][fc]
     return vec
-
-
-def _wrapped_kernel_integral(
-    Bn1: "object", n: int, a: Fraction, lo: Fraction, hi: Fraction
-) -> Fraction:
-    """integral(PB_n(a - theta), theta = lo..hi) = (PB_{n+1}(a - lo) - PB_{n+1}(a - hi)) / (n + 1).
-
-    Valid across wraps for n >= 1 because PB_{n+1} is a continuous global
-    antiderivative of (n+1) PB_n.
-    """
-    return (eval_periodic(Bn1, a - lo) - eval_periodic(Bn1, a - hi)) / (n + 1)
 
 
 def _validate_deviation(tau: StepFunction, T: Fraction) -> None:
@@ -342,6 +335,43 @@ def _assemble(
     )
 
 
+def _step_kernel(
+    n: int,
+    T: Fraction,
+    tau: StepFunction,
+    cuts: tuple[Fraction, ...],
+    weight: StepFunction,
+    points: list[Fraction] | None = None,
+) -> tuple[list[Fraction], list[list[Fraction]], list[Fraction]]:
+    """Samples s_j (the sorted deviation values), one row per point t (default:
+    the samples) and the row of weight integrals over the preimages P_j.
+
+    Entry j of the row for t sums w * (E_k - E_{k+1}) over the pieces
+    [c_k, c_{k+1}) of ``cuts`` in P_j, with weight w and E_k = PB_{n+1}((t - c_k)/T):
+    (n + 1)/T times integral(w * PB_n((t - sigma)/T)), across wraps too, as
+    PB_{n+1} is a continuous antiderivative. Each piece gets its column and
+    weight once, each cut one evaluation per point.
+    """
+    samples = sorted(set(tau.values))
+    col = {v: j for j, v in enumerate(samples)}
+    constraint = [Fraction(0)] * len(samples)
+    pieces = []
+    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        j, w = col[tau(lo)], weight(lo)
+        constraint[j] += w * (hi - lo)
+        if w:
+            pieces.append((k, j, w))
+    Bn1 = bernoulli_polynomial(n + 1)
+    rows = []
+    for t in samples if points is None else points:
+        E = [eval_periodic(Bn1, (t - c) / T) for c in cuts]
+        row = [Fraction(0)] * len(samples)
+        for k, j, w in pieces:
+            row[j] += w * (E[k] - E[k + 1])
+        rows.append(row)
+    return samples, rows, constraint
+
+
 def reduce_system(
     n: int,
     T: RationalLike,
@@ -363,23 +393,11 @@ def reduce_system(
     if L < 0:
         raise ValueError("L must be >= 0")
     _validate_deviation(tau, T)
-    pre = tau.preimages()
-    samples = sorted(pre)
-    Bn1 = bernoulli_polynomial(n + 1)
-    factor = -L * T**n / math.factorial(n)
+    samples, rows, measure = _step_kernel(n, T, tau, tau.breakpoints, StepFunction.constant(1, T))
+    factor = -L * T**n / math.factorial(n + 1)
     xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
-    kernel: list[list[Fraction]] = []
-    for s in samples:
-        row = []
-        for v in samples:
-            acc = Fraction(0)
-            for lo, hi in pre[v]:
-                acc += _wrapped_kernel_integral(Bn1, n, s / T, lo / T, hi / T)
-            measure = sum((hi - lo for lo, hi in pre[v]), Fraction(0))
-            row.append(factor * acc - xi_factor * measure)
-        kernel.append(row)
-    constraint = [sum((hi - lo for lo, hi in pre[v]), Fraction(0)) for v in samples]
-    return _assemble(n, T, samples, kernel, constraint, "lipschitz", tau, L, xi)
+    kernel = [[factor * acc - xi_factor * m for acc, m in zip(row, measure)] for row in rows]
+    return _assemble(n, T, samples, kernel, measure, "lipschitz", tau, L, xi)
 
 
 def reduce_weighted(
@@ -403,46 +421,37 @@ def reduce_weighted(
     if any(v < 0 for v in p.values):
         raise ValueError("weight must be nonnegative")
     _validate_deviation(tau, T)
-    cuts = sorted(set(p.breakpoints) | set(tau.breakpoints))
-    refined = list(zip(cuts, cuts[1:]))
-    pre_vals = sorted(tau.preimages())
-    Bn1 = bernoulli_polynomial(n + 1)
-    factor = -(T**n) / Fraction(math.factorial(n))
-    kernel: list[list[Fraction]] = []
-    for s in pre_vals:
-        row = []
-        for v in pre_vals:
-            acc = Fraction(0)
-            for lo, hi in refined:
-                if tau((lo + hi) / 2) != v:
-                    continue
-                pv = p((lo + hi) / 2)
-                if pv == 0:
-                    continue
-                acc += pv * _wrapped_kernel_integral(Bn1, n, s / T, lo / T, hi / T)
-            row.append(factor * acc)
-        kernel.append(row)
-    constraint = []
-    for v in pre_vals:
-        acc = Fraction(0)
-        for lo, hi in refined:
-            if tau((lo + hi) / 2) == v:
-                acc += p((lo + hi) / 2) * (hi - lo)
-        constraint.append(acc)
-    return _assemble(n, T, pre_vals, kernel, constraint, "weighted", tau, None, Fraction(0))
+    cuts = tuple(sorted(set(p.breakpoints) | set(tau.breakpoints)))
+    samples, rows, constraint = _step_kernel(n, T, tau, cuts, p)
+    factor = -(T**n) / math.factorial(n + 1)
+    kernel = [[factor * acc for acc in row] for row in rows]
+    return _assemble(n, T, samples, kernel, constraint, "weighted", tau, None, Fraction(0))
 
 
 MARGIN_OVERFLOW = "reduced matrix entry exceeds the float64 range"
 
 
-def _margin(sys: ReducedSystem) -> float | None:
-    """Smallest singular value of the float matrix; None when an entry overflows a double."""
+def _margin(sys: ReducedSystem) -> tuple[float | None, np.ndarray | None]:
+    """Smallest singular value of the float matrix, and the matrix; (None, None) on overflow."""
     try:
         matrix = sys.float_matrix()
     except OverflowError:
-        return None
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    return float(svals[-1])
+        return None, None
+    return float(np.linalg.svd(matrix, compute_uv=False)[-1]), matrix
+
+
+def _near_singular(sys: ReducedSystem, margin: float | None, matrix: np.ndarray | None) -> bool:
+    """Margin below NEAR_SINGULAR_BAND relative to the Frobenius norm, both as built and
+    with the zero-mean row, which alone scales with T, divided by T (one more
+    SVD, only for flagged systems)."""
+    if margin is None or margin >= NEAR_SINGULAR_BAND * float(np.linalg.norm(matrix)):
+        return False
+    scaled = matrix.copy()
+    try:
+        scaled[-1] = [float(x / sys.T) for x in sys.matrix[-1]]
+    except OverflowError:
+        return True
+    return bool(np.linalg.svd(scaled, compute_uv=False)[-1] < NEAR_SINGULAR_BAND * np.linalg.norm(scaled))
 
 
 def _degenerate_l0() -> SolveReport:
@@ -460,14 +469,15 @@ def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
 
     ``near_singular`` flags a nonzero determinant whose float margin falls
     below NEAR_SINGULAR_BAND relative to the Frobenius norm, the interesting
-    regime next to the sharp threshold; without a float margin the exact
-    verdict alone decides. A Lipschitz system with L = 0 gets the degenerate
+    regime next to the sharp threshold, also after the zero-mean row is
+    divided by T (see :func:`_near_singular`); without a float margin the
+    exact verdict alone decides. A Lipschitz system with L = 0 gets the degenerate
     nontrivial-kernel verdict, as in :func:`solve_periodic`.
     """
     if sys.kind == "lipschitz" and sys.L == 0:
         return _degenerate_l0()
     det = sys.determinant()
-    margin = _margin(sys)
+    margin, matrix = _margin(sys)
     provenance = {
         "route": "exact_reduction",
         "size": sys.size,
@@ -486,9 +496,7 @@ def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
             constant=vec[-1] if vec is not None else None,
             provenance=provenance,
         )
-    status = "unique"
-    if margin is not None and margin < NEAR_SINGULAR_BAND * float(np.linalg.norm(sys.float_matrix())):
-        status = "near_singular"
+    status = "near_singular" if _near_singular(sys, margin, matrix) else "unique"
     return SolveReport(status=status, margin=margin, determinant=det, provenance=provenance)
 
 
@@ -511,8 +519,8 @@ def solve_periodic(
         # Degenerate: y^(n) = C has periodic solutions iff C = 0, then all constants.
         return _degenerate_l0()
     sys = reduce_system(n, T, L, tau)
-    det = sys.determinant()
-    margin = _margin(sys)
+    det, solution = _bareiss(sys.matrix, [Fraction(0)] * len(sys.sample_points) + [-C * T / L])
+    margin, _ = _margin(sys)
     provenance = {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False}
     if margin is None:
         provenance["margin_unavailable"] = MARGIN_OVERFLOW
@@ -526,11 +534,6 @@ def solve_periodic(
             constant=vec[-1] if vec is not None else None,
             provenance=provenance,
         )
-    J = len(sys.sample_points)
-    matrix = [list(row) for row in sys.matrix]
-    rhs = [Fraction(0)] * J + [-C * T / L]
-    solution = _gauss_eliminate(matrix, rhs)
-    assert solution is not None
     return SolveReport(
         status="unique",
         margin=margin,
@@ -570,13 +573,8 @@ def reconstruct_solution(
         raise ValueError("reconstruction applies to the Lipschitz reduction")
     t = to_rational(t)
     n, T, L = sys.n, sys.T, sys.L
-    Bn1 = bernoulli_polynomial(n + 1)
-    by_value = dict(zip(sys.sample_points, samples))
-    total = Fraction(0)
-    for v, intervals in sys.tau.preimages().items():
-        for lo, hi in intervals:
-            total += by_value[v] * _wrapped_kernel_integral(Bn1, n, t / T, lo / T, hi / T)
-    return -L * T**n / math.factorial(n) * total + constant
+    _, (row,), _ = _step_kernel(n, T, sys.tau, sys.tau.breakpoints, StepFunction.constant(1, T), [t])
+    return -L * T**n / math.factorial(n + 1) * sum(v * x for v, x in zip(samples, row)) + constant
 
 
 def contraction_norm(sys: ReducedSystem) -> float:

@@ -149,6 +149,25 @@ def test_solve_huge_period_reports_null_margin(tmp_path, capsys, extra):
     assert report["determinant"] != "0"
 
 
+def test_solve_large_period_is_not_near_singular(tmp_path, capsys):
+    # the zero-mean row scales with T; divided by T the 2x2 system is well conditioned
+    instance = {
+        "kind": "lipschitz",
+        "n": 4,
+        "T": "1e40",
+        "L": "1",
+        "tau": {"breakpoints": ["0", "1e40"], "values": ["0"]},
+    }
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["status"] == "unique"
+    assert report["margin"] == 1.0
+    assert report["determinant"] == str(10**40)
+
+
 def test_solve_schema_violation_reports_field_path(tmp_path, capsys):
     instance = {
         "kind": "lipschitz",

@@ -21,6 +21,14 @@ CASES = {
     "solve_lipschitz": ["solve", str(GOLDEN / "instances" / "solve_lipschitz.json")],
     "solve_lipschitz_forced": ["solve", str(GOLDEN / "instances" / "solve_lipschitz_forced.json")],
     "solve_weighted": ["solve", str(GOLDEN / "instances" / "solve_weighted.json")],
+    "solve_weighted_interleaved": [
+        "solve",
+        str(GOLDEN / "instances" / "solve_weighted_interleaved.json"),
+    ],
+    "solve_lipschitz_forced_large": [
+        "solve",
+        str(GOLDEN / "instances" / "solve_lipschitz_forced_large.json"),
+    ],
 }
 
 

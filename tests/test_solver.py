@@ -134,6 +134,16 @@ class TestReduction:
         assert report.determinant != 0
         assert report.status == "near_singular"
 
+    def test_near_singular_recheck_overflow_keeps_flag(self):
+        # the zero-mean row divided by T overflows a double: the unscaled verdict stands
+        T = F(1, 10**300)
+        p = StepFunction.constant(F(10**320), T)
+        tau = StepFunction.constant(F(0), T)
+        report = solve_weighted(1, T, p, tau)
+        assert report.status == "near_singular"
+        assert report.margin == 1.0
+        assert report.determinant == 10**20
+
     def test_exact_vs_float_consistency(self):
         rng = random.Random(77)
         events = []
