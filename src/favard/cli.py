@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -174,11 +175,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError("<file>", f"invalid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise SchemaError("<file>", "the instance must be a JSON object")
     kind = _require(data, "kind", "")
     if kind not in ("lipschitz", "weighted"):
         raise SchemaError("kind", f"must be 'lipschitz' or 'weighted', got {kind!r}")
     n = _require(data, "n", "")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("n", "must be a positive integer")
     T = _parse_rational_arg(str(_require(data, "T", "")), "T")
     tau = _parse_step(_require(data, "tau", ""), "tau", T)
@@ -274,6 +277,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0 if all(r.passed and r.within_time for r in results) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="favard",
@@ -346,7 +350,7 @@ def dispatch(args: argparse.Namespace) -> int:
     except SchemaError as exc:
         print(f"usage error at {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ZeroDivisionError) as exc:

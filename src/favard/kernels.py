@@ -164,30 +164,16 @@ class MedianSplit:
         return float(self.value_error_coeff) * math.pi ** (self.pi_power + 1)
 
 
-def _measure_below_piecewise(
-    pw: PiecewisePolynomial, level: Fraction, width: Fraction
+def _piecewise_sum(
+    bounds, pw: PiecewisePolynomial, level: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for i, piece in enumerate(pw.pieces):
-        a, b = pw.breakpoints[i], pw.breakpoints[i + 1]
-        piece_lo, piece_hi = measure_below(piece, a, b, level, width)
-        lo += piece_lo
-        hi += piece_hi
-    return lo, hi
-
-
-def _abs_integral_piecewise(
-    pw: PiecewisePolynomial, level: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    est = Fraction(0)
-    err = Fraction(0)
-    for i, piece in enumerate(pw.pieces):
-        a, b = pw.breakpoints[i], pw.breakpoints[i + 1]
-        piece_est, piece_err = abs_integral(piece, a, b, level, width)
-        est += piece_est
-        err += piece_err
-    return est, err
+    """Sum of the pairs ``bounds(piece, a, b, level, width)`` over the pieces [a, b] of ``pw``."""
+    first = second = Fraction(0)
+    for piece, a, b in zip(pw.pieces, pw.breakpoints, pw.breakpoints[1:]):
+        x, y = bounds(piece, a, b, level, width)
+        first += x
+        second += y
+    return first, second
 
 
 def min_abs_integral(n: int, width: Fraction = DEFAULT_WIDTH) -> MedianSplit:
@@ -208,9 +194,9 @@ def min_abs_integral(n: int, width: Fraction = DEFAULT_WIDTH) -> MedianSplit:
         if c not in candidates:
             candidates.append(c)
     for c in candidates:
-        m_lo, m_hi = _measure_below_piecewise(pw, c, width)
+        m_lo, m_hi = _piecewise_sum(measure_below, pw, c, width)
         if m_lo == m_hi == half:
-            est, err = _abs_integral_piecewise(pw, c, width)
+            est, err = _piecewise_sum(abs_integral, pw, c, width)
             return MedianSplit(
                 n=n,
                 xi_star=c,
@@ -226,7 +212,7 @@ def min_abs_integral(n: int, width: Fraction = DEFAULT_WIDTH) -> MedianSplit:
     hi_c = max(pc.coefficient_bound() for pc in pw.pieces) + 1
     for _ in range(64):
         mid = (lo_c + hi_c) / 2
-        m_lo, m_hi = _measure_below_piecewise(pw, mid, width)
+        m_lo, m_hi = _piecewise_sum(measure_below, pw, mid, width)
         if m_hi < half:
             lo_c = mid
         elif m_lo > half:
@@ -234,8 +220,8 @@ def min_abs_integral(n: int, width: Fraction = DEFAULT_WIDTH) -> MedianSplit:
         else:
             break
     c = (lo_c + hi_c) / 2
-    m_lo, m_hi = _measure_below_piecewise(pw, c, width)
-    est, err = _abs_integral_piecewise(pw, c, width)
+    m_lo, m_hi = _piecewise_sum(measure_below, pw, c, width)
+    est, err = _piecewise_sum(abs_integral, pw, c, width)
     # Off-median slack: |J(c) - J(median)| <= |c - median| * |2 m - 1| <= enclosure width.
     err = err + (hi_c - lo_c)
     return MedianSplit(
@@ -259,7 +245,7 @@ def centered_abs_integral(
     pi^(n-1). Exact whenever the level crossings are rational.
     """
     pw = kernel_phi(n).closed_form
-    est, err = _abs_integral_piecewise(pw, to_rational(xi_coeff), width)
+    est, err = _piecewise_sum(abs_integral, pw, to_rational(xi_coeff), width)
     return 2 * est, 2 * err
 
 

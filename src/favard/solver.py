@@ -26,9 +26,14 @@ Weighted problems y^(n) = p(t) (y(tau(t)) + C) with step p >= 0 reduce the
 same way since p times an indicator is still a step function. Both reductions
 walk the pieces of the partition once, giving each its column and weight, and
 evaluate PB_{n+1} once per (sample, breakpoint); each entry is a sum of
-differences of those values. One integer Bareiss elimination of [M | rhs]
-gives the determinant and, by fraction-free back substitution, the exact
-solution.
+differences of those values.
+
+Every verdict comes from one rank-revealing integer Bareiss elimination of
+[M | rhs] (rhs only on the forced path): full rank gives the determinant and,
+by fraction-free back substitution, the exact solution; rank below the size
+gives determinant 0 and the kernel vector whose first free variable is 1 and
+other free variables 0, the nontrivial periodic solution reported at the
+threshold.
 
 Edge case: L = 0 degenerates (the homogeneous problem then admits all
 constants, but the zero-mean row no longer follows from y^(n) = 0), so it is
@@ -38,11 +43,6 @@ reduced system's determinant, on the homogeneous and the forced path alike.
 The float margin is advisory: when an entry of the reduced matrix does not
 fit in a double it is reported as null with the reason in the provenance,
 and the exact determinant verdict stands alone.
-
-A dense float collocation fallback handles measurable deviations by
-piecewise-constant interpolation of tau onto a uniform grid with midpoint
-quadrature for the kernel cells; it is approximate and documented as such,
-and the exact reduction always has the final word for step data.
 
 Instance analyses are pure functions of their inputs and independent of each
 other, so they can run concurrently; the exact elimination inside one
@@ -72,7 +72,6 @@ __all__ = [
     "solve_weighted",
     "reconstruct_solution",
     "contraction_norm",
-    "collocation_margin",
     "fraction_determinant",
     "nullspace_vector",
     "NEAR_SINGULAR_BAND",
@@ -210,13 +209,18 @@ class SolveReport:
 def _bareiss(
     matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]",
     rhs: list[Fraction] | None = None,
-) -> tuple[Fraction, list[Fraction] | None]:
-    """Determinant and, given ``rhs``, the solution (None if singular) from one Bareiss pass.
+) -> tuple[Fraction, list[Fraction] | None, list[Fraction] | None]:
+    """(determinant, solution, kernel vector) of a square system from one Bareiss pass.
 
     Each row of [M | rhs] is cleared to integers by its own denominator, then
-    eliminated with exact integer divisions (Bareiss 1968). The last pivot D
-    is the determinant of the scaled, row-permuted M, so D x is integral by
-    Cramer's rule and back substitution stays in integers until x = y / D.
+    eliminated with exact integer divisions (Bareiss 1968); a column with no
+    pivot is skipped, so the pass ends in row echelon form and reveals the
+    rank. The last pivot D is the leading minor of the scaled, row-permuted M
+    on the pivot columns, so D x is integral by Cramer's rule and back
+    substitution stays in integers until x = y / D. Full rank gives the
+    determinant and, given ``rhs``, the solution; otherwise the determinant is
+    0 and the kernel vector has its first free variable 1, the other free
+    variables 0 (the vector Gauss-Jordan reduction reads off).
     """
     m = len(matrix)
     width = m if rhs is None else m + 1
@@ -229,29 +233,37 @@ def _bareiss(
         rows.append([x.numerator * (denom // x.denominator) for x in entries])
     sign = 1
     prev = 1
-    for k in range(m):
-        if rows[k][k] == 0:
-            pivot = next((i for i in range(k + 1, m) if rows[i][k] != 0), None)
-            if pivot is None:
-                return Fraction(0), None
-            rows[k], rows[pivot] = rows[pivot], rows[k]
+    pivots: list[int] = []
+    for col in range(m):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
             sign = -sign
-        top = rows[k]
-        pk = top[k]
-        for row in rows[k + 1 :]:
-            f = row[k]
-            for j in range(k + 1, width):
+        top = rows[r]
+        pk = top[col]
+        for row in rows[r + 1 :]:
+            f = row[col]
+            for j in range(col + 1, width):
                 row[j] = (row[j] * pk - f * top[j]) // prev
-            row[k] = 0
+            row[col] = 0
         prev = pk
-    det = Fraction(sign * prev, scale)
-    if rhs is None:
-        return det, None
+        pivots.append(col)
+    free = next((c for c in range(m) if c not in pivots), None)
+    if free is None and rhs is None:
+        return Fraction(sign * prev, scale), None, None
     y = [0] * m
-    for i in reversed(range(m)):
-        row = rows[i]
-        y[i] = (prev * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))) // row[i]
-    return det, [Fraction(v, prev) for v in y]
+    if free is not None:
+        y[free] = prev
+    for row, col in reversed(list(zip(rows, pivots))):
+        b = 0 if free is not None else prev * row[m]
+        y[col] = (b - sum(row[j] * y[j] for j in range(col + 1, m))) // row[col]
+    x = [Fraction(v, prev) for v in y]
+    if free is None:
+        return Fraction(sign * prev, scale), x, None
+    return Fraction(0), None, x
 
 
 def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]") -> Fraction:
@@ -262,36 +274,8 @@ def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, .
 
 
 def nullspace_vector(matrix: tuple[tuple[Fraction, ...], ...]) -> list[Fraction] | None:
-    """One exact nontrivial kernel vector of a singular square matrix, or None."""
-    m = len(matrix)
-    a = [list(row) for row in matrix]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(m):
-        pivot = next((r for r in range(row, m) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free = [c for c in range(m) if c not in pivot_cols]
-    if not free:
-        return None
-    fc = free[0]
-    vec = [Fraction(0)] * m
-    vec[fc] = Fraction(1)
-    for r, c in pivots:
-        vec[c] = -a[r][fc]
-    return vec
+    """The kernel vector of a singular square matrix (first free variable 1), or None; see :func:`_bareiss`."""
+    return _bareiss(matrix)[2]
 
 
 def _validate_deviation(tau: StepFunction, T: Fraction) -> None:
@@ -464,6 +448,34 @@ def _degenerate_l0() -> SolveReport:
     )
 
 
+def _report(sys: ReducedSystem, rhs: list[Fraction] | None, provenance: dict) -> SolveReport:
+    """The verdict from one elimination of the reduced matrix, with ``rhs`` on the forced path.
+
+    A zero determinant reports ``nontrivial_kernel`` with the kernel vector as
+    samples and constant. Otherwise a forced system is ``unique`` with its
+    solution, and a homogeneous one ``unique`` or ``near_singular`` by the
+    float margin (see :func:`_near_singular`).
+    """
+    det, solution, kernel = _bareiss(sys.matrix, rhs)
+    margin, matrix = _margin(sys)
+    if margin is None:
+        provenance["margin_unavailable"] = MARGIN_OVERFLOW
+    if det == 0:
+        status, vec = "nontrivial_kernel", kernel
+    elif rhs is None and _near_singular(sys, margin, matrix):
+        status, vec = "near_singular", None
+    else:
+        status, vec = "unique", solution
+    return SolveReport(
+        status=status,
+        margin=margin,
+        determinant=det,
+        solution_samples=None if vec is None else tuple(vec[:-1]),
+        constant=None if vec is None else vec[-1],
+        provenance=provenance,
+    )
+
+
 def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
     """Exact determinant verdict first; the float smallest singular value is advisory.
 
@@ -476,28 +488,7 @@ def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
     """
     if sys.kind == "lipschitz" and sys.L == 0:
         return _degenerate_l0()
-    det = sys.determinant()
-    margin, matrix = _margin(sys)
-    provenance = {
-        "route": "exact_reduction",
-        "size": sys.size,
-        "kind": sys.kind,
-    }
-    if margin is None:
-        provenance["margin_unavailable"] = MARGIN_OVERFLOW
-    if det == 0:
-        vec = nullspace_vector(sys.matrix)
-        samples = tuple(vec[:-1]) if vec is not None else None
-        return SolveReport(
-            status="nontrivial_kernel",
-            margin=margin,
-            determinant=det,
-            solution_samples=samples,
-            constant=vec[-1] if vec is not None else None,
-            provenance=provenance,
-        )
-    status = "near_singular" if _near_singular(sys, margin, matrix) else "unique"
-    return SolveReport(status=status, margin=margin, determinant=det, provenance=provenance)
+    return _report(sys, None, {"route": "exact_reduction", "size": sys.size, "kind": sys.kind})
 
 
 def solve_periodic(
@@ -512,36 +503,16 @@ def solve_periodic(
     When the reduced system is nonsingular the unique periodic solution is
     returned through its samples y(s_j) and the constant C_1 of the
     reconstruction recipe (see :func:`reconstruct_solution`). A singular
-    system reports ``nontrivial_kernel`` and returns no solution.
+    system reports ``nontrivial_kernel`` with a kernel vector, as
+    :func:`uniqueness_margin` does; the float margin never changes the status.
     """
     T, L, C = to_rational(T), to_rational(L), to_rational(C)
     if L == 0:
         # Degenerate: y^(n) = C has periodic solutions iff C = 0, then all constants.
         return _degenerate_l0()
     sys = reduce_system(n, T, L, tau)
-    det, solution = _bareiss(sys.matrix, [Fraction(0)] * len(sys.sample_points) + [-C * T / L])
-    margin, _ = _margin(sys)
-    provenance = {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False}
-    if margin is None:
-        provenance["margin_unavailable"] = MARGIN_OVERFLOW
-    if det == 0:
-        vec = nullspace_vector(sys.matrix)
-        return SolveReport(
-            status="nontrivial_kernel",
-            margin=margin,
-            determinant=det,
-            solution_samples=tuple(vec[:-1]) if vec is not None else None,
-            constant=vec[-1] if vec is not None else None,
-            provenance=provenance,
-        )
-    return SolveReport(
-        status="unique",
-        margin=margin,
-        determinant=det,
-        solution_samples=tuple(solution[:-1]),
-        constant=solution[-1],
-        provenance=provenance,
-    )
+    rhs = [Fraction(0)] * len(sys.sample_points) + [-C * T / L]
+    return _report(sys, rhs, {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False})
 
 
 def solve_weighted(
@@ -589,59 +560,3 @@ def contraction_norm(sys: ReducedSystem) -> float:
         worst = max(worst, s)
     return float(worst)
 
-
-def collocation_margin(
-    n: int,
-    T: RationalLike,
-    L: RationalLike,
-    tau: StepFunction,
-    grid: int,
-) -> float:
-    """Smallest singular value of a dense float collocation of the homogeneous problem.
-
-    Uniform grid of ``grid`` nodes; tau is interpolated piecewise-constant at
-    cell midpoints and sampled values are rounded to the nearest node;
-    kernel cell integrals use midpoint quadrature. Approximate by design: for
-    instances the exact reduction declares singular this margin converges to
-    zero as the grid refines.
-    """
-    T, L = to_rational(T), to_rational(L)
-    N = int(grid)
-    Tf = float(T)
-    h = Tf / N
-    Bn = bernoulli_polynomial(n)
-    coeffs = np.array([float(c) for c in Bn.coeffs])
-    scale = -(Tf ** (n - 1)) * float(L) / math.factorial(n)
-
-    def kernel_at(s: np.ndarray) -> np.ndarray:
-        u = np.mod(s / Tf, 1.0)
-        acc = np.zeros_like(u)
-        for c in coeffs[::-1]:
-            acc = acc * u + c
-        return scale * acc
-
-    tau_breaks = np.array([float(b) for b in tau.breakpoints])
-    tau_vals = np.array([float(v) for v in tau.values])
-
-    def tau_at(t: np.ndarray) -> np.ndarray:
-        u = np.mod(t, Tf)
-        idx = np.clip(np.searchsorted(tau_breaks, u, side="right") - 1, 0, len(tau_vals) - 1)
-        return tau_vals[idx]
-
-    nodes = np.arange(N) * h
-    mids = (np.arange(N) + 0.5) * h
-    kmid = kernel_at(mids) * h
-    args = np.mod(nodes[:, None] - mids[None, :], Tf)
-    cols = np.mod(np.rint(tau_at(args) / h).astype(int), N)
-    A = np.zeros((N, N))
-    np.add.at(A, (np.repeat(np.arange(N), N), cols.ravel()), np.tile(kmid, N))
-    M = np.zeros((N + 1, N + 1))
-    M[:N, :N] = np.eye(N) - A
-    M[:N, N] = -1.0
-    # zero-mean row over y(tau(t)) cell contributions
-    mid_cols = np.mod(np.rint(tau_at(mids) / h).astype(int), N)
-    row = np.zeros(N + 1)
-    np.add.at(row, mid_cols, h)
-    M[N, :] = row
-    svals = np.linalg.svd(M, compute_uv=False)
-    return float(svals[-1])

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from favard.cli import main
 
@@ -194,6 +200,105 @@ def test_solve_missing_field_path(tmp_path, capsys):
 def test_solve_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "/nonexistent/instance.json")
     assert code == 2
+
+
+def test_solve_non_object_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    path.write_text("5")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert "JSON object" in err
+
+
+def test_solve_boolean_order_exits_2(tmp_path, capsys):
+    instance = {
+        "kind": "lipschitz",
+        "n": True,
+        "T": "1",
+        "L": "1",
+        "tau": {"breakpoints": ["0", "1"], "values": ["0"]},
+    }
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert "usage error at n:" in err
+
+
+def test_solve_directory_instance_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "solve", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error")
+
+
+# ------------------------------------------------------------ schema fuzz
+
+junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(width=16),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+BAD_RATIONALS = st.sampled_from(["-1", "0", "1/0", "x", "", "7/2", "1e3"])
+
+
+@st.composite
+def steps(draw, T, values):
+    """A well-formed step dict on a grid of T/6; ``values`` draws the strings of its values."""
+    cuts = sorted(draw(st.sets(st.integers(1, 5), max_size=3)))
+    breakpoints = ["0"] + [f"{T * k}/6" for k in cuts] + [str(T)]
+    return {"breakpoints": breakpoints, "values": [draw(values) for _ in breakpoints[1:]]}
+
+
+@st.composite
+def solve_instances(draw):
+    """A valid ``solve`` instance (n <= 6, at most four pieces, small rationals) after
+    up to three mutations: a field dropped, replaced by junk or a bad rational,
+    a step field broken, or the whole document replaced by a non-object."""
+    T = draw(st.integers(1, 3))
+    rational = st.builds("{}/{}".format, st.integers(0, 20), st.integers(1, 4))
+    doc = {
+        "kind": draw(st.sampled_from(["lipschitz", "weighted"])),
+        "n": draw(st.integers(1, 6)),
+        "T": str(T),
+        "L": draw(rational),
+        "tau": draw(steps(T, st.builds(lambda k: f"{T * k}/6", st.integers(0, 6)))),
+        "p": draw(steps(T, rational)),
+    }
+    if draw(st.booleans()):
+        doc["C"] = draw(rational)
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(doc)))
+        how = draw(st.sampled_from(["drop", "junk", "bad", "step"]))
+        if how == "drop":
+            doc.pop(key)
+        elif how == "step" and isinstance(doc[key], dict):
+            sub = draw(st.sampled_from(["breakpoints", "values"]))
+            doc[key] = {**doc[key], sub: draw(st.one_of(junk, st.lists(BAD_RATIONALS, max_size=3)))}
+        else:
+            doc[key] = draw(junk if how == "junk" else BAD_RATIONALS)
+    return draw(st.one_of(st.just(doc), st.just(doc), st.just(doc), junk))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(solve_instances())
+def test_solve_schema_fuzz_never_tracebacks(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        path.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["solve", str(path)])
+    assert code in (0, 1, 2)
+    assert (code == 0) == (out.getvalue() != "")
 
 
 def test_unknown_subcommand_exits_2(capsys):

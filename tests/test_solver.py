@@ -9,7 +9,6 @@ from favard.kernels import min_abs_integral
 from favard.sampling import random_deviation, random_weight
 from favard.solver import (
     StepFunction,
-    collocation_margin,
     contraction_norm,
     fraction_determinant,
     nullspace_vector,
@@ -323,25 +322,3 @@ class TestContraction:
         sys_star = reduce_system(1, 1, rho / K, tau, xi=min_abs_integral(1).xi_star)
         assert contraction_norm(sys_star) <= float(rho) + 1e-6
 
-
-class TestCollocation:
-    def test_discriminates_singular_from_regular(self):
-        # grids 2^7 .. 2^10; the deviation samples sit on these grids, so the
-        # singular instance is resolved immediately while the regular one
-        # keeps a margin orders of magnitude higher
-        tau = witness_tau(2)
-        for grid in (128, 256, 512, 1024):
-            singular = collocation_margin(2, 1, 32, tau, grid)
-            regular = collocation_margin(2, 1, 16, tau, grid)
-            assert singular < 1e-8
-            assert regular > 1e-4
-
-    def test_misaligned_grid_converges(self):
-        # off-grid variant to expose a finite convergence order
-        tau = witness_tau(2)
-        margins = [collocation_margin(2, 1, 32, tau, g) for g in (129, 257, 513)]
-        orders = [margins[i] / margins[i + 1] for i in range(len(margins) - 1)]
-        print("collocation margins:", margins, "per-doubling ratios:", orders)
-        assert all(a > b for a, b in zip(margins, margins[1:]))
-        assert margins[-1] < 1e-5
-        assert all(o > 2 for o in orders)  # better than first order per doubling

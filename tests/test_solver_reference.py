@@ -2,7 +2,9 @@
 
 ``gauss_jordan`` is the Fraction Gauss-Jordan solve the forced Lipschitz path
 used before the single integer Bareiss elimination; it also returns the
-determinant as the signed product of its pivots. ``reference_reduce_system``,
+determinant as the signed product of its pivots. ``gauss_jordan_kernel`` is
+the Fraction Gauss-Jordan kernel vector singular systems used before the
+elimination became rank-revealing. ``reference_reduce_system``,
 ``reference_reduce_weighted`` and ``reference_reconstruct`` are the
 per-(sample, value, interval) double loops the reductions used before each
 breakpoint was evaluated once per sample.
@@ -19,6 +21,7 @@ from favard.solver import (
     StepFunction,
     _bareiss,
     fraction_determinant,
+    nullspace_vector,
     reconstruct_solution,
     reduce_system,
     reduce_weighted,
@@ -45,6 +48,40 @@ def gauss_jordan(matrix, rhs):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det, [a[r][m] for r in range(m)]
+
+
+def gauss_jordan_kernel(matrix):
+    """Kernel vector of a singular square matrix from its reduced row echelon form
+    (first free variable 1, the other free variables 0), or None at full rank."""
+    m = len(matrix)
+    a = [list(row) for row in matrix]
+    pivots = []
+    row = 0
+    for col in range(m):
+        pivot = next((r for r in range(row, m) if a[r][col] != 0), None)
+        if pivot is None:
+            continue
+        a[row], a[pivot] = a[pivot], a[row]
+        pv = a[row][col]
+        a[row] = [x / pv for x in a[row]]
+        for r in range(m):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == m:
+            break
+    pivot_cols = {c for _, c in pivots}
+    free = [c for c in range(m) if c not in pivot_cols]
+    if not free:
+        return None
+    fc = free[0]
+    vec = [F(0)] * m
+    vec[fc] = F(1)
+    for r, c in pivots:
+        vec[c] = -a[r][fc]
+    return vec
 
 
 def wrapped_kernel_integral(Bn1, n, a, lo, hi):
@@ -139,28 +176,76 @@ def square_systems(draw):
     return a, rhs
 
 
+small = st.one_of(st.just(F(0)), st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    """(a, rhs or None): a = U V with U m x r and V r x m, r = 0..m, so rank(a) <= r;
+    sometimes a zero column, sometimes a zero leading entry."""
+    m = draw(st.integers(0, 7))
+    r = draw(st.integers(0, m))
+    u = [draw(st.lists(small, min_size=r, max_size=r)) for _ in range(m)]
+    v = [draw(st.lists(small, min_size=m, max_size=m)) for _ in range(r)]
+    a = [[sum((u[i][k] * v[k][j] for k in range(r)), F(0)) for j in range(m)] for i in range(m)]
+    if m and draw(st.booleans()):
+        col = draw(st.integers(0, m - 1))
+        for row in a:
+            row[col] = F(0)
+    if m and draw(st.booleans()):
+        a[0][0] = F(0)
+    rhs = draw(st.one_of(st.none(), st.lists(entries, min_size=m, max_size=m)))
+    return a, rhs
+
+
 class TestBareissAgainstGaussJordan:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(square_systems())
     def test_determinant_and_solution(self, system):
         a, rhs = system
         ref_det, ref_solution = gauss_jordan(a, rhs)
-        det, solution = _bareiss(a, rhs)
+        ref_kernel = gauss_jordan_kernel(a)
+        det, solution, kernel = _bareiss(a, rhs)
         assert det == ref_det
         assert solution == ref_solution
+        assert kernel == ref_kernel
         assert (solution is None) == (det == 0)
         assert fraction_determinant(a) == ref_det
-        assert _bareiss(a) == (ref_det, None)
+        assert _bareiss(a) == (ref_det, None, ref_kernel)
 
     def test_swaps_and_singular_cases(self):
         # zero pivots at columns 0 and 1 force swaps; only the anti-diagonal term survives
         a = [[F(0), F(0), F(3)], [F(0), F(1, 2), F(7)], [F(5, 3), F(1), F(0)]]
         rhs = [F(1, 7), F(0), F(-2, 9)]
-        assert _bareiss(a, rhs) == gauss_jordan(a, rhs)
+        assert _bareiss(a, rhs) == (*gauss_jordan(a, rhs), None)
         assert _bareiss(a, rhs)[0] == -F(3) * F(1, 2) * F(5, 3)
         singular = [[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]
-        assert _bareiss(singular, [F(1), F(2)]) == (F(0), None)
-        assert _bareiss([], []) == (F(1), [])
+        assert _bareiss(singular, [F(1), F(2)]) == (F(0), None, [F(-2, 3), F(1)])
+        assert _bareiss([], []) == (F(1), [], None)
+        # rank 1 with a zero leading column: pivot at column 1, free columns 0 and 2
+        a = [[F(0), F(2), F(4)], [F(0), F(-1), F(-2)], [F(0), F(0), F(0)]]
+        assert _bareiss(a) == (F(0), None, [F(1), F(0), F(0)])
+        a = [[F(0), F(0), F(3)], [F(0), F(1, 2), F(0)], [F(0), F(1), F(6)]]
+        assert _bareiss(a, rhs) == (F(0), None, [F(1), F(0), F(0)])
+        a = [[F(2), F(4), F(1)], [F(1), F(2), F(0)], [F(3), F(6), F(1)]]
+        assert _bareiss(a) == (F(0), None, [F(-2), F(1), F(0)]) == (F(0), None, gauss_jordan_kernel(a))
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(rank_deficient_systems())
+    def test_rank_deficient_kernel(self, system):
+        a, rhs = system
+        m = len(a)
+        ref_det, ref_solution = gauss_jordan(a, [F(0)] * m if rhs is None else rhs)
+        ref_kernel = gauss_jordan_kernel(a)
+        det, solution, kernel = _bareiss(a, rhs)
+        assert det == ref_det
+        assert solution == (None if rhs is None else ref_solution)
+        assert kernel == ref_kernel
+        assert nullspace_vector(a) == ref_kernel
+        assert (kernel is None) == (det != 0)
+        if kernel is not None:
+            assert any(kernel)
+            assert all(sum(x * v for x, v in zip(row, kernel)) == 0 for row in a)
 
 
 # ------------------------------------------------------------ reductions
