@@ -12,9 +12,15 @@ Polynomial evaluation runs in integers: on its first call a polynomial
 caches its coefficients as integer numerators over their least common
 denominator D, and evaluation at a/b is the homogeneous Horner sum
 sum(c_k a^k b^(d-k)) divided once by D b^d. The result is the same canonical
-``Fraction`` as a Fraction Horner loop would give. The cache is per instance
-and lazy, so polynomials that are only built (Sturm sequences, quotients)
-never pay for it, and it is not part of equality, hashing or repr.
+``Fraction`` as a Fraction Horner loop would give; ``sign`` reads the sign of
+the same integer sum without building a ``Fraction``, since D b^d > 0. The
+cache is per instance and lazy, so polynomials that are only built
+(quotients, remainders) never pay for it, and it is not part of equality,
+hashing or repr.
+
+Tuples are built from list comprehensions, not generators: CPython grows a
+``tuple(<generator>)`` by resizing, which fills the tuple free lists of
+every size it passes through and raises the peak memory of long runs.
 
 All values are immutable after construction and every operation is a pure
 function, so instances are safe to share between threads.
@@ -79,6 +85,17 @@ def _normalize(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(cs)
 
 
+def _horner(nums: tuple[int, ...], x: Fraction) -> tuple[int, int]:
+    """Homogeneous Horner at x = a/b: (sum of nums[k] a^k b^(d-k), b^d)."""
+    a, b = x.numerator, x.denominator
+    acc = nums[-1]
+    bpow = 1
+    for c in reversed(nums[:-1]):
+        bpow *= b
+        acc = acc * a + c * bpow
+    return acc, bpow
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Univariate polynomial with exact rational coefficients, lowest degree first.
@@ -95,7 +112,7 @@ class Polynomial:
 
     @classmethod
     def of(cls, *coeffs: RationalLike) -> "Polynomial":
-        return cls(tuple(to_rational(c) for c in coeffs))
+        return cls([to_rational(c) for c in coeffs])
 
     @classmethod
     def const(cls, c: RationalLike) -> "Polynomial":
@@ -130,21 +147,22 @@ class Polynomial:
         D = 1
         for c in self.coeffs:
             D = math.lcm(D, c.denominator)
-        return tuple(c.numerator * (D // c.denominator) for c in self.coeffs), D
+        return tuple([c.numerator * (D // c.denominator) for c in self.coeffs]), D
 
     def __call__(self, x: RationalLike) -> Fraction:
-        x = to_rational(x)
         nums, D = self._integer_form
         if not nums:
             return Fraction(0)
-        # homogeneous Horner at x = a/b: sum of nums[k] a^k b^(d-k), over D b^d
-        a, b = x.numerator, x.denominator
-        acc = nums[-1]
-        bpow = 1
-        for c in reversed(nums[:-1]):
-            bpow *= b
-            acc = acc * a + c * bpow
+        acc, bpow = _horner(nums, to_rational(x))
         return Fraction(acc, D * bpow)
+
+    def sign(self, x: RationalLike) -> int:
+        """Sign of p(x) as -1, 0 or 1, read off the integer Horner sum (D b^d > 0)."""
+        nums, _ = self._integer_form
+        if not nums:
+            return 0
+        acc, _ = _horner(nums, to_rational(x))
+        return (acc > 0) - (acc < 0)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coeffs, other.coeffs
@@ -156,7 +174,7 @@ class Polynomial:
         return Polynomial(tuple(out))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -171,13 +189,13 @@ class Polynomial:
                     out[i + j] += a * b
             return Polynomial(tuple(out))
         c = to_rational(other)
-        return Polynomial(tuple(c * a for a in self.coeffs))
+        return Polynomial([c * a for a in self.coeffs])
 
     def __rmul__(self, other: RationalLike) -> "Polynomial":
         return self * other
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        return Polynomial([k * c for k, c in enumerate(self.coeffs) if k >= 1])
 
     def antiderivative(self, constant: RationalLike = 0) -> "Polynomial":
         out = [to_rational(constant)]
@@ -210,7 +228,7 @@ class Polynomial:
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls(tuple(parse_rational(s) for s in items))
+        return cls([parse_rational(s) for s in items])
 
 
 @dataclass(frozen=True)
@@ -227,7 +245,7 @@ class PiecewisePolynomial:
     period: Fraction
 
     def __post_init__(self) -> None:
-        bps = tuple(to_rational(b) for b in self.breakpoints)
+        bps = tuple([to_rational(b) for b in self.breakpoints])
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "period", to_rational(self.period))
         if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
@@ -252,8 +270,8 @@ class PiecewisePolynomial:
     ) -> "PiecewisePolynomial":
         """Step function: constant pieces on the given unit-interval partition."""
         return cls(
-            tuple(to_rational(b) for b in breakpoints),
-            tuple(Polynomial.const(v) for v in values),
+            tuple([to_rational(b) for b in breakpoints]),
+            tuple([Polynomial.const(v) for v in values]),
             to_rational(period),
         )
 
@@ -293,7 +311,7 @@ class PiecewisePolynomial:
         inv = 1 / self.period
         return PiecewisePolynomial(
             self.breakpoints,
-            tuple(p.derivative() * inv for p in self.pieces),
+            tuple([p.derivative() * inv for p in self.pieces]),
             self.period,
         )
 
@@ -354,7 +372,7 @@ class PiecewisePolynomial:
         c = to_rational(c)
         return PiecewisePolynomial(
             self.breakpoints,
-            tuple(p + Polynomial.const(c) for p in self.pieces),
+            tuple([p + Polynomial.const(c) for p in self.pieces]),
             self.period,
         )
 
@@ -364,7 +382,7 @@ class PiecewisePolynomial:
     def __mul__(self, other: RationalLike) -> "PiecewisePolynomial":
         c = to_rational(other)
         return PiecewisePolynomial(
-            self.breakpoints, tuple(p * c for p in self.pieces), self.period
+            self.breakpoints, tuple([p * c for p in self.pieces]), self.period
         )
 
     __rmul__ = __mul__
@@ -379,8 +397,8 @@ class PiecewisePolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PiecewisePolynomial":
         return cls(
-            tuple(parse_rational(s) for s in data["breakpoints"]),
-            tuple(Polynomial.from_strings(p) for p in data["pieces"]),
+            tuple([parse_rational(s) for s in data["breakpoints"]]),
+            tuple([Polynomial.from_strings(p) for p in data["pieces"]]),
             parse_rational(data["period"]),
         )
 

@@ -1,12 +1,20 @@
 """Exact real-root location for rational polynomials on an interval.
 
-Strategy: extract every rational root exactly first (integer rational-root
-theorem after clearing denominators), then isolate whatever remains of the
-square-free part with Sturm counts and bisection. Bisection midpoints are
-rational, and the deflated polynomial has no rational roots, so sign tests
-at midpoints never land on a root. Consumers therefore receive exact roots
-whenever they exist and arbitrarily narrow rational enclosures otherwise,
-which keeps downstream measures and integrals exact or rigorously bounded.
+Strategy: extract every rational root exactly first, then isolate whatever
+remains of the square-free part with Sturm counts and bisection. Rational
+roots need no integer factoring: once the square-free part is cleared to a
+primitive integer polynomial with leading coefficient l, every rational
+root has a denominator dividing l, so distinct candidates lie at least
+1/l^2 apart, and a Sturm enclosure narrower than that holds at most one,
+``Fraction.limit_denominator(|l|)`` of its midpoint, which one exact
+evaluation confirms or rejects. The work is polynomial in the bit size of
+the coefficients. Sturm counts read the sign of each sequence member from
+its integer Horner sum (``Polynomial.sign``) without building a Fraction.
+After deflation no rational roots remain, so sign tests at the rational
+bisection midpoints never land on a root. Consumers therefore receive
+exact roots whenever they exist and arbitrarily narrow rational enclosures
+otherwise, which keeps downstream measures and integrals exact or
+rigorously bounded.
 """
 
 from __future__ import annotations
@@ -84,9 +92,10 @@ def sturm_sequence(p: Polynomial) -> list[Polynomial]:
     return seq
 
 
-def _variations(values: list[Fraction]) -> int:
-    signs = [v for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+def _variations(signs: list[int]) -> int:
+    """Sign changes along a sequence of signs, zeros skipped."""
+    nonzero = [s for s in signs if s]
+    return sum(1 for s, t in zip(nonzero, nonzero[1:]) if s != t)
 
 
 def count_roots(p: Polynomial, a: Fraction, b: Fraction, seq: list[Polynomial] | None = None) -> int:
@@ -95,64 +104,66 @@ def count_roots(p: Polynomial, a: Fraction, b: Fraction, seq: list[Polynomial] |
         raise ValueError("zero polynomial has no isolated roots")
     if seq is None:
         seq = sturm_sequence(square_free(p))
-    va = _variations([q(a) for q in seq])
-    vb = _variations([q(b) for q in seq])
+    va = _variations([q.sign(a) for q in seq])
+    vb = _variations([q.sign(b) for q in seq])
     return va - vb
+
+
+def _multiplicity(p: Polynomial, r: Fraction) -> int:
+    """Multiplicity of r as a root of p, by repeated division by (u - r)."""
+    factor = Polynomial.of(-r, 1)
+    mult = 0
+    while p.sign(r) == 0:
+        p, _ = poly_divmod(p, factor)
+        mult += 1
+    return mult
 
 
 def rational_roots(p: Polynomial, a: Fraction, b: Fraction) -> list[tuple[Fraction, int]]:
     """All rational roots of p in [a, b] with multiplicities, exactly.
 
-    Clears denominators and applies the rational-root theorem to the integer
-    polynomial, so the candidate list is complete.
+    Let S be the square-free part of p, cleared to a primitive integer
+    polynomial with leading coefficient l. By Gauss's lemma a rational root
+    r/s of S in lowest terms has s | l, so two distinct candidates are
+    fractions with denominators at most |l| and differ by at least 1/l^2.
+    Sturm bisection splits [a, b] until each interval (lo, hi] holds one
+    root of S: a root at hi is found exactly, and otherwise the interval is
+    narrowed below width 1/l^2, where ``mid.limit_denominator(|l|)`` is the
+    only fraction that can be the root; one exact sign test decides it. The
+    point a, outside every (lo, hi], is tested on its own. Multiplicities in
+    p come from repeated division.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    while ints and ints[0] == 0:
-        ints.pop(0)  # factor out powers of x; root 0 handled below
-    lead = ints[-1]
-    tail = ints[0]
-    out: list[tuple[Fraction, int]] = []
-    if p.coeffs[0] == 0 and a <= 0 <= b:
-        mult = next(i for i, c in enumerate(p.coeffs) if c != 0)
-        out.append((Fraction(0), mult))
-
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    seen = {r for r, _ in out}
-    for num in divisors(tail):
-        for den in divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand in seen or not a <= cand <= b:
-                    continue
-                if p(cand) == 0:
-                    mult = 0
-                    q = p
-                    while True:
-                        quo, rem = poly_divmod(q, Polynomial.of(-cand, 1))
-                        if not rem.is_zero:
-                            break
-                        mult += 1
-                        q = quo
-                        if q.is_zero or q(cand) != 0:
-                            break
-                    out.append((cand, mult))
-                    seen.add(cand)
-    return sorted(out)
+    a, b = to_rational(a), to_rational(b)
+    s = square_free(p)
+    if s.degree < 1 or a > b:
+        return []
+    denom = math.lcm(*(c.denominator for c in s.coeffs))
+    ints = [c.numerator * (denom // c.denominator) for c in s.coeffs]
+    lead = abs(ints[-1]) // math.gcd(*ints)
+    separation = Fraction(1, lead * lead)
+    seq = sturm_sequence(s)
+    found = [a] if s.sign(a) == 0 else []
+    stack = [(a, b, count_roots(s, a, b, seq))]
+    while stack:
+        lo, hi, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            if s.sign(hi) == 0:
+                found.append(hi)
+                continue
+            if hi - lo < separation:
+                r = ((lo + hi) / 2).limit_denominator(lead)
+                # when the root here is irrational, r may be another root of S outside (lo, hi)
+                if lo < r < hi and s.sign(r) == 0:
+                    found.append(r)
+                continue
+        mid = (lo + hi) / 2
+        stack.append((lo, mid, count_roots(s, lo, mid, seq)))
+        stack.append((mid, hi, count_roots(s, mid, hi, seq)))
+    return sorted((r, _multiplicity(p, r)) for r in found)
 
 
 @dataclass(frozen=True)
@@ -180,11 +191,13 @@ def isolate_roots(
 ) -> list[RootEnclosure]:
     """All distinct real roots of p in [a, b]: exact where rational, else enclosed.
 
-    Enclosure widths do not exceed ``width``. Raises on the zero polynomial
-    (callers special-case identically-zero pieces).
+    Enclosure widths do not exceed ``width``, which must be positive. Raises
+    on the zero polynomial (callers special-case identically-zero pieces).
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    if width <= 0:
+        raise ValueError("width must be positive")
     a, b = to_rational(a), to_rational(b)
     if a > b:
         raise ValueError("need a <= b")
@@ -229,14 +242,10 @@ def sign_segments(
     cursor = a
     for enc in encs:
         if enc.low > cursor:
-            mid = (cursor + enc.low) / 2
-            v = p(mid)
-            segments.append((cursor, enc.low, 1 if v > 0 else -1))
+            segments.append((cursor, enc.low, p.sign((cursor + enc.low) / 2)))
         cursor = max(cursor, enc.high)
     if cursor < b:
-        mid = (cursor + b) / 2
-        v = p(mid)
-        segments.append((cursor, b, 1 if v > 0 else -1))
+        segments.append((cursor, b, p.sign((cursor + b) / 2)))
     return segments, encs
 
 

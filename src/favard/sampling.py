@@ -46,7 +46,9 @@ def random_deviation(
 ) -> StepFunction:
     """Random step deviation with values on the grid {k T / value_denom} in [0, T]."""
     bps = random_partition(rng, T, max_interior)
-    vals = tuple(T * Fraction(rng.randint(0, value_denom), value_denom) for _ in range(len(bps) - 1))
+    vals = tuple(
+        [T * Fraction(rng.randint(0, value_denom), value_denom) for _ in range(len(bps) - 1)]
+    )
     return StepFunction(bps, vals, T)
 
 
@@ -60,7 +62,7 @@ def random_weight(
     bps = random_partition(rng, T, max_interior)
     raw = [Fraction(rng.randint(1, 8)) for _ in range(len(bps) - 1)]
     mass = sum(v * (hi - lo) for v, (lo, hi) in zip(raw, zip(bps, bps[1:])))
-    vals = tuple(v * total / mass for v in raw)
+    vals = tuple([v * total / mass for v in raw])
     return StepFunction(bps, vals, T)
 
 
@@ -73,7 +75,7 @@ def random_zero_mean_step(
     bps = random_partition(rng, Fraction(1), max_interior, denom=32)
     vals = [Fraction(rng.randint(-2 * value_denom, 2 * value_denom), value_denom) for _ in bps[:-1]]
     pw = PiecewisePolynomial(
-        bps, tuple(Polynomial.const(v) for v in vals), Fraction(1)
+        bps, tuple([Polynomial.const(v) for v in vals]), Fraction(1)
     )
     return pw.zero_mean()
 

@@ -90,8 +90,8 @@ class StepFunction:
     period: Fraction
 
     def __post_init__(self) -> None:
-        bps = tuple(to_rational(b) for b in self.breakpoints)
-        vals = tuple(to_rational(v) for v in self.values)
+        bps = tuple([to_rational(b) for b in self.breakpoints])
+        vals = tuple([to_rational(v) for v in self.values])
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "period", to_rational(self.period))
@@ -143,8 +143,8 @@ class StepFunction:
     @classmethod
     def from_json_dict(cls, data: dict, period: Fraction) -> "StepFunction":
         return cls(
-            tuple(Fraction(s) for s in data["breakpoints"]),
-            tuple(Fraction(s) for s in data["values"]),
+            tuple([Fraction(s) for s in data["breakpoints"]]),
+            tuple([Fraction(s) for s in data["values"]]),
             period,
         )
 
@@ -309,9 +309,9 @@ def _assemble(
         n=n,
         T=T,
         sample_points=tuple(samples),
-        kernel_matrix=tuple(tuple(r) for r in kernel),
+        kernel_matrix=tuple([tuple(r) for r in kernel]),
         constraint_row=tuple(constraint),
-        matrix=tuple(tuple(r) for r in full),
+        matrix=tuple([tuple(r) for r in full]),
         kind=kind,
         tau=tau,
         L=L,

@@ -55,6 +55,23 @@ class TestPolynomial:
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
         assert p(x) == got  # the cached integer form gives the same value again
 
+    @settings(max_examples=400, derandomize=True)
+    @given(st.lists(rationals, max_size=13), eval_points, st.booleans())
+    def test_sign_matches_value(self, coeffs, x, vanish):
+        p = Polynomial(tuple(coeffs))
+        if vanish:  # a root at x, so the zero sign is exercised too
+            p = p * Polynomial.of(-F(x), 1)
+        value = reference_horner(p.coeffs, F(x))
+        assert p.sign(x) == (value > 0) - (value < 0)
+
+    def test_sign_edge_cases(self):
+        assert Polynomial.zero().sign(F(3, 7)) == 0
+        assert Polynomial.const(F(-5, 3)).sign(F(-2, 9)) == -1
+        assert Polynomial.const(7).sign(0) == 1
+        p = Polynomial.of(-2, 0, 1)  # u^2 - 2
+        assert [p.sign(x) for x in (F(-3, 2), F(-7, 5), 0, F(7, 5), F(3, 2))] == [1, -1, -1, -1, 1]
+        assert Polynomial.of(F(-1, 3), 1).sign("1/3") == 0
+
     def test_call_edge_cases(self):
         assert Polynomial.zero()(F(3, 7)) == 0
         assert Polynomial.const(F(-5, 3))(F(-2, 9)) == F(-5, 3)

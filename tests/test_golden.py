@@ -16,6 +16,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "constants": ["constants", "--n-max", "12", "--format", "json"],
     "kernel_min_abs": ["kernel", "--n", "6", "--min-abs", "--format", "json"],
+    "kernel_min_abs_n16": ["kernel", "--n", "16", "--min-abs", "--format", "json"],
     "witness": ["witness", "--n", "5", "--T", "5/2", "--format", "json"],
     "suite": ["suite", "--criteria", "5,10", "--format", "json"],
     "solve_lipschitz": ["solve", str(GOLDEN / "instances" / "solve_lipschitz.json")],

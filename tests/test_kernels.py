@@ -78,6 +78,19 @@ class TestMinAbsIntegral:
         assert ms.pi_power == 1
         assert abs(ms.value - math.pi**2 / 8) < 1e-15
 
+    def test_min_abs_integral_n20_exact(self):
+        # K_0..K_20 from K_{m+1} = sum(K_k K_{m-k}, k = 0..m) / (8 (m + 1)), computed here
+        ks = [F(1), F(1, 4)]
+        for m in range(1, 20):
+            ks.append(sum(ks[k] * ks[m - k] for k in range(m + 1)) / (8 * (m + 1)))
+        ms = min_abs_integral(20)
+        assert ms.exact
+        assert ms.value_coeff == 2**20 * ks[20]
+
+    def test_non_positive_width_rejected(self):
+        with pytest.raises(ValueError, match="width"):
+            centered_abs_integral(3, F(1, 100), width=-1)
+
     def test_odd_orders_center_at_zero(self):
         for n in (1, 3, 5, 7):
             assert min_abs_integral(n).xi_star == 0

@@ -110,3 +110,10 @@ def test_abs_integral_irrational_crossing():
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
         isolate_roots(Polynomial.zero(), F(0), F(1))
+
+
+@pytest.mark.parametrize("width", [F(0), F(-1)])
+def test_non_positive_width_rejected(width):
+    # bisection to a width <= 0 never ends
+    with pytest.raises(ValueError, match="width"):
+        isolate_roots(Polynomial.of(-2, 0, 1), F(0), F(2), width=width)
