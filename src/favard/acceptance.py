@@ -27,12 +27,7 @@ from .sampling import (
     random_weight,
     random_zero_mean_step,
 )
-from .solver import (
-    StepFunction,
-    contraction_norm,
-    reduce_system,
-    solve_weighted,
-)
+from .solver import StepFunction, _max_row_sum, reduce_system, solve_weighted
 from .witness import build_witness, extremal_ratio, verify_witness
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "DEFAULT_SEED"]
@@ -158,10 +153,10 @@ def _criterion_contraction(seed: int) -> tuple[bool, str]:
             xi_by_n[n] = min_abs_integral(n).xi_star
         tau = random_deviation(rng, T)
         sys = reduce_system(n, T, L, tau, xi=xi_by_n[n])
-        norm = contraction_norm(sys)
-        if norm > float(rho) + 1e-6:
-            return False, f"n={n}, T={T}, rho={rho}: operator norm {norm} exceeds {float(rho)}"
-        worst_slack = max(worst_slack, norm - float(rho))
+        norm = _max_row_sum(sys)
+        if norm > rho:
+            return False, f"n={n}, T={T}, rho={rho}: operator norm {float(norm)} exceeds {float(rho)}"
+        worst_slack = max(worst_slack, float(norm) - float(rho))
     return True, f"50 instances: discretized operator norm <= L K_n T^n + 1e-6 (worst slack {worst_slack:.1e})"
 
 
@@ -260,7 +255,7 @@ def _criterion_inequality_suite(seed: int) -> tuple[bool, str]:
                 continue
             x = periodic_antiderivatives(w, n)
             points = list(grid) + [b for b in x.breakpoints[:-1]]
-            max_x = max(abs(x.value_in_unit(u)) for u in points)
+            max_x = x.max_abs_in_unit(points)
             if max_x > K * sup_wn:
                 return False, f"n={n}, instance {i}: max|x| = {max_x} > K_n sup = {K * sup_wn}"
         witness = build_witness(n, Fraction(1))

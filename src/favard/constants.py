@@ -76,16 +76,6 @@ def favard_recurrence(n_max: int) -> list[Fraction]:
     return ks[: n_max + 1]
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], terms: int) -> list[Fraction]:
-    out = [Fraction(0)] * terms
-    for i, ai in enumerate(a[:terms]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: terms - i]):
-            out[i + j] += ai * bj
-    return out
-
-
 def _series_div(a: list[Fraction], b: list[Fraction], terms: int) -> list[Fraction]:
     """Coefficients of a/b by triangular back-substitution; requires b[0] != 0."""
     if b[0] == 0:

@@ -18,6 +18,13 @@ cache is per instance and lazy, so polynomials that are only built
 (quotients, remainders) never pay for it, and it is not part of equality,
 hashing or repr.
 
+Piecewise polynomials do the same: breakpoints are cached as numerators N
+over their lcm L (u = a/b lies in piece bisect_right(N, a L // b) - 1), and
+``mean``, ``integrate``, ``antiderivative`` and each order of
+``periodic_antiderivatives`` are one pass of ``_cumulative`` over the pieces'
+integer rows on one denominator, with Horner sums at the breakpoints A/L.
+Fractions are built for results only.
+
 Tuples are built from list comprehensions, not generators: CPython grows a
 ``tuple(<generator>)`` by resizing, which fills the tuple free lists of
 every size it passes through and raises the peak memory of long runs.
@@ -45,6 +52,7 @@ __all__ = [
     "frac_part",
     "Polynomial",
     "PiecewisePolynomial",
+    "periodic_antiderivatives",
     "lagrange_interpolate",
 ]
 
@@ -85,15 +93,32 @@ def _normalize(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(cs)
 
 
-def _horner(nums: tuple[int, ...], x: Fraction) -> tuple[int, int]:
-    """Homogeneous Horner at x = a/b: (sum of nums[k] a^k b^(d-k), b^d)."""
-    a, b = x.numerator, x.denominator
+def _horner(nums: Sequence[int], a: int, b: int) -> tuple[int, int]:
+    """Homogeneous Horner at a/b: (sum of nums[k] a^k b^(d-k), b^d)."""
     acc = nums[-1]
     bpow = 1
     for c in reversed(nums[:-1]):
         bpow *= b
         acc = acc * a + c * bpow
     return acc, bpow
+
+
+def _cumulative(rows: list[list[int]], den: int, N: Sequence[int], L: int) -> tuple[list[list[int]], int, int]:
+    """Integral from 0 of the pieces sum(rows[i][k] u^k) / den on [N[i]/L, N[i+1]/L), rows of
+    one width w, as (out, D, total): out[i] / D is piece i, one wider, and total / D the value
+    at u = 1 (the mean), where D = den M L^w and M = lcm(1..w)."""
+    w = len(rows[0])
+    M = math.lcm(*range(1, w + 1))
+    scale = [M // k for k in range(1, w + 1)]
+    Lw = L**w
+    out = []
+    run = 0
+    for row, a, b in zip(rows, N, N[1:]):
+        P = [c * m for c, m in zip(row, scale)]  # P[k] is the coefficient of u^(k+1)
+        Pa = a * _horner(P, a, L)[0]
+        out.append([run - Pa] + [c * Lw for c in P])
+        run += b * _horner(P, b, L)[0] - Pa
+    return out, den * M * Lw, run
 
 
 @dataclass(frozen=True)
@@ -122,10 +147,6 @@ class Polynomial:
     def zero(cls) -> "Polynomial":
         return cls(())
 
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((Fraction(0), Fraction(1)))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -153,7 +174,7 @@ class Polynomial:
         nums, D = self._integer_form
         if not nums:
             return Fraction(0)
-        acc, bpow = _horner(nums, to_rational(x))
+        acc, bpow = _horner(nums, *to_rational(x).as_integer_ratio())
         return Fraction(acc, D * bpow)
 
     def sign(self, x: RationalLike) -> int:
@@ -161,7 +182,7 @@ class Polynomial:
         nums, _ = self._integer_form
         if not nums:
             return 0
-        acc, _ = _horner(nums, to_rational(x))
+        acc, _ = _horner(nums, *to_rational(x).as_integer_ratio())
         return (acc > 0) - (acc < 0)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -275,18 +296,35 @@ class PiecewisePolynomial:
             to_rational(period),
         )
 
-    @property
-    def piece_count(self) -> int:
-        return len(self.pieces)
+    @cached_property
+    def _grid(self) -> tuple[tuple[int, ...], int]:
+        """Breakpoints as integer numerators N over their least common denominator L."""
+        L = math.lcm(*[b.denominator for b in self.breakpoints])
+        return tuple([b.numerator * (L // b.denominator) for b in self.breakpoints]), L
 
     def piece_index(self, u: Fraction) -> int:
         """Index of the piece owning u in [0, 1), right-continuous at breakpoints."""
-        if not 0 <= u < 1:
+        a, b = u.as_integer_ratio()
+        if not 0 <= a < b:
             raise ValueError("u must lie in [0, 1)")
-        return bisect_right(self.breakpoints, u) - 1
+        N, L = self._grid
+        return bisect_right(N, a * L // b) - 1
 
     def value_in_unit(self, u: Fraction) -> Fraction:
         return self.pieces[self.piece_index(u)](u)
+
+    def max_abs_in_unit(self, points: Iterable[Fraction]) -> Fraction:
+        """Exact max |f(u)| over points in [0, 1) (0 for none), compared as integer
+        Horner sums by cross-multiplication; one Fraction is built at the end."""
+        best, best_den = 0, 1
+        for u in points:
+            nums, D = self.pieces[self.piece_index(u)]._integer_form
+            if nums:
+                acc, bpow = _horner(nums, *u.as_integer_ratio())
+                acc, den = abs(acc), D * bpow
+                if acc * best_den > best * den:
+                    best, best_den = acc, den
+        return Fraction(best, best_den)
 
     def __call__(self, t: RationalLike) -> Fraction:
         u = frac_part(to_rational(t) / self.period)
@@ -297,14 +335,12 @@ class PiecewisePolynomial:
         u = to_rational(u)
         if u == 0:
             u = Fraction(1)
-        if not 0 < u <= 1:
+        a, b = u.as_integer_ratio()
+        if not 0 < a <= b:
             raise ValueError("u must lie in (0, 1]")
-        idx = bisect_right(self.breakpoints, u) - 1
-        if idx == len(self.pieces):  # u == 1
-            idx -= 1
-        elif self.breakpoints[idx] == u:
-            idx -= 1
-        return self.pieces[idx](u)
+        N, L = self._grid
+        # the last breakpoint strictly below u: N[i] b < a L, i.e. N[i] <= (a L - 1) // b
+        return self.pieces[bisect_right(N, (a * L - 1) // b) - 1](u)
 
     def derivative(self) -> "PiecewisePolynomial":
         """Piecewise derivative with respect to t (chain rule through u = t/T)."""
@@ -315,39 +351,38 @@ class PiecewisePolynomial:
             self.period,
         )
 
+    @cached_property
+    def _integral(self) -> tuple[list[list[int]], int, int]:
+        """:func:`_cumulative` of the pieces, put over one denominator and one width."""
+        forms = [p._integer_form for p in self.pieces]
+        den = math.lcm(*[D for _, D in forms])
+        width = max(1, *[len(nums) for nums, _ in forms])
+        rows = [[c * (den // D) for c in nums] + [0] * (width - len(nums)) for nums, D in forms]
+        return _cumulative(rows, den, *self._grid)
+
+    def _from_rows(self, rows: list[list[int]], den: int) -> "PiecewisePolynomial":
+        """Pieces rows / den on this partition and period."""
+        pieces = tuple([Polynomial(tuple([Fraction(c, den) for c in row])) for row in rows])
+        return PiecewisePolynomial(self.breakpoints, pieces, self.period)
+
     def mean(self) -> Fraction:
         """Average over one period: sum of piece integrals in u."""
-        return sum(
-            (p.integrate(a, b) for p, a, b in self._spans()),
-            Fraction(0),
-        )
-
-    def integral_over_period(self) -> Fraction:
-        return self.period * self.mean()
-
-    def _spans(self):
-        for i, p in enumerate(self.pieces):
-            yield p, self.breakpoints[i], self.breakpoints[i + 1]
-
-    def _cumulative_unit(self, u: Fraction) -> Fraction:
-        """Integral of the piecewise function in u from 0 to u, u in [0, 1]."""
-        total = Fraction(0)
-        for p, a, b in self._spans():
-            if u <= a:
-                break
-            total += p.integrate(a, min(u, b))
-        return total
+        _, den, total = self._integral
+        return Fraction(total, den)
 
     def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:
         """Exact integral of the t-periodic function over [a, b], wrapping as needed."""
         a, b = to_rational(a), to_rational(b)
         if a > b:
             raise ValueError("need a <= b")
+        rows, den, total = self._integral
 
         def cumulative(t: Fraction) -> Fraction:
             x = t / self.period
             k = math.floor(x)
-            return self.period * (k * self.mean() + self._cumulative_unit(x - k))
+            u = x - k
+            acc, bpow = _horner(rows[self.piece_index(u)], *u.as_integer_ratio())
+            return self.period * Fraction(k * total * bpow + acc, den * bpow)
 
         return cumulative(b) - cumulative(a)
 
@@ -357,16 +392,11 @@ class PiecewisePolynomial:
         Differentiating the result recovers the original pieces exactly (equality
         away from breakpoints).
         """
-        out = []
-        running = Fraction(0)
-        for p, a, b in self._spans():
-            P = p.antiderivative()
-            Pa = P(a)
-            out.append((Polynomial.const(running - Pa) + P) * self.period)
-            running += P(b) - Pa
-        if running != 0:  # running is now the mean over the period
+        rows, den, total = self._integral
+        if total:  # total is the mean over the period
             raise ValueError("periodic antiderivative requires zero mean")
-        return PiecewisePolynomial(self.breakpoints, tuple(out), self.period)
+        p, q = self.period.as_integer_ratio()
+        return self._from_rows([[p * c for c in row] for row in rows], den * q)
 
     def plus_constant(self, c: RationalLike) -> "PiecewisePolynomial":
         c = to_rational(c)
@@ -401,6 +431,31 @@ class PiecewisePolynomial:
             tuple([Polynomial.from_strings(p) for p in data["pieces"]]),
             parse_rational(data["period"]),
         )
+
+
+def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
+    """n-fold zero-mean periodic antiderivative.
+
+    Starting from a zero-mean periodic function, each integration produces a
+    periodic function whose mean is removed again, so the result is an exact
+    admissible function: periodic derivatives up to order n - 1 and n-th
+    derivative equal to the input. Each order integrates every piece once: if P
+    is the integral from 0 of the current function and Q that of P, then P has
+    mean m = Q(1), T (P - m) is the next function and T (Q - m u) the next P.
+    """
+    if n < 1:
+        return pw
+    P, pden, total = pw._integral
+    if total:
+        raise ValueError("periodic antiderivative requires zero mean")
+    p, q = pw.period.as_integer_ratio()
+    for _ in range(n):
+        Q, qden, m = _cumulative(P, pden, *pw._grid)
+        rows, s = P, qden // pden  # the next function is T (rows s - m) / qden
+        P = [[p * r[0], p * (r[1] - m)] + [p * c for c in r[2:]] for r in Q]
+        g = math.gcd(qden * q, *[c for r in P for c in r])
+        P, pden = [[c // g for c in r] for r in P], qden * q // g
+    return pw._from_rows([[p * (r[0] * s - m)] + [p * c * s for c in r[1:]] for r in rows], qden * q)
 
 
 def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Polynomial:

@@ -86,9 +86,6 @@ class KernelPhi:
     def series_value(self, u: float, terms: int | None = None) -> float:
         return phi_series_value(self.n, u, terms or self.series_truncation)
 
-    def series_tail_bound(self, terms: int | None = None) -> float:
-        return phi_series_tail_bound(self.n, terms or self.series_truncation)
-
 
 def kernel_phi(n: int, series_truncation: int = 10_000) -> KernelPhi:
     if n < 1:
@@ -150,10 +147,6 @@ class MedianSplit:
     exact: bool
     measure_low: Fraction
     measure_high: Fraction
-
-    @property
-    def xi_star_float(self) -> float:
-        return float(self.xi_star) * math.pi**self.pi_power
 
     @property
     def value(self) -> float:

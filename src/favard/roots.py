@@ -109,6 +109,19 @@ def count_roots(p: Polynomial, a: Fraction, b: Fraction, seq: list[Polynomial] |
     return va - vb
 
 
+def _bisect(q: Polynomial, seq: list[Polynomial], a: Fraction, b: Fraction, done):
+    """Sturm bisection of (a, b]: yields intervals (lo, hi] holding one root of q once done(lo, hi)."""
+    stack = [(a, b, count_roots(q, a, b, seq))]
+    while stack:
+        lo, hi, cnt = stack.pop()
+        if cnt == 1 and done(lo, hi):
+            yield lo, hi
+        elif cnt:
+            mid = (lo + hi) / 2
+            stack.append((lo, mid, count_roots(q, lo, mid, seq)))
+            stack.append((mid, hi, count_roots(q, mid, hi, seq)))
+
+
 def _multiplicity(p: Polynomial, r: Fraction) -> int:
     """Multiplicity of r as a root of p, by repeated division by (u - r)."""
     factor = Polynomial.of(-r, 1)
@@ -139,30 +152,26 @@ def rational_roots(p: Polynomial, a: Fraction, b: Fraction) -> list[tuple[Fracti
     s = square_free(p)
     if s.degree < 1 or a > b:
         return []
+    return _rational_roots(p, s, sturm_sequence(s), a, b)
+
+
+def _rational_roots(
+    p: Polynomial, s: Polynomial, seq: list[Polynomial], a: Fraction, b: Fraction
+) -> list[tuple[Fraction, int]]:
+    """:func:`rational_roots` given s = square_free(p) of degree >= 1, its Sturm sequence and a <= b."""
     denom = math.lcm(*(c.denominator for c in s.coeffs))
     ints = [c.numerator * (denom // c.denominator) for c in s.coeffs]
     lead = abs(ints[-1]) // math.gcd(*ints)
     separation = Fraction(1, lead * lead)
-    seq = sturm_sequence(s)
     found = [a] if s.sign(a) == 0 else []
-    stack = [(a, b, count_roots(s, a, b, seq))]
-    while stack:
-        lo, hi, cnt = stack.pop()
-        if cnt == 0:
+    for lo, hi in _bisect(s, seq, a, b, lambda lo, hi: s.sign(hi) == 0 or hi - lo < separation):
+        if s.sign(hi) == 0:
+            found.append(hi)
             continue
-        if cnt == 1:
-            if s.sign(hi) == 0:
-                found.append(hi)
-                continue
-            if hi - lo < separation:
-                r = ((lo + hi) / 2).limit_denominator(lead)
-                # when the root here is irrational, r may be another root of S outside (lo, hi)
-                if lo < r < hi and s.sign(r) == 0:
-                    found.append(r)
-                continue
-        mid = (lo + hi) / 2
-        stack.append((lo, mid, count_roots(s, lo, mid, seq)))
-        stack.append((mid, hi, count_roots(s, mid, hi, seq)))
+        r = ((lo + hi) / 2).limit_denominator(lead)
+        # when the root here is irrational, r may be another root of S outside (lo, hi)
+        if lo < r < hi and s.sign(r) == 0:
+            found.append(r)
     return sorted((r, _multiplicity(p, r)) for r in found)
 
 
@@ -203,24 +212,16 @@ def isolate_roots(
         raise ValueError("need a <= b")
     if p.degree == 0:
         return []
-    out = [RootEnclosure(r, r, m) for r, m in rational_roots(p, a, b)]
     q = square_free(p)
+    seq = sturm_sequence(q)
+    out = [RootEnclosure(r, r, m) for r, m in _rational_roots(p, q, seq, a, b)]
     for enc in out:
         q, _ = poly_divmod(q, Polynomial.of(-enc.low, 1))
     if q.degree >= 1:
-        seq = sturm_sequence(q)
+        if out:  # deflated: the sequence of square_free(p) no longer fits q
+            seq = sturm_sequence(q)
         # q has no rational roots now, so q(a), q(b) and all midpoints are nonzero
-        stack = [(a, b, count_roots(q, a, b, seq))]
-        while stack:
-            lo, hi, cnt = stack.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1 and hi - lo <= width:
-                out.append(RootEnclosure(lo, hi, 1))
-                continue
-            mid = (lo + hi) / 2
-            stack.append((lo, mid, count_roots(q, lo, mid, seq)))
-            stack.append((mid, hi, count_roots(q, mid, hi, seq)))
+        out += [RootEnclosure(lo, hi, 1) for lo, hi in _bisect(q, seq, a, b, lambda lo, hi: hi - lo <= width)]
     return sorted(out, key=lambda e: (e.low, e.high))
 
 

@@ -10,23 +10,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exact import PiecewisePolynomial, Polynomial
+from .exact import PiecewisePolynomial, periodic_antiderivatives
 from .solver import StepFunction
 
 __all__ = [
-    "random_rational",
     "random_partition",
     "random_deviation",
     "random_weight",
     "random_zero_mean_step",
     "periodic_antiderivatives",
 ]
-
-
-def random_rational(rng: random.Random, lo: Fraction, hi: Fraction, denom: int = 16) -> Fraction:
-    """Uniform-ish rational in [lo, hi] with the given denominator grid."""
-    k = rng.randint(0, denom)
-    return lo + (hi - lo) * Fraction(k, denom)
 
 
 def random_partition(
@@ -74,20 +67,4 @@ def random_zero_mean_step(
     """Random zero-mean step function on [0, 1] (period 1), exact."""
     bps = random_partition(rng, Fraction(1), max_interior, denom=32)
     vals = [Fraction(rng.randint(-2 * value_denom, 2 * value_denom), value_denom) for _ in bps[:-1]]
-    pw = PiecewisePolynomial(
-        bps, tuple([Polynomial.const(v) for v in vals]), Fraction(1)
-    )
-    return pw.zero_mean()
-
-
-def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
-    """n-fold zero-mean periodic antiderivative.
-
-    Starting from a zero-mean periodic function, each integration produces a
-    periodic function whose mean is removed again, so the result is an exact
-    admissible function: periodic derivatives up to order n - 1 and n-th
-    derivative equal to the input.
-    """
-    for _ in range(n):
-        pw = pw.antiderivative().zero_mean()
-    return pw
+    return PiecewisePolynomial.step(bps, vals).zero_mean()

@@ -140,13 +140,6 @@ class StepFunction:
             "values": [format_rational(v) for v in self.values],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict, period: Fraction) -> "StepFunction":
-        return cls(
-            tuple([Fraction(s) for s in data["breakpoints"]]),
-            tuple([Fraction(s) for s in data["values"]]),
-            period,
-        )
 
 
 @dataclass(frozen=True)
@@ -548,15 +541,13 @@ def reconstruct_solution(
     return -L * T**n / math.factorial(n + 1) * sum(v * x for v, x in zip(samples, row)) + constant
 
 
-def contraction_norm(sys: ReducedSystem) -> float:
-    """Float operator norm (max absolute row sum) of the reduced kernel matrix.
+def _max_row_sum(sys: ReducedSystem) -> Fraction:
+    """Exact operator norm (max absolute row sum) of the reduced kernel matrix. With the optimal
+    centering shift it is bounded by L K_n T^n, the contraction factor of the representation operator."""
+    return max([sum([abs(x) for x in row], Fraction(0)) for row in sys.kernel_matrix], default=Fraction(0))
 
-    With the optimal centering shift the exact row sums are bounded by
-    L K_n T^n, the contraction factor of the representation operator.
-    """
-    worst = Fraction(0)
-    for row in sys.kernel_matrix:
-        s = sum((abs(x) for x in row), Fraction(0))
-        worst = max(worst, s)
-    return float(worst)
+
+def contraction_norm(sys: ReducedSystem) -> float:
+    """Float operator norm (max absolute row sum) of the reduced kernel matrix; see :func:`_max_row_sum`."""
+    return float(_max_row_sum(sys))
 

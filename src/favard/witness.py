@@ -131,9 +131,6 @@ class Witness:
     def h(self) -> StepSign:
         return StepSign(self.T)
 
-    def sample_values(self) -> tuple[Fraction, Fraction]:
-        return self.y(self.tau.first), self.y(self.tau.second)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -120,4 +120,4 @@ def test_derivative_inequality_random_suite():
                 continue
             x = periodic_antiderivatives(w, n)
             pts = list(grid) + list(x.breakpoints[:-1])
-            assert max(abs(x.value_in_unit(u)) for u in pts) <= K * sup_w
+            assert x.max_abs_in_unit(pts) <= K * sup_w

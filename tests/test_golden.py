@@ -19,6 +19,7 @@ CASES = {
     "kernel_min_abs_n16": ["kernel", "--n", "16", "--min-abs", "--format", "json"],
     "witness": ["witness", "--n", "5", "--T", "5/2", "--format", "json"],
     "suite": ["suite", "--criteria", "5,10", "--format", "json"],
+    "suite_c7_c11": ["suite", "--criteria", "7,11", "--format", "json"],
     "solve_lipschitz": ["solve", str(GOLDEN / "instances" / "solve_lipschitz.json")],
     "solve_lipschitz_forced": ["solve", str(GOLDEN / "instances" / "solve_lipschitz_forced.json")],
     "solve_weighted": ["solve", str(GOLDEN / "instances" / "solve_weighted.json")],
