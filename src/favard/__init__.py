@@ -23,7 +23,7 @@ from .constants import (
     favard_series_numeric,
     favard_table,
 )
-from .exact import PiecewisePolynomial, Polynomial, format_rational, parse_rational
+from .exact import PiecewisePolynomial, Polynomial, StepFunction, format_rational
 from .kernels import (
     GreenEval,
     KernelPhi,
@@ -45,7 +45,6 @@ from .numbers import (
 from .solver import (
     ReducedSystem,
     SolveReport,
-    StepFunction,
     reduce_system,
     reduce_weighted,
     solve_periodic,
@@ -54,7 +53,6 @@ from .solver import (
 )
 from .witness import (
     DeviationMap,
-    StepSign,
     VerificationReport,
     Witness,
     auxiliary_solution,
@@ -79,7 +77,6 @@ __all__ = [
     "SeriesApprox",
     "SolveReport",
     "StepFunction",
-    "StepSign",
     "VerificationReport",
     "Witness",
     "auxiliary_solution",
@@ -100,7 +97,6 @@ __all__ = [
     "kernel_phi",
     "min_abs_integral",
     "min_period_bound",
-    "parse_rational",
     "periodic_bernoulli_eval",
     "phi_eval",
     "reduce_system",

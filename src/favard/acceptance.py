@@ -18,7 +18,7 @@ from math import comb
 
 from .bounds import conclusion_table
 from .constants import favard_closed_form, favard_series_numeric, favard_table
-from .exact import Polynomial
+from .exact import Polynomial, StepFunction
 from .kernels import green_apply, green_solution_polynomial, min_abs_integral
 from .numbers import bernoulli_polynomial
 from .sampling import (
@@ -27,7 +27,7 @@ from .sampling import (
     random_weight,
     random_zero_mean_step,
 )
-from .solver import StepFunction, _max_row_sum, reduce_system, solve_weighted
+from .solver import _max_row_sum, reduce_system, solve_weighted
 from .witness import build_witness, extremal_ratio, verify_witness
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "DEFAULT_SEED"]
@@ -131,8 +131,7 @@ def _criterion_dichotomy(seed: int) -> tuple[bool, str]:
             if det == 0:
                 return False, f"n={n}, instance {i}: singular below threshold"
         w = build_witness(n, T)
-        tau_w = StepFunction((Fraction(0), Fraction(1, 2), T), (w.tau.first, w.tau.second), T)
-        det_crit = reduce_system(n, T, 1 / K, tau_w).determinant()
+        det_crit = reduce_system(n, T, 1 / K, w.tau.as_step()).determinant()
         if det_crit != 0:
             return False, f"n={n}: witness determinant {det_crit} != 0 at the threshold"
     return True, "n=1..4: 200 random instances each nonsingular at 0.9/K_n; witness singular at 1/K_n"

@@ -19,9 +19,9 @@ from fractions import Fraction
 from .acceptance import DEFAULT_SEED, run_all
 from .bounds import conclusion_table, min_period_bound, weight_threshold
 from .constants import ROUTES, favard_table
-from .exact import format_rational
+from .exact import StepFunction, format_rational, to_rational
 from .kernels import min_abs_integral, phi_samples
-from .solver import StepFunction, solve_periodic, solve_weighted, uniqueness_margin, reduce_system
+from .solver import solve_periodic, solve_weighted, uniqueness_margin, reduce_system
 from .witness import build_witness, verify_witness
 
 __all__ = ["main", "dispatch"]
@@ -37,7 +37,7 @@ class SchemaError(Exception):
 
 def _parse_rational_arg(text: str, name: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return to_rational(text)
     except (ValueError, ZeroDivisionError):
         raise SchemaError(name, f"not an exact rational: {text!r}")
 

@@ -25,6 +25,12 @@ over their lcm L (u = a/b lies in piece bisect_right(N, a L // b) - 1), and
 integer rows on one denominator, with Horner sums at the breakpoints A/L.
 Fractions are built for results only.
 
+Step functions in the period variable t are :class:`StepFunction`, the one
+step type: breakpoints 0 = c_0 < ... < c_K = T, one value per interval
+[c_{k-1}, c_k), right-continuous, wrapping with period T like every other
+evaluator here. ``as_piecewise`` rescales the breakpoints by 1/T and hands
+the constant pieces to ``PiecewisePolynomial.step``.
+
 Tuples are built from list comprehensions, not generators: CPython grows a
 ``tuple(<generator>)`` by resizing, which fills the tuple free lists of
 every size it passes through and raises the peak memory of long runs.
@@ -48,10 +54,10 @@ __all__ = [
     "RationalLike",
     "to_rational",
     "format_rational",
-    "parse_rational",
     "frac_part",
     "Polynomial",
     "PiecewisePolynomial",
+    "StepFunction",
     "periodic_antiderivatives",
     "lagrange_interpolate",
 ]
@@ -74,11 +80,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Fraction:
-    """Parse the exact string form produced by :func:`format_rational`."""
-    return Fraction(s.strip())
 
 
 def frac_part(x: Fraction) -> Fraction:
@@ -249,7 +250,7 @@ class Polynomial:
 
     @classmethod
     def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls([parse_rational(s) for s in items])
+        return cls([to_rational(s) for s in items])
 
 
 @dataclass(frozen=True)
@@ -427,10 +428,71 @@ class PiecewisePolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PiecewisePolynomial":
         return cls(
-            tuple([parse_rational(s) for s in data["breakpoints"]]),
+            tuple([to_rational(s) for s in data["breakpoints"]]),
             tuple([Polynomial.from_strings(p) for p in data["pieces"]]),
-            parse_rational(data["period"]),
+            to_rational(data["period"]),
         )
+
+
+@dataclass(frozen=True)
+class StepFunction:
+    """T-periodic step function: rational breakpoints 0 = c_0 < ... < c_K = T,
+    one rational value per interval [c_{k-1}, c_k), right-continuous."""
+
+    breakpoints: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
+    period: Fraction
+
+    def __post_init__(self) -> None:
+        bps = tuple([to_rational(b) for b in self.breakpoints])
+        vals = tuple([to_rational(v) for v in self.values])
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "period", to_rational(self.period))
+        if len(bps) < 2 or bps[0] != 0 or bps[-1] != self.period:
+            raise ValueError("breakpoints must run from 0 to T")
+        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
+            raise ValueError("breakpoints must be strictly increasing")
+        if len(vals) != len(bps) - 1:
+            raise ValueError("need one value per interval")
+
+    @classmethod
+    def constant(cls, value: RationalLike, period: RationalLike) -> "StepFunction":
+        period = to_rational(period)
+        return cls((Fraction(0), period), (to_rational(value),), period)
+
+    def __call__(self, t: RationalLike) -> Fraction:
+        u = frac_part(to_rational(t) / self.period) * self.period
+        return self.values[bisect_right(self.breakpoints, u) - 1]
+
+    def as_piecewise(self) -> PiecewisePolynomial:
+        """The same function as constant pieces on the unit partition c_k / T."""
+        return PiecewisePolynomial.step([b / self.period for b in self.breakpoints], self.values, self.period)
+
+    def intervals(self) -> list[tuple[Fraction, Fraction, Fraction]]:
+        return [
+            (self.breakpoints[i], self.breakpoints[i + 1], self.values[i])
+            for i in range(len(self.values))
+        ]
+
+    def integral(self) -> Fraction:
+        return sum(
+            (v * (hi - lo) for lo, hi, v in self.intervals()),
+            Fraction(0),
+        )
+
+    def preimages(self) -> dict[Fraction, list[tuple[Fraction, Fraction]]]:
+        """Value -> list of intervals on which the function takes it."""
+        out: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
+        for lo, hi, v in self.intervals():
+            out.setdefault(v, []).append((lo, hi))
+        return out
+
+    def to_json_dict(self) -> dict:
+        return {
+            "breakpoints": [format_rational(b) for b in self.breakpoints],
+            "values": [format_rational(v) for v in self.values],
+        }
 
 
 def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:

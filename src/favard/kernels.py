@@ -8,11 +8,14 @@ pi^(n-1), keeping every value exact; the closed form is validated against
 the truncated series by a shipped cross-check, not assumed.
 
 The minimum over xi of the period integral of |phi_n - xi| equals
-K_n (2 pi)^n and is attained at any Lebesgue median of phi_n. Medians are
-located by exact measure computations: structural candidates (0 for odd n by
-antisymmetry, the quarter-point value for even n by symmetry) are verified
-exactly via root isolation, with measure bisection as a fallback. For
-polynomial kernels the median is unique: no level set has positive measure.
+K_n (2 pi)^n and is attained at any Lebesgue median of phi_n. On [0, 1)
+phi_n is the single polynomial p = -2^(n-1) B_n / n! (times pi^(n-1)), and
+its median is structural. For odd n, p is antisymmetric about 1/2 and
+vanishes in (0, 1) only at 1/2, so the median is 0. For even n, p is
+symmetric about 1/2 and monotone on [0, 1/2], so the median is p(1/4), with
+crossings at 1/4 and 3/4. Both candidates are verified exactly via root
+isolation. For polynomial kernels the median is unique: no level set has
+positive measure.
 
 Green function of x^(n) = f with x(0) = x(T) = 0 and periodic interior
 derivatives: G(t, s) = scale * (B_n(t/T) - B_n(0) - PB_n((t-s)/T) + B_n(1 - s/T)).
@@ -157,73 +160,31 @@ class MedianSplit:
         return float(self.value_error_coeff) * math.pi ** (self.pi_power + 1)
 
 
-def _piecewise_sum(
-    bounds, pw: PiecewisePolynomial, level: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Sum of the pairs ``bounds(piece, a, b, level, width)`` over the pieces [a, b] of ``pw``."""
-    first = second = Fraction(0)
-    for piece, a, b in zip(pw.pieces, pw.breakpoints, pw.breakpoints[1:]):
-        x, y = bounds(piece, a, b, level, width)
-        first += x
-        second += y
-    return first, second
-
-
 def min_abs_integral(n: int, width: Fraction = DEFAULT_WIDTH) -> MedianSplit:
     """Minimize the period integral of |phi_n - xi| over xi; equals K_n (2 pi)^n.
 
-    The measure {u : p(u) <= c} = 1/2 condition is tested exactly at the
-    structural median candidates; if none verifies (does not happen for the
-    Bernoulli kernels, kept for robustness), a rational bisection narrows the
-    median to an enclosure and the result carries the induced error bound.
+    The median xi* is 0 for odd n (p antisymmetric about 1/2, vanishing in
+    (0, 1) only at 1/2) and p(1/4) for even n (p symmetric about 1/2 and
+    monotone on [0, 1/2], crossing that level at 1/4 and 3/4). The measure
+    {u : p(u) <= xi*} = 1/2 is then verified exactly; a failure would
+    contradict these facts about Bernoulli polynomials and raises
+    AssertionError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pw = kernel_phi(n).closed_form
-    p = pw.pieces[0]
-    half = Fraction(1, 2)
-    candidates = []
-    for c in (Fraction(0), p(Fraction(1, 4)), p(Fraction(3, 4)), p(half), p(Fraction(0))):
-        if c not in candidates:
-            candidates.append(c)
-    for c in candidates:
-        m_lo, m_hi = _piecewise_sum(measure_below, pw, c, width)
-        if m_lo == m_hi == half:
-            est, err = _piecewise_sum(abs_integral, pw, c, width)
-            return MedianSplit(
-                n=n,
-                xi_star=c,
-                pi_power=n - 1,
-                value_coeff=2 * est,
-                value_error_coeff=2 * err,
-                exact=(err == 0),
-                measure_low=m_lo,
-                measure_high=m_hi,
-            )
-    # Fallback: bisection on the measure condition.
-    lo_c = min(min(pc.coeffs) for pc in pw.pieces) - 1
-    hi_c = max(pc.coefficient_bound() for pc in pw.pieces) + 1
-    for _ in range(64):
-        mid = (lo_c + hi_c) / 2
-        m_lo, m_hi = _piecewise_sum(measure_below, pw, mid, width)
-        if m_hi < half:
-            lo_c = mid
-        elif m_lo > half:
-            hi_c = mid
-        else:
-            break
-    c = (lo_c + hi_c) / 2
-    m_lo, m_hi = _piecewise_sum(measure_below, pw, c, width)
-    est, err = _piecewise_sum(abs_integral, pw, c, width)
-    # Off-median slack: |J(c) - J(median)| <= |c - median| * |2 m - 1| <= enclosure width.
-    err = err + (hi_c - lo_c)
+    p = _phi_coefficient_poly(n)
+    c = Fraction(0) if n % 2 else p(Fraction(1, 4))
+    m_lo, m_hi = measure_below(p, Fraction(0), Fraction(1), c, width)
+    if not m_lo == m_hi == Fraction(1, 2):
+        raise AssertionError(f"n={n}: the structural median {c} has measure in [{m_lo}, {m_hi}], not 1/2")
+    est, err = abs_integral(p, Fraction(0), Fraction(1), c, width)
     return MedianSplit(
         n=n,
         xi_star=c,
         pi_power=n - 1,
         value_coeff=2 * est,
         value_error_coeff=2 * err,
-        exact=False,
+        exact=(err == 0),
         measure_low=m_lo,
         measure_high=m_hi,
     )
@@ -237,8 +198,9 @@ def centered_abs_integral(
     Both outputs are coefficients of pi^n; xi is given as its coefficient of
     pi^(n-1). Exact whenever the level crossings are rational.
     """
-    pw = kernel_phi(n).closed_form
-    est, err = _piecewise_sum(abs_integral, pw, to_rational(xi_coeff), width)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    est, err = abs_integral(_phi_coefficient_poly(n), Fraction(0), Fraction(1), to_rational(xi_coeff), width)
     return 2 * est, 2 * err
 
 

@@ -159,8 +159,7 @@ def _rational_roots(
     p: Polynomial, s: Polynomial, seq: list[Polynomial], a: Fraction, b: Fraction
 ) -> list[tuple[Fraction, int]]:
     """:func:`rational_roots` given s = square_free(p) of degree >= 1, its Sturm sequence and a <= b."""
-    denom = math.lcm(*(c.denominator for c in s.coeffs))
-    ints = [c.numerator * (denom // c.denominator) for c in s.coeffs]
+    ints, _ = s._integer_form
     lead = abs(ints[-1]) // math.gcd(*ints)
     separation = Fraction(1, lead * lead)
     found = [a] if s.sign(a) == 0 else []

@@ -10,8 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exact import PiecewisePolynomial, periodic_antiderivatives
-from .solver import StepFunction
+from .exact import PiecewisePolynomial, StepFunction, periodic_antiderivatives
 
 __all__ = [
     "random_partition",

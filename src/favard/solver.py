@@ -52,17 +52,15 @@ instance is single-threaded and deterministic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .exact import RationalLike, format_rational, to_rational
+from .exact import RationalLike, StepFunction, format_rational, to_rational
 from .numbers import bernoulli_polynomial, eval_periodic
 
 __all__ = [
-    "StepFunction",
     "ReducedSystem",
     "SolveReport",
     "reduce_system",
@@ -78,68 +76,6 @@ __all__ = [
 ]
 
 NEAR_SINGULAR_BAND = 1e-10
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Step function on [0, T]: rational breakpoints 0 = c_0 < ... < c_K = T,
-    one rational value per interval [c_{k-1}, c_k), right-continuous."""
-
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    period: Fraction
-
-    def __post_init__(self) -> None:
-        bps = tuple([to_rational(b) for b in self.breakpoints])
-        vals = tuple([to_rational(v) for v in self.values])
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "period", to_rational(self.period))
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != self.period:
-            raise ValueError("breakpoints must run from 0 to T")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(vals) != len(bps) - 1:
-            raise ValueError("need one value per interval")
-
-    @classmethod
-    def constant(cls, value: RationalLike, period: RationalLike) -> "StepFunction":
-        period = to_rational(period)
-        return cls((Fraction(0), period), (to_rational(value),), period)
-
-    def __call__(self, t: RationalLike) -> Fraction:
-        t = to_rational(t)
-        u = t - math.floor(t / self.period) * self.period
-        idx = bisect_right(self.breakpoints, u) - 1
-        if idx == len(self.values):  # u == T exactly after wrap, cannot happen
-            idx -= 1
-        return self.values[idx]
-
-    def intervals(self) -> list[tuple[Fraction, Fraction, Fraction]]:
-        return [
-            (self.breakpoints[i], self.breakpoints[i + 1], self.values[i])
-            for i in range(len(self.values))
-        ]
-
-    def integral(self) -> Fraction:
-        return sum(
-            (v * (hi - lo) for lo, hi, v in self.intervals()),
-            Fraction(0),
-        )
-
-    def preimages(self) -> dict[Fraction, list[tuple[Fraction, Fraction]]]:
-        """Value -> list of intervals on which the function takes it."""
-        out: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
-        for lo, hi, v in self.intervals():
-            out.setdefault(v, []).append((lo, hi))
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "values": [format_rational(v) for v in self.values],
-        }
-
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .exact import (
     PiecewisePolynomial,
     Polynomial,
     RationalLike,
+    StepFunction,
     format_rational,
     to_rational,
 )
@@ -38,7 +39,6 @@ from .numbers import bernoulli_polynomial
 from .roots import isolate_roots
 
 __all__ = [
-    "StepSign",
     "DeviationMap",
     "Witness",
     "CheckResult",
@@ -50,23 +50,6 @@ __all__ = [
     "witness_extrema",
     "extremal_ratio",
 ]
-
-
-@dataclass(frozen=True)
-class StepSign:
-    """Half-period square wave: +1 on the first half period, -1 on the second."""
-
-    period: Fraction
-
-    def __call__(self, t: RationalLike) -> int:
-        u = to_rational(t) / self.period
-        u = u - math.floor(u)
-        return 1 if u < Fraction(1, 2) else -1
-
-    def as_piecewise(self) -> PiecewisePolynomial:
-        return PiecewisePolynomial.step(
-            (0, Fraction(1, 2), 1), (1, -1), self.period
-        )
 
 
 @dataclass(frozen=True)
@@ -82,10 +65,10 @@ class DeviationMap:
             if not 0 <= v <= self.period:
                 raise ValueError("deviation values must lie in [0, T]")
 
-    def __call__(self, t: RationalLike) -> Fraction:
-        u = to_rational(t) / self.period
-        u = u - math.floor(u)
-        return self.first if u < Fraction(1, 2) else self.second
+    def as_step(self) -> StepFunction:
+        """The same deviation as a :class:`StepFunction` with breakpoints 0, T/2, T."""
+        T = self.period
+        return StepFunction((Fraction(0), T / 2, T), (self.first, self.second), T)
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,8 +111,9 @@ class Witness:
     tabulated_tau: DeviationMap
 
     @property
-    def h(self) -> StepSign:
-        return StepSign(self.T)
+    def h(self) -> StepFunction:
+        """Half-period square wave: +1 on the first half period, -1 on the second."""
+        return StepFunction((Fraction(0), self.T / 2, self.T), (1, -1), self.T)
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,6 +188,12 @@ def auxiliary_solution(
     return pw.plus_constant(C)
 
 
+def _nth_derivative(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
+    for _ in range(n):
+        pw = pw.derivative()
+    return pw
+
+
 def build_witness(n: int, T: RationalLike) -> Witness:
     """Construct the extremal witness at L = 1/(K_n T^n), deriving all signs exactly.
 
@@ -230,10 +220,7 @@ def build_witness(n: int, T: RationalLike) -> Witness:
     if not (abs(va) == 1 and vb == -va):
         raise AssertionError(f"sample values not +-1: y({a}) = {va}, y({b}) = {vb}")
 
-    deriv = y
-    for _ in range(n):
-        deriv = deriv.derivative()
-    first_piece = deriv.pieces[0]
+    first_piece = _nth_derivative(y, n).pieces[0]
     if first_piece.degree != 0:
         raise AssertionError("n-th derivative is not piecewise constant")
     sigma_frac = first_piece(Fraction(0)) / L
@@ -256,12 +243,6 @@ def build_witness(n: int, T: RationalLike) -> Witness:
         tau=tau,
         tabulated_tau=tabulated_deviation(n, T),
     )
-
-
-def _nth_derivative(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
-    for _ in range(n):
-        pw = pw.derivative()
-    return pw
 
 
 def verify_witness(w: Witness) -> VerificationReport:

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 from favard.exact import (
     PiecewisePolynomial,
     Polynomial,
+    StepFunction,
     format_rational,
     frac_part,
     lagrange_interpolate,
-    parse_rational,
+    to_rational,
 )
 
 
 def test_rational_string_round_trip():
     for x in (F(3, 4), F(-7, 2), F(5), F(0), F(-1)):
-        assert parse_rational(format_rational(x)) == x
+        assert to_rational(format_rational(x)) == x
     assert format_rational(F(8, 2)) == "4"
     assert format_rational(F(-3, 9)) == "-1/3"
 
@@ -208,6 +209,30 @@ class TestPiecewisePolynomial:
         )
         data = json.loads(json.dumps(pw.to_json_dict()))
         assert PiecewisePolynomial.from_json_dict(data) == pw
+
+
+@st.composite
+def steps_and_points(draw):
+    """A step function on one of the periods 1, 5/2, 1/3, 7 and a point t: a breakpoint or an
+    interior point, shifted by a whole number of periods (negative t included)."""
+    T = draw(st.sampled_from((F(1), F(5, 2), F(1, 3), F(7))))
+    cuts = sorted(draw(st.sets(st.integers(1, 63), max_size=6)))
+    bps = [F(0)] + [T * F(c, 64) for c in cuts] + [T]
+    vals = draw(st.lists(st.builds(F, st.integers(-20, 20), st.just(4)), min_size=len(bps) - 1, max_size=len(bps) - 1))
+    base = draw(st.one_of(st.sampled_from(bps), st.fractions(min_value=0, max_value=T, max_denominator=256)))
+    return StepFunction(bps, vals, T), base + draw(st.integers(-3, 3)) * T
+
+
+class TestStepFunction:
+    @settings(max_examples=300, derandomize=True)
+    @given(steps_and_points())
+    def test_as_piecewise_agrees(self, case):
+        step, t = case
+        assert step.as_piecewise()(t) == step(t)
+
+    def test_as_piecewise_partition(self):
+        s = StepFunction((F(0), F(5, 6), F(5, 2)), (F(1), F(-3)), F(5, 2))
+        assert s.as_piecewise() == PiecewisePolynomial.step((0, F(1, 3), 1), (1, -3), F(5, 2))
 
 
 def test_lagrange_interpolation():

@@ -16,9 +16,12 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "constants": ["constants", "--n-max", "12", "--format", "json"],
     "kernel_min_abs": ["kernel", "--n", "6", "--min-abs", "--format", "json"],
+    "kernel_min_abs_n7": ["kernel", "--n", "7", "--min-abs", "--format", "json"],
     "kernel_min_abs_n16": ["kernel", "--n", "16", "--min-abs", "--format", "json"],
     "witness": ["witness", "--n", "5", "--T", "5/2", "--format", "json"],
     "suite": ["suite", "--criteria", "5,10", "--format", "json"],
+    "witness_text": ["witness", "--n", "6", "--T", "1/3"],
+    "suite_c4_c6": ["suite", "--criteria", "4,6", "--format", "json"],
     "suite_c7_c11": ["suite", "--criteria", "7,11", "--format", "json"],
     "solve_lipschitz": ["solve", str(GOLDEN / "instances" / "solve_lipschitz.json")],
     "solve_lipschitz_forced": ["solve", str(GOLDEN / "instances" / "solve_lipschitz_forced.json")],

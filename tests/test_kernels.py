@@ -91,6 +91,14 @@ class TestMinAbsIntegral:
         with pytest.raises(ValueError, match="width"):
             centered_abs_integral(3, F(1, 100), width=-1)
 
+    def test_structural_median_n1_to_30(self):
+        # odd n: antisymmetric about 1/2, median 0; even n: symmetric and monotone, median p(1/4)
+        for n in range(1, 31):
+            ms = min_abs_integral(n)
+            assert ms.exact
+            p = bernoulli_polynomial(n) * F(-(2 ** (n - 1)), math.factorial(n))
+            assert ms.xi_star == (0 if n % 2 else p(F(1, 4)))
+
     def test_odd_orders_center_at_zero(self):
         for n in (1, 3, 5, 7):
             assert min_abs_integral(n).xi_star == 0

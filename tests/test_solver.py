@@ -24,8 +24,7 @@ from favard.witness import build_witness
 
 
 def witness_tau(n, T=F(1)):
-    w = build_witness(n, T)
-    return StepFunction((F(0), T / 2, T), (w.tau.first, w.tau.second), T)
+    return build_witness(n, T).tau.as_step()
 
 
 class TestStepFunction:
@@ -315,12 +314,17 @@ class TestContraction:
             assert contraction_norm(sys) == float(_max_row_sum(sys))
 
     def test_without_centering_norm_can_exceed(self):
-        # the shift is what makes the operator a contraction: xi = 0 overshoots
-        # the factor for n = 1 instances sampling near the kernel extremes
-        tau = StepFunction.constant(F(0), F(1))
-        K = favard_closed_form(1)
+        # the shift is what makes the operator a contraction: for n = 2 (xi* = 1/48)
+        # xi = 0 overshoots the factor on this deviation and xi* does not
+        tau = StepFunction(
+            (F(0), F(7, 16), F(39, 64), F(49, 64), F(25, 32), F(1)),
+            (F(0), F(7, 8), F(1, 2), F(7, 16), F(3, 16)),
+            F(1),
+        )
+        K = favard_closed_form(2)
         rho = F(99, 100)
-        sys0 = reduce_system(1, 1, rho / K, tau, xi=0)
-        sys_star = reduce_system(1, 1, rho / K, tau, xi=min_abs_integral(1).xi_star)
+        sys0 = reduce_system(2, 1, rho / K, tau, xi=0)
+        sys_star = reduce_system(2, 1, rho / K, tau, xi=min_abs_integral(2).xi_star)
+        assert _max_row_sum(sys0) > rho
         assert _max_row_sum(sys_star) <= rho
 

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from favard.constants import favard_closed_form
+from favard.exact import PiecewisePolynomial, StepFunction
 from favard.witness import (
     DeviationMap,
-    StepSign,
     auxiliary_solution,
     build_witness,
     extremal_ratio,
@@ -20,10 +20,24 @@ PERIODS = (F(1), F(5, 2), F(1, 3))
 
 
 def test_step_sign():
-    h = StepSign(F(1))
+    h = build_witness(1, F(1)).h
     assert h(0) == 1 and h(F(1, 4)) == 1 and h(F(3, 4)) == -1
     assert h(F(5, 4)) == 1  # periodic wrap
     assert h.as_piecewise().mean() == 0
+
+
+@pytest.mark.parametrize("T", PERIODS + (F(7),))
+def test_square_wave_as_piecewise(T):
+    h = build_witness(2, T).h
+    assert h.as_piecewise() == PiecewisePolynomial.step((0, F(1, 2), 1), (1, -1), T)
+    assert h(T / 2) == -1 and h(-T / 4) == -1 and h(3 * T) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_deviation_as_step(n):
+    for T in PERIODS:
+        tau = build_witness(n, T).tau
+        assert tau.as_step() == StepFunction((F(0), T / 2, T), (tau.first, tau.second), T)
 
 
 def test_deviation_validation():
