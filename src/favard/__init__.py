@@ -25,13 +25,10 @@ from .constants import (
 )
 from .exact import PiecewisePolynomial, Polynomial, StepFunction, format_rational
 from .kernels import (
-    GreenEval,
-    KernelPhi,
     MedianSplit,
     green_apply,
     green_eval,
     green_solution_polynomial,
-    kernel_phi,
     min_abs_integral,
     phi_eval,
 )
@@ -40,7 +37,6 @@ from .numbers import (
     bernoulli_numbers,
     bernoulli_polynomial,
     euler_numbers,
-    periodic_bernoulli_eval,
 )
 from .solver import (
     ReducedSystem,
@@ -68,8 +64,6 @@ __all__ = [
     "ConclusionRow",
     "DeviationMap",
     "FavardTable",
-    "GreenEval",
-    "KernelPhi",
     "MedianSplit",
     "PiecewisePolynomial",
     "Polynomial",
@@ -94,10 +88,8 @@ __all__ = [
     "green_apply",
     "green_eval",
     "green_solution_polynomial",
-    "kernel_phi",
     "min_abs_integral",
     "min_period_bound",
-    "periodic_bernoulli_eval",
     "phi_eval",
     "reduce_system",
     "reduce_weighted",

@@ -27,7 +27,7 @@ from .sampling import (
     random_weight,
     random_zero_mean_step,
 )
-from .solver import _max_row_sum, reduce_system, solve_weighted
+from .solver import contraction_norm, reduce_system, solve_weighted
 from .witness import build_witness, extremal_ratio, verify_witness
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "DEFAULT_SEED"]
@@ -152,7 +152,7 @@ def _criterion_contraction(seed: int) -> tuple[bool, str]:
             xi_by_n[n] = min_abs_integral(n).xi_star
         tau = random_deviation(rng, T)
         sys = reduce_system(n, T, L, tau, xi=xi_by_n[n])
-        norm = _max_row_sum(sys)
+        norm = contraction_norm(sys)
         if norm > rho:
             return False, f"n={n}, T={T}, rho={rho}: operator norm {float(norm)} exceeds {float(rho)}"
         worst_slack = max(worst_slack, float(norm) - float(rho))

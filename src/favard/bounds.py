@@ -143,6 +143,7 @@ class ConclusionRow:
     family: str  # "L" | "P"
     n: int
     threshold: Fraction
+    strict: bool
     published_value: Fraction | None
     erratum_flag: bool
     power: int  # exponent of 1/T multiplying the coefficient
@@ -153,7 +154,7 @@ class ConclusionRow:
             "n": self.n,
             "threshold": format_rational(self.threshold),
             "threshold_float": float(self.threshold),
-            "strict": self.family == "P" and self.n >= 2,
+            "strict": self.strict,
             "published_value": (
                 None if self.published_value is None else format_rational(self.published_value)
             ),
@@ -165,36 +166,20 @@ class ConclusionRow:
 def conclusion_table(n_max: int) -> list[ConclusionRow]:
     """Threshold coefficients L_n = 1/K_n and P_n (weight family) for n = 1..n_max.
 
-    Rows with a published value are compared exactly; a mismatch sets the
-    erratum flag while keeping the published number verbatim.
+    Each coefficient and its strictness come from ``min_period_bound`` (at
+    L = 1) or ``weight_threshold`` (at T = 1). Rows with a published value are
+    compared exactly; a mismatch sets the erratum flag while keeping the
+    published number verbatim.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rows: list[ConclusionRow] = []
-    for n in range(1, n_max + 1):
-        thr = 1 / favard_closed_form(n)
-        pub = PUBLISHED_L.get(n)
-        rows.append(
-            ConclusionRow(
-                family="L",
-                n=n,
-                threshold=thr,
-                published_value=pub,
-                erratum_flag=pub is not None and pub != thr,
-                power=n,
-            )
-        )
-    for n in range(1, n_max + 1):
-        thr = Fraction(4) if n == 1 else 4 / favard_closed_form(n - 1)
-        pub = PUBLISHED_P.get(n)
-        rows.append(
-            ConclusionRow(
-                family="P",
-                n=n,
-                threshold=thr,
-                published_value=pub,
-                erratum_flag=pub is not None and pub != thr,
-                power=n - 1,
-            )
-        )
+    for family, published, bound, shift in (
+        ("L", PUBLISHED_L, min_period_bound, 0),
+        ("P", PUBLISHED_P, weight_threshold, 1),
+    ):
+        for n in range(1, n_max + 1):
+            res, pub = bound(n, 1), published.get(n)
+            flag = pub is not None and pub != res.exact
+            rows.append(ConclusionRow(family, n, res.exact, res.strict, pub, flag, n - shift))
     return rows

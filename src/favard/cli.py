@@ -153,18 +153,17 @@ def _parse_step(data, path: str, period: Fraction) -> StepFunction:
         raise SchemaError(f"{path}.breakpoints", "need a list of at least two rationals")
     if not isinstance(raw_vals, list) or len(raw_vals) != len(raw_bps) - 1:
         raise SchemaError(f"{path}.values", "need one value per interval")
-    bps = []
-    for i, s in enumerate(raw_bps):
-        if not isinstance(s, str):
-            raise SchemaError(f"{path}.breakpoints[{i}]", "rationals must be strings")
-        bps.append(_parse_rational_arg(s, f"{path}.breakpoints[{i}]"))
-    vals = []
-    for i, s in enumerate(raw_vals):
-        if not isinstance(s, str):
-            raise SchemaError(f"{path}.values[{i}]", "rationals must be strings")
-        vals.append(_parse_rational_arg(s, f"{path}.values[{i}]"))
+    parsed = []
+    for key, raw in (("breakpoints", raw_bps), ("values", raw_vals)):
+        items = []
+        for i, s in enumerate(raw):
+            where = f"{path}.{key}[{i}]"
+            if not isinstance(s, str):
+                raise SchemaError(where, "rationals must be strings")
+            items.append(_parse_rational_arg(s, where))
+        parsed.append(tuple(items))
     try:
-        return StepFunction(tuple(bps), tuple(vals), period)
+        return StepFunction(*parsed, period)
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 
@@ -350,10 +349,7 @@ def dispatch(args: argparse.Namespace) -> int:
     except SchemaError as exc:
         print(f"usage error at {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (FileNotFoundError, IsADirectoryError, ValueError, ZeroDivisionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

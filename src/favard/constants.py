@@ -150,36 +150,27 @@ class FavardTable:
 def favard_table(n_max: int, route: str = "all") -> FavardTable:
     """Build the table for n = 0..n_max via one route, or all three with agreement.
 
-    With ``route="all"`` every entry records exactly the set of routes whose
-    output matched the closed form bit for bit; disagreement is preserved in
-    the table rather than raised, so it can surface in output.
+    The first selected route gives each value, and every entry records
+    exactly the set of selected routes whose output matched it bit for bit
+    (with ``route="all"`` the closed form comes first); disagreement is
+    preserved in the table rather than raised, so it can surface in output.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if route != "all" and route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
     cache = BernoulliEulerCache.build(n_max + 1)
-    closed = [favard_closed_form(n, cache) for n in range(n_max + 1)]
-    entries: dict[int, FavardEntry] = {}
-    if route == "closed_form":
-        for n, v in enumerate(closed):
-            entries[n] = FavardEntry(n, v, frozenset({"closed_form"}))
-    elif route == "recurrence":
-        for n, v in enumerate(favard_recurrence(n_max)):
-            entries[n] = FavardEntry(n, v, frozenset({"recurrence"}))
-    elif route == "generating":
-        for n, v in enumerate(favard_generating(n_max)):
-            entries[n] = FavardEntry(n, v, frozenset({"generating"}))
-    else:
-        rec = favard_recurrence(n_max)
-        gen = favard_generating(n_max)
-        for n, v in enumerate(closed):
-            agree = {"closed_form"}
-            if rec[n] == v:
-                agree.add("recurrence")
-            if gen[n] == v:
-                agree.add("generating")
-            entries[n] = FavardEntry(n, v, frozenset(agree))
+    compute = {
+        "closed_form": lambda: [favard_closed_form(n, cache) for n in range(n_max + 1)],
+        "recurrence": lambda: favard_recurrence(n_max),
+        "generating": lambda: favard_generating(n_max),
+    }
+    selected = ROUTES if route == "all" else (route,)
+    values = {r: compute[r]() for r in selected}
+    entries = {
+        n: FavardEntry(n, v, frozenset(r for r in selected if values[r][n] == v))
+        for n, v in enumerate(values[selected[0]])
+    }
     return FavardTable(entries)
 
 

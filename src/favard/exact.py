@@ -280,10 +280,6 @@ class PiecewisePolynomial:
             raise ValueError("period must be positive")
 
     @classmethod
-    def single(cls, piece: Polynomial, period: RationalLike = 1) -> "PiecewisePolynomial":
-        return cls((Fraction(0), Fraction(1)), (piece,), to_rational(period))
-
-    @classmethod
     def step(
         cls,
         breakpoints: Sequence[RationalLike],
@@ -487,12 +483,6 @@ class StepFunction:
         for lo, hi, v in self.intervals():
             out.setdefault(v, []).append((lo, hi))
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "values": [format_rational(v) for v in self.values],
-        }
 
 
 def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:

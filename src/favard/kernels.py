@@ -3,9 +3,11 @@
 The kernel is defined by the Fourier series
 phi_n(t) = (1/pi) * sum(k^(-n) cos(k t - n pi/2), k >= 1) and satisfies the
 closed form phi_n(2 pi u) = -(2 pi)^(n-1) PB_n(u) / n! with PB_n the
-1-periodic Bernoulli function. APIs work with the rational coefficient of
-pi^(n-1), keeping every value exact; the closed form is validated against
-the truncated series by a shipped cross-check, not assumed.
+1-periodic Bernoulli function. There is no kernel object: the evaluators
+and the median functions work directly on the one polynomial p below,
+through the rational coefficient of pi^(n-1), keeping every value exact; the
+closed form is validated against the truncated series by a shipped
+cross-check, not assumed.
 
 The minimum over xi of the period integral of |phi_n - xi| equals
 K_n (2 pi)^n and is attained at any Lebesgue median of phi_n. On [0, 1)
@@ -17,8 +19,9 @@ crossings at 1/4 and 3/4. Both candidates are verified exactly via root
 isolation. For polynomial kernels the median is unique: no level set has
 positive measure.
 
-Green function of x^(n) = f with x(0) = x(T) = 0 and periodic interior
-derivatives: G(t, s) = scale * (B_n(t/T) - B_n(0) - PB_n((t-s)/T) + B_n(1 - s/T)).
+The Green function of x^(n) = f with x(0) = x(T) = 0 and periodic interior
+derivatives is the one function ``green_eval``:
+G(t, s) = scale * (B_n(t/T) - B_n(0) - PB_n((t-s)/T) + B_n(1 - s/T)).
 The prefactor commonly printed as T^n/n! fails the u^(n) = f residual check
 (u = integral of G f must scale as T^n f); the dimensionally consistent
 scale = T^(n-1)/n! is used here and confirmed by the shipped residual tests.
@@ -35,26 +38,22 @@ import numpy as np
 
 from .exact import (
     Polynomial,
-    PiecewisePolynomial,
     RationalLike,
     format_rational,
     frac_part,
     lagrange_interpolate,
     to_rational,
 )
-from .numbers import BernoulliEulerCache, bernoulli_polynomial
+from .numbers import bernoulli_polynomial
 from .roots import DEFAULT_WIDTH, abs_integral, measure_below
 
 __all__ = [
-    "KernelPhi",
-    "kernel_phi",
     "phi_eval",
     "phi_series_value",
     "phi_series_tail_bound",
     "MedianSplit",
     "min_abs_integral",
     "centered_abs_integral",
-    "GreenEval",
     "green_eval",
     "green_apply",
     "green_solution_polynomial",
@@ -62,43 +61,9 @@ __all__ = [
 ]
 
 
-def _phi_coefficient_poly(n: int, cache: BernoulliEulerCache | None = None) -> Polynomial:
+def _phi_coefficient_poly(n: int) -> Polynomial:
     """Polynomial p with phi_n(2 pi u) = p(u) * pi^(n-1) on [0, 1): p = -2^(n-1) B_n / n!."""
-    return bernoulli_polynomial(n, cache) * Fraction(-(2 ** (n - 1)), math.factorial(n))
-
-
-@dataclass(frozen=True)
-class KernelPhi:
-    """Kernel phi_n: exact closed form plus a truncated-series cross-check evaluator."""
-
-    n: int
-    closed_form: PiecewisePolynomial
-    series_truncation: int
-
-    @property
-    def pi_power(self) -> int:
-        return self.n - 1
-
-    def coeff(self, u: RationalLike) -> Fraction:
-        """Rational coefficient c with phi_n(2 pi u) = c * pi^(n-1)."""
-        return self.closed_form.value_in_unit(frac_part(to_rational(u)))
-
-    def value(self, u: RationalLike) -> float:
-        return float(self.coeff(u)) * math.pi**self.pi_power
-
-    def series_value(self, u: float, terms: int | None = None) -> float:
-        return phi_series_value(self.n, u, terms or self.series_truncation)
-
-
-def kernel_phi(n: int, series_truncation: int = 10_000) -> KernelPhi:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    piece = _phi_coefficient_poly(n)
-    return KernelPhi(
-        n=n,
-        closed_form=PiecewisePolynomial.single(piece, 1),
-        series_truncation=series_truncation,
-    )
+    return bernoulli_polynomial(n) * Fraction(-(2 ** (n - 1)), math.factorial(n))
 
 
 def phi_eval(n: int, u: RationalLike) -> Fraction:
@@ -204,33 +169,18 @@ def centered_abs_integral(
     return 2 * est, 2 * err
 
 
-@dataclass(frozen=True)
-class GreenEval:
-    """Green function of the auxiliary problem, with the residual-validated scale."""
-
-    n: int
-    T: Fraction
-    scale: Fraction
-
-    def __call__(self, t: RationalLike, s: RationalLike) -> Fraction:
-        t, s = to_rational(t), to_rational(s)
-        if not (0 <= t <= self.T and 0 <= s <= self.T):
-            raise ValueError("need 0 <= t, s <= T")
-        Bn = bernoulli_polynomial(self.n)
-        u_t = t / self.T
-        u_s = s / self.T
-        return self.scale * (
-            Bn(u_t) - Bn(Fraction(0)) - Bn(frac_part(u_t - u_s)) + Bn(1 - u_s)
-        )
-
-
 def green_eval(n: int, T: RationalLike, t: RationalLike, s: RationalLike) -> Fraction:
     """Exact G(t, s) for x^(n) = f with x(0) = x(T) = 0 and periodic x', .., x^(n-2)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    T = to_rational(T)
+    T, t, s = to_rational(T), to_rational(t), to_rational(s)
+    if not (0 <= t <= T and 0 <= s <= T):
+        raise ValueError("need 0 <= t, s <= T")
     scale = T ** (n - 1) / Fraction(math.factorial(n))
-    return GreenEval(n=n, T=T, scale=scale)(t, s)
+    Bn = bernoulli_polynomial(n)
+    u_t = t / T
+    u_s = s / T
+    return scale * (Bn(u_t) - Bn(Fraction(0)) - Bn(frac_part(u_t - u_s)) + Bn(1 - u_s))
 
 
 def green_apply(n: int, T: RationalLike, f: Polynomial, t: RationalLike) -> Fraction:
@@ -276,17 +226,19 @@ def green_solution_polynomial(n: int, T: RationalLike, f: Polynomial) -> Polynom
 
 def phi_samples(n: int, count: int) -> list[dict]:
     """CSV-ready sampling of phi_n: (u, phi_n_coeff, pi_power, float_value)."""
-    k = kernel_phi(n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    p = _phi_coefficient_poly(n)
     rows = []
     for i in range(count):
         u = Fraction(i, count)
-        c = k.coeff(u)
+        c = p(u)
         rows.append(
             {
                 "u": format_rational(u),
                 "phi_n_coeff": format_rational(c),
-                "pi_power": k.pi_power,
-                "float_value": float(c) * math.pi**k.pi_power,
+                "pi_power": n - 1,
+                "float_value": float(c) * math.pi ** (n - 1),
             }
         )
     return rows

@@ -29,7 +29,6 @@ __all__ = [
     "zigzag_numbers",
     "BernoulliEulerCache",
     "bernoulli_polynomial",
-    "periodic_bernoulli_eval",
     "eval_periodic",
 ]
 
@@ -122,8 +121,8 @@ def euler_numbers_zigzag(n_max: int) -> list[int]:
 class BernoulliEulerCache:
     """Immutable table of B_0..B_N and E_0..E_N, cross-checked at construction.
 
-    Callers pass the cache explicitly where repeated number lookups matter;
-    there is no hidden global state.
+    Its one caller is ``constants.favard_table``, which builds it once and
+    passes it to ``favard_closed_form``; there is no hidden global state.
     """
 
     bernoulli: tuple[Fraction, ...]
@@ -149,7 +148,7 @@ class BernoulliEulerCache:
         return len(self.bernoulli) - 1
 
 
-def bernoulli_polynomial(n: int, cache: BernoulliEulerCache | None = None) -> Polynomial:
+def bernoulli_polynomial(n: int) -> Polynomial:
     """Exact Bernoulli polynomial B_n(t) = sum(C(n, k) B_{n-k} t^k).
 
     Satisfies B_n'(t) = n B_{n-1}(t), zero mean on [0, 1] for n >= 1, and
@@ -157,10 +156,7 @@ def bernoulli_polynomial(n: int, cache: BernoulliEulerCache | None = None) -> Po
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if cache is None or cache.n_max < n:
-        bern = bernoulli_numbers(n)
-    else:
-        bern = list(cache.bernoulli[: n + 1])
+    bern = bernoulli_numbers(n)
     coeffs = [Fraction(comb(n, k)) * bern[n - k] for k in range(n + 1)]
     return Polynomial(tuple(coeffs))
 
@@ -169,11 +165,3 @@ def eval_periodic(poly: Polynomial, t: RationalLike) -> Fraction:
     """Evaluate poly at the fractional part of t (1-periodic extension)."""
     return poly(frac_part(to_rational(t)))
 
-
-def periodic_bernoulli_eval(
-    n: int, t: RationalLike, cache: BernoulliEulerCache | None = None
-) -> Fraction:
-    """Periodic Bernoulli function: B_n evaluated at {t}, the fractional part."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return eval_periodic(bernoulli_polynomial(n, cache), t)

@@ -477,13 +477,8 @@ def reconstruct_solution(
     return -L * T**n / math.factorial(n + 1) * sum(v * x for v, x in zip(samples, row)) + constant
 
 
-def _max_row_sum(sys: ReducedSystem) -> Fraction:
+def contraction_norm(sys: ReducedSystem) -> Fraction:
     """Exact operator norm (max absolute row sum) of the reduced kernel matrix. With the optimal
     centering shift it is bounded by L K_n T^n, the contraction factor of the representation operator."""
     return max([sum([abs(x) for x in row], Fraction(0)) for row in sys.kernel_matrix], default=Fraction(0))
-
-
-def contraction_norm(sys: ReducedSystem) -> float:
-    """Float operator norm (max absolute row sum) of the reduced kernel matrix; see :func:`_max_row_sum`."""
-    return float(_max_row_sum(sys))
 

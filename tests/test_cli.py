@@ -189,6 +189,33 @@ def test_solve_schema_violation_reports_field_path(tmp_path, capsys):
     assert "tau.values[1]" in err
 
 
+@pytest.mark.parametrize(
+    "field, item, expected",
+    [
+        ("tau", ("breakpoints", [0, "1", "2"]), "usage error at tau.breakpoints[0]: rationals must be strings\n"),
+        ("p", ("values", ["3", "1/x", "7/4"]), "usage error at p.values[1]: not an exact rational: '1/x'\n"),
+        ("tau", ("breakpoints", ["0"]), "usage error at tau.breakpoints: need a list of at least two rationals\n"),
+        ("p", ("values", ["3", "0"]), "usage error at p.values: need one value per interval\n"),
+    ],
+)
+def test_solve_step_schema_paths(tmp_path, capsys, field, item, expected):
+    instance = {
+        "kind": "weighted",
+        "n": 2,
+        "T": "2",
+        "p": {"breakpoints": ["0", "1/2", "3/2", "2"], "values": ["3", "0", "7/4"]},
+        "tau": {"breakpoints": ["0", "1", "2"], "values": ["1/2", "3/2"]},
+    }
+    key, value = item
+    instance[field][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == expected
+
+
 def test_solve_missing_field_path(tmp_path, capsys):
     path = tmp_path / "missing.json"
     path.write_text(json.dumps({"kind": "lipschitz", "n": 2, "T": "1", "L": "32"}))

@@ -60,6 +60,23 @@ def test_single_route_tables():
         assert all(e.routes_agreeing == frozenset({route}) for e in t.entries.values())
 
 
+def test_table_records_a_disagreeing_route(monkeypatch):
+    # a route that is off at one order drops out of that entry only; the closed form keeps the value
+    import favard.constants as constants
+
+    def off_at_3(n_max):
+        ks = favard_recurrence(n_max)
+        ks[3] += 1
+        return ks
+
+    monkeypatch.setattr(constants, "favard_recurrence", off_at_3)
+    table = favard_table(6)
+    assert not table.all_routes_agree()
+    assert table.entries[3].value == F(1, 192)
+    assert table.entries[3].routes_agreeing == frozenset({"closed_form", "generating"})
+    assert all(table.entries[n].routes_agreeing == frozenset(ROUTES) for n in (0, 1, 2, 4, 5, 6))
+
+
 def test_table_rejects_bad_input():
     with pytest.raises(ValueError):
         favard_table(0)

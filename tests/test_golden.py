@@ -23,6 +23,11 @@ CASES = {
     "witness_text": ["witness", "--n", "6", "--T", "1/3"],
     "suite_c4_c6": ["suite", "--criteria", "4,6", "--format", "json"],
     "suite_c7_c11": ["suite", "--criteria", "7,11", "--format", "json"],
+    "kernel_samples_n3": ["kernel", "--n", "3", "--samples", "8"],
+    "table_json": ["table", "--n-max", "6", "--format", "json"],
+    "table_text": ["table", "--n-max", "6"],
+    "bounds_weight": ["bounds", "--n", "3", "--weight", "--T", "5/2", "--format", "json"],
+    "constants_recurrence": ["constants", "--route", "recurrence", "--n-max", "8", "--format", "csv"],
     "solve_lipschitz": ["solve", str(GOLDEN / "instances" / "solve_lipschitz.json")],
     "solve_lipschitz_forced": ["solve", str(GOLDEN / "instances" / "solve_lipschitz_forced.json")],
     "solve_weighted": ["solve", str(GOLDEN / "instances" / "solve_weighted.json")],

@@ -5,19 +5,23 @@ from fractions import Fraction as F
 import pytest
 
 from favard.constants import favard_closed_form
-from favard.exact import Polynomial
+from favard.exact import Polynomial, lagrange_interpolate
 from favard.kernels import (
     centered_abs_integral,
     green_apply,
     green_eval,
     green_solution_polynomial,
-    kernel_phi,
     min_abs_integral,
     phi_eval,
     phi_series_tail_bound,
     phi_series_value,
 )
 from favard.numbers import bernoulli_polynomial
+
+
+def phi_poly(n):
+    """p with phi_n(2 pi u) = p(u) pi^(n-1) on [0, 1), built from B_n directly."""
+    return bernoulli_polynomial(n) * F(-(2 ** (n - 1)), math.factorial(n))
 
 
 class TestPhi:
@@ -39,23 +43,22 @@ class TestPhi:
 
     def test_zero_mean_exact(self):
         for n in range(1, 11):
-            assert kernel_phi(n).closed_form.mean() == 0
+            assert phi_poly(n).integrate(0, 1) == 0
 
     def test_closed_form_vs_series(self):
         rng = random.Random(23)
         terms = 10_000
         for n in range(2, 9):
-            k = kernel_phi(n, terms)
             bound = phi_series_tail_bound(n, terms) + 1e-9  # float-roundoff slack
             for _ in range(25):
                 u = F(rng.randint(0, 10**4 - 1), 10**4)
-                assert abs(k.value(u) - k.series_value(float(u))) <= bound
+                value = float(phi_eval(n, u)) * math.pi ** (n - 1)
+                assert abs(value - phi_series_value(n, float(u), terms)) <= bound
 
     def test_closed_form_vs_series_n1(self):
         # slow 1/k decay: 10^6 terms at points away from the jump
-        k = kernel_phi(1)
         for u in (F(1, 8), F(1, 3), F(5, 8), F(13, 16)):
-            assert abs(k.value(u) - phi_series_value(1, float(u), 10**6)) < 1e-6
+            assert abs(float(phi_eval(1, u)) - phi_series_value(1, float(u), 10**6)) < 1e-6
 
 
 class TestMinAbsIntegral:
@@ -96,7 +99,7 @@ class TestMinAbsIntegral:
         for n in range(1, 31):
             ms = min_abs_integral(n)
             assert ms.exact
-            p = bernoulli_polynomial(n) * F(-(2 ** (n - 1)), math.factorial(n))
+            p = phi_poly(n)
             assert ms.xi_star == (0 if n % 2 else p(F(1, 4)))
 
     def test_odd_orders_center_at_zero(self):
@@ -111,7 +114,7 @@ class TestMinAbsIntegral:
     def test_convexity_in_xi(self):
         rng = random.Random(31)
         for n in (1, 2, 3, 4):
-            p = kernel_phi(n).closed_form.pieces[0]
+            p = phi_poly(n)
             lo = min(p(F(i, 16)) for i in range(17))
             hi = max(p(F(i, 16)) for i in range(17))
             for _ in range(12):
@@ -130,6 +133,22 @@ class TestGreen:
     def test_point_values(self):
         assert green_eval(2, 1, 0, F(1, 3)) == 0
         assert green_eval(2, 1, F(1, 2), F(1, 2)) == F(-1, 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pointwise_kernel_integrates_to_green_apply(self, n):
+        # G(t, .) is one polynomial of degree n on [0, t] and one on [t, T]: interpolate
+        # each from green_eval and integrate against f exactly
+        f = Polynomial.of(F(-1, 2), 1, F(1, 3))
+        for T in (F(1), F(5, 2)):
+            for t in (F(0), T / 3, T * F(5, 7)):
+                total = F(0)
+                for lo, hi in ((F(0), t), (t, T)):
+                    if lo == hi:
+                        continue
+                    nodes = [lo + (hi - lo) * F(i, n) for i in range(n + 1)]
+                    g = lagrange_interpolate([(s, green_eval(n, T, t, s)) for s in nodes])
+                    total += (g * f).integrate(lo, hi)
+                assert total == green_apply(n, T, f, t)
 
     def test_requires_second_order(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction as F
 
-import pytest
 
 from favard.exact import Polynomial
 from favard.numbers import (
@@ -11,7 +10,7 @@ from favard.numbers import (
     bernoulli_polynomial,
     euler_numbers,
     euler_numbers_zigzag,
-    periodic_bernoulli_eval,
+    eval_periodic,
     zigzag_numbers,
 )
 
@@ -90,16 +89,12 @@ class TestBernoulliPolynomial:
 
 class TestPeriodicBernoulli:
     def test_examples(self):
-        assert periodic_bernoulli_eval(2, F(-1, 2)) == F(-1, 12)
-        assert periodic_bernoulli_eval(1, F(7, 4)) == F(1, 4)
-        assert periodic_bernoulli_eval(3, 0) == 0
+        assert eval_periodic(bernoulli_polynomial(2), F(-1, 2)) == F(-1, 12)
+        assert eval_periodic(bernoulli_polynomial(1), F(7, 4)) == F(1, 4)
+        assert eval_periodic(bernoulli_polynomial(3), 0) == 0
 
     def test_continuity_across_integers(self):
         # for n >= 2 the left limit at 1 equals the value at 0
         for n in range(2, 16):
             p = bernoulli_polynomial(n)
             assert p(1) == p(0)
-
-    def test_requires_positive_order(self):
-        with pytest.raises(ValueError):
-            periodic_bernoulli_eval(0, F(1, 2))
