@@ -33,7 +33,6 @@ from .kernels import (
     phi_eval,
 )
 from .numbers import (
-    BernoulliEulerCache,
     bernoulli_numbers,
     bernoulli_polynomial,
     euler_numbers,
@@ -59,7 +58,6 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BernoulliEulerCache",
     "BoundResult",
     "ConclusionRow",
     "DeviationMap",

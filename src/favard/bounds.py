@@ -2,17 +2,20 @@
 
 Thresholds are reported exactly on T^n (n-th roots of rationals are
 irrational, so exactness is preserved where it exists) together with float
-roots for convenience. The conclusion table reproduces the published
-threshold lists and compares them against the exact constants; two published
-entries disagree with the exact values (the L_3 coefficient, printed 132
-where 1/K_3 = 192, and the P_5 coefficient, printed 24776/5 where
-4/K_4 = 24576/5). These are stored verbatim and flagged, never silently
-replaced.
+roots for convenience. A root whose radicand does not fit a double is taken
+from the logs of the radicand's integer numerator and denominator, and a
+float that is itself out of range is reported as None (null in JSON). The
+conclusion table reproduces the published threshold lists and compares them
+against the exact constants; two published entries disagree with the exact
+values (the L_3 coefficient, printed 132 where 1/K_3 = 192, and the P_5
+coefficient, printed 24776/5 where 4/K_4 = 24576/5). These are stored
+verbatim and flagged, never silently replaced.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +50,26 @@ PUBLISHED_P: dict[int, Fraction] = {
 }
 
 
+def _float(x: Fraction) -> float | None:
+    """float(x), or None when x is out of the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
+def _float_root(x: Fraction, n: int) -> float | None:
+    """x^(1/n) for x > 0 and n != 0: float(x) ** (1/n) where x is a normal double,
+    else from the logs of x's integer numerator and denominator; None out of range."""
+    f = _float(x)
+    if f is not None and f >= sys.float_info.min:
+        return f ** (1.0 / n)
+    try:
+        return math.exp((math.log(x.numerator) - math.log(x.denominator)) / n)
+    except OverflowError:
+        return None
+
+
 @dataclass(frozen=True)
 class BoundResult:
     """One computed threshold.
@@ -62,7 +85,7 @@ class BoundResult:
     exact: Fraction
     exact_is_power: bool  # True when ``exact`` bounds T^n rather than T
     strict: bool
-    float_value: float
+    float_value: float | None
     extras: dict
 
     def to_json_dict(self) -> dict:
@@ -91,25 +114,25 @@ def min_period_bound(n: int, L: RationalLike) -> BoundResult:
         raise ValueError("L must be positive")
     K = favard_closed_form(n)
     power_threshold = 1 / (L * K)
-    t_float = float(power_threshold) ** (1.0 / n)
+    root_L = _float_root(L, n)
     return BoundResult(
         kind="min_period",
         n=n,
         exact=power_threshold,
         exact_is_power=True,
         strict=False,
-        float_value=t_float,
+        float_value=_float_root(power_threshold, n),
         extras={
             "alpha_n": alpha_constant(n),
-            "ode_comparison": 2 * math.pi / float(L) ** (1.0 / n),
+            "ode_comparison": 2 * math.pi / root_L if root_L else None,
             "L": format_rational(L),
         },
     )
 
 
-def alpha_constant(n: int) -> float:
+def alpha_constant(n: int) -> float | None:
     """alpha(n) = K_n^(-1/n): the implicit sharp constant in T >= alpha(n)/L^(1/n)."""
-    return float(favard_closed_form(n)) ** (-1.0 / n)
+    return _float_root(favard_closed_form(n), -n)
 
 
 def weight_threshold(n: int, T: RationalLike) -> BoundResult:
@@ -131,7 +154,7 @@ def weight_threshold(n: int, T: RationalLike) -> BoundResult:
         exact=exact,
         exact_is_power=False,
         strict=strict,
-        float_value=float(exact),
+        float_value=_float(exact),
         extras={"T": format_rational(T)},
     )
 
@@ -153,7 +176,7 @@ class ConclusionRow:
             "family": self.family,
             "n": self.n,
             "threshold": format_rational(self.threshold),
-            "threshold_float": float(self.threshold),
+            "threshold_float": _float(self.threshold),
             "strict": self.strict,
             "published_value": (
                 None if self.published_value is None else format_rational(self.published_value)

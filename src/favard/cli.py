@@ -225,7 +225,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         lines = [f"T^{args.n} >= {format_rational(res.exact)}"]
         if args.n == 1:
             lines.insert(0, f"T >= {format_rational(res.exact)}")
-        else:
+        elif res.float_value is not None:
             lines.append(f"T >= {res.float_value!r} (approx)")
         lines.append(f"alpha({args.n}) = {res.extras['alpha_n']!r} (approx)")
         lines.append(f"undeviated comparison: T >= {res.extras['ode_comparison']!r} (approx)")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import format_rational
-from .numbers import BernoulliEulerCache, bernoulli_numbers, euler_numbers
+from .numbers import bernoulli_numbers, euler_numbers
 
 __all__ = [
     "ROUTES",
@@ -44,23 +44,16 @@ __all__ = [
 ROUTES = ("closed_form", "recurrence", "generating")
 
 
-def favard_closed_form(n: int, cache: BernoulliEulerCache | None = None) -> Fraction:
+def favard_closed_form(n: int) -> Fraction:
     """Exact K_n from Bernoulli numbers (odd n) or Euler numbers (even n); K_0 = 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return Fraction(1)
     if n % 2 == 1:
-        if cache is not None and cache.n_max >= n + 1:
-            b = cache.bernoulli[n + 1]
-        else:
-            b = bernoulli_numbers(n + 1)[n + 1]
+        b = bernoulli_numbers(n + 1)[n + 1]
         return Fraction(2 ** (n + 1) - 1) * abs(b) / (2 ** (n - 1) * math.factorial(n + 1))
-    if cache is not None and cache.n_max >= n:
-        e = cache.euler[n]
-    else:
-        e = euler_numbers(n)[n]
-    return Fraction(abs(e), 4**n * math.factorial(n))
+    return Fraction(abs(euler_numbers(n)[n]), 4**n * math.factorial(n))
 
 
 def favard_recurrence(n_max: int) -> list[Fraction]:
@@ -159,9 +152,8 @@ def favard_table(n_max: int, route: str = "all") -> FavardTable:
         raise ValueError("n_max must be >= 1")
     if route != "all" and route not in ROUTES:
         raise ValueError(f"unknown route {route!r}")
-    cache = BernoulliEulerCache.build(n_max + 1)
     compute = {
-        "closed_form": lambda: [favard_closed_form(n, cache) for n in range(n_max + 1)],
+        "closed_form": lambda: [favard_closed_form(n) for n in range(n_max + 1)],
         "recurrence": lambda: favard_recurrence(n_max),
         "generating": lambda: favard_generating(n_max),
     }

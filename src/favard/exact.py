@@ -20,7 +20,7 @@ hashing or repr.
 
 Piecewise polynomials do the same: breakpoints are cached as numerators N
 over their lcm L (u = a/b lies in piece bisect_right(N, a L // b) - 1), and
-``mean``, ``integrate``, ``antiderivative`` and each order of
+``mean``, ``antiderivative`` and each order of
 ``periodic_antiderivatives`` are one pass of ``_cumulative`` over the pieces'
 integer rows on one denominator, with Horner sums at the breakpoints A/L.
 Fractions are built for results only.
@@ -366,22 +366,6 @@ class PiecewisePolynomial:
         """Average over one period: sum of piece integrals in u."""
         _, den, total = self._integral
         return Fraction(total, den)
-
-    def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:
-        """Exact integral of the t-periodic function over [a, b], wrapping as needed."""
-        a, b = to_rational(a), to_rational(b)
-        if a > b:
-            raise ValueError("need a <= b")
-        rows, den, total = self._integral
-
-        def cumulative(t: Fraction) -> Fraction:
-            x = t / self.period
-            k = math.floor(x)
-            u = x - k
-            acc, bpow = _horner(rows[self.piece_index(u)], *u.as_integer_ratio())
-            return self.period * Fraction(k * total * bpow + acc, den * bpow)
-
-        return cumulative(b) - cumulative(a)
 
     def antiderivative(self) -> "PiecewisePolynomial":
         """Periodic antiderivative F with F(0) = 0; requires zero mean over the period.

@@ -45,7 +45,7 @@ from .exact import (
     to_rational,
 )
 from .numbers import bernoulli_polynomial
-from .roots import DEFAULT_WIDTH, abs_integral, measure_below
+from .roots import abs_integral, measure_below
 
 __all__ = [
     "phi_eval",
@@ -125,7 +125,7 @@ class MedianSplit:
         return float(self.value_error_coeff) * math.pi ** (self.pi_power + 1)
 
 
-def min_abs_integral(n: int, width: Fraction = DEFAULT_WIDTH) -> MedianSplit:
+def min_abs_integral(n: int) -> MedianSplit:
     """Minimize the period integral of |phi_n - xi| over xi; equals K_n (2 pi)^n.
 
     The median xi* is 0 for odd n (p antisymmetric about 1/2, vanishing in
@@ -139,10 +139,10 @@ def min_abs_integral(n: int, width: Fraction = DEFAULT_WIDTH) -> MedianSplit:
         raise ValueError("n must be >= 1")
     p = _phi_coefficient_poly(n)
     c = Fraction(0) if n % 2 else p(Fraction(1, 4))
-    m_lo, m_hi = measure_below(p, Fraction(0), Fraction(1), c, width)
+    m_lo, m_hi = measure_below(p, Fraction(0), Fraction(1), c)
     if not m_lo == m_hi == Fraction(1, 2):
         raise AssertionError(f"n={n}: the structural median {c} has measure in [{m_lo}, {m_hi}], not 1/2")
-    est, err = abs_integral(p, Fraction(0), Fraction(1), c, width)
+    est, err = abs_integral(p, Fraction(0), Fraction(1), c)
     return MedianSplit(
         n=n,
         xi_star=c,
@@ -155,9 +155,7 @@ def min_abs_integral(n: int, width: Fraction = DEFAULT_WIDTH) -> MedianSplit:
     )
 
 
-def centered_abs_integral(
-    n: int, xi_coeff: RationalLike, width: Fraction = DEFAULT_WIDTH
-) -> tuple[Fraction, Fraction]:
+def centered_abs_integral(n: int, xi_coeff: RationalLike) -> tuple[Fraction, Fraction]:
     """(estimate, error bound) for the coefficient of the period integral of |phi_n - xi|.
 
     Both outputs are coefficients of pi^n; xi is given as its coefficient of
@@ -165,7 +163,7 @@ def centered_abs_integral(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    est, err = abs_integral(_phi_coefficient_poly(n), Fraction(0), Fraction(1), to_rational(xi_coeff), width)
+    est, err = abs_integral(_phi_coefficient_poly(n), Fraction(0), Fraction(1), to_rational(xi_coeff))
     return 2 * est, 2 * err
 
 

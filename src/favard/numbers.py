@@ -9,13 +9,18 @@ Conventions, fixed once for the whole package:
 
 Two independent generation routes exist for the Bernoulli numbers (the
 defining binomial recurrence and the tangent-number route through the Seidel
-triangle) because every exact claim downstream rests on these values; the
-cache constructor cross-checks them.
+triangle), and likewise for the Euler numbers, because every exact claim
+downstream rests on these values. ``bernoulli_numbers`` and ``euler_numbers``
+return prefixes of one module-level table that grows by doubling; each time it
+grows, the recurrence values are cross-checked against the second routes and
+the sign patterns before the new table is published. Sharing that table across
+callers and threads is safe: its values are a pure function of the index, and
+it only grows, rebound whole as one tuple, so a reader sees either the old or
+the new table and every prefix of both agrees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -27,24 +32,49 @@ __all__ = [
     "euler_numbers",
     "euler_numbers_zigzag",
     "zigzag_numbers",
-    "BernoulliEulerCache",
     "bernoulli_polynomial",
     "eval_periodic",
 ]
 
 
+# B_0..B_N and E_0..E_N for one N, grown and cross-checked by _grow.
+_table: tuple[tuple[Fraction, ...], tuple[int, ...]] = ((Fraction(1),), (1,))
+
+
+def _grow(n_max: int) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """The table through index n_max at least: doubled by the recurrences and cross-checked."""
+    global _table
+    bern, eul = _table
+    if n_max < len(bern):
+        return bern, eul
+    size = max(n_max + 1, 2 * len(bern))
+    b, e = list(bern), list(eul)
+    for n in range(len(b), size):
+        if n > 1 and n % 2 == 1:
+            b.append(Fraction(0))  # odd-index values vanish from B_3 on
+            e.append(0)
+            continue
+        # sum(C(n+1, j) B_j, j = 0..n) = 0 and sum(C(n, j) E_j, j even) = 0
+        b.append(-sum(Fraction(comb(n + 1, j)) * b[j] for j in range(n)) / (n + 1))
+        e.append(0 if n % 2 else -sum(comb(n, j) * e[j] for j in range(0, n, 2)))
+    if b != bernoulli_numbers_tangent(size - 1):
+        raise AssertionError("Bernoulli generation routes disagree")
+    if e != euler_numbers_zigzag(size - 1):
+        raise AssertionError("Euler generation routes disagree")
+    for k in range(1, (size + 1) // 2):
+        if (-1) ** (k + 1) * b[2 * k] <= 0:
+            raise AssertionError("Bernoulli sign pattern violated")
+        if (-1) ** k * e[2 * k] <= 0:
+            raise AssertionError("Euler sign pattern violated")
+    _table = (tuple(b), tuple(e))
+    return _table
+
+
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """B_0..B_n_max from the recurrence sum(C(n+1, j) * B_j, j=0..n) = 0."""
+    """B_0..B_n_max from the recurrence sum(C(n+1, j) * B_j, j=0..n) = 0, cross-checked."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out: list[Fraction] = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        if n > 1 and n % 2 == 1:
-            out.append(Fraction(0))  # odd-index values vanish from B_3 on
-            continue
-        s = sum(Fraction(comb(n + 1, j)) * out[j] for j in range(n))
-        out.append(-s / (n + 1))
-    return out
+    return list(_grow(n_max)[0][: n_max + 1])
 
 
 def zigzag_numbers(n_max: int) -> list[int]:
@@ -91,17 +121,10 @@ def bernoulli_numbers_tangent(n_max: int) -> list[Fraction]:
 
 
 def euler_numbers(n_max: int) -> list[int]:
-    """E_0..E_n_max from the recurrence sum(C(n, j) * E_j, j even) = 0 for even n >= 2."""
+    """E_0..E_n_max from the recurrence sum(C(n, j) * E_j, j even) = 0 for even n >= 2, cross-checked."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    out = [1]
-    for n in range(1, n_max + 1):
-        if n % 2 == 1:
-            out.append(0)
-            continue
-        s = sum(comb(n, j) * out[j] for j in range(0, n, 2))
-        out.append(-s)
-    return out
+    return list(_grow(n_max)[1][: n_max + 1])
 
 
 def euler_numbers_zigzag(n_max: int) -> list[int]:
@@ -115,37 +138,6 @@ def euler_numbers_zigzag(n_max: int) -> list[int]:
             sign = -1 if (n // 2) % 2 == 1 else 1
             out.append(sign * zz[n])
     return out
-
-
-@dataclass(frozen=True)
-class BernoulliEulerCache:
-    """Immutable table of B_0..B_N and E_0..E_N, cross-checked at construction.
-
-    Its one caller is ``constants.favard_table``, which builds it once and
-    passes it to ``favard_closed_form``; there is no hidden global state.
-    """
-
-    bernoulli: tuple[Fraction, ...]
-    euler: tuple[int, ...]
-
-    @classmethod
-    def build(cls, n_max: int) -> "BernoulliEulerCache":
-        bern = bernoulli_numbers(n_max)
-        if bern != bernoulli_numbers_tangent(n_max):
-            raise AssertionError("Bernoulli generation routes disagree")
-        eul = euler_numbers(n_max)
-        if eul != euler_numbers_zigzag(n_max):
-            raise AssertionError("Euler generation routes disagree")
-        for k in range(1, n_max // 2 + 1):
-            if (-1) ** (k + 1) * bern[2 * k] <= 0:
-                raise AssertionError("Bernoulli sign pattern violated")
-            if (-1) ** k * eul[2 * k] <= 0:
-                raise AssertionError("Euler sign pattern violated")
-        return cls(tuple(bern), tuple(eul))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.bernoulli) - 1
 
 
 def bernoulli_polynomial(n: int) -> Polynomial:

@@ -30,40 +30,24 @@ def random_partition(
     return tuple(sorted(cuts))
 
 
-def random_deviation(
-    rng: random.Random,
-    T: Fraction,
-    max_interior: int = 6,
-    value_denom: int = 16,
-) -> StepFunction:
-    """Random step deviation with values on the grid {k T / value_denom} in [0, T]."""
-    bps = random_partition(rng, T, max_interior)
-    vals = tuple(
-        [T * Fraction(rng.randint(0, value_denom), value_denom) for _ in range(len(bps) - 1)]
-    )
+def random_deviation(rng: random.Random, T: Fraction) -> StepFunction:
+    """Random step deviation with values on the grid {k T / 16} in [0, T]."""
+    bps = random_partition(rng, T)
+    vals = tuple([T * Fraction(rng.randint(0, 16), 16) for _ in range(len(bps) - 1)])
     return StepFunction(bps, vals, T)
 
 
-def random_weight(
-    rng: random.Random,
-    T: Fraction,
-    total: Fraction,
-    max_interior: int = 5,
-) -> StepFunction:
+def random_weight(rng: random.Random, T: Fraction, total: Fraction) -> StepFunction:
     """Random nonnegative step weight scaled so its integral over [0, T] is exactly ``total``."""
-    bps = random_partition(rng, T, max_interior)
+    bps = random_partition(rng, T, 5)
     raw = [Fraction(rng.randint(1, 8)) for _ in range(len(bps) - 1)]
     mass = sum(v * (hi - lo) for v, (lo, hi) in zip(raw, zip(bps, bps[1:])))
     vals = tuple([v * total / mass for v in raw])
     return StepFunction(bps, vals, T)
 
 
-def random_zero_mean_step(
-    rng: random.Random,
-    max_interior: int = 5,
-    value_denom: int = 8,
-) -> PiecewisePolynomial:
-    """Random zero-mean step function on [0, 1] (period 1), exact."""
-    bps = random_partition(rng, Fraction(1), max_interior, denom=32)
-    vals = [Fraction(rng.randint(-2 * value_denom, 2 * value_denom), value_denom) for _ in bps[:-1]]
+def random_zero_mean_step(rng: random.Random) -> PiecewisePolynomial:
+    """Random zero-mean step function on [0, 1] (period 1) with values on the grid {k / 8}, exact."""
+    bps = random_partition(rng, Fraction(1), 5, denom=32)
+    vals = [Fraction(rng.randint(-16, 16), 8) for _ in bps[:-1]]
     return PiecewisePolynomial.step(bps, vals).zero_mean()

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -82,10 +83,12 @@ NEAR_SINGULAR_BAND = 1e-10
 class ReducedSystem:
     """Finite exact system equivalent to the periodic problem for step data.
 
-    ``matrix`` is the (J+1) x (J+1) homogeneous system in (y(s_1)..y(s_J), C_1):
-    rows 0..J-1 encode v_i - sum_j A_ij v_j - C_1 = 0 and the last row is the
-    zero-mean constraint on y^(n). ``kernel_matrix`` is the bare A (needed for
-    contraction norms). All entries are exact rationals.
+    ``kernel_matrix`` is the bare J x J kernel A (needed for contraction norms)
+    and ``constraint_row`` the zero-mean constraint on y^(n). ``matrix`` is
+    derived from them on first use: the (J+1) x (J+1) homogeneous system in
+    (y(s_1)..y(s_J), C_1), whose rows 0..J-1 encode
+    v_i - sum_j A_ij v_j - C_1 = 0 and whose last row is the constraint. All
+    entries are exact rationals.
     """
 
     n: int
@@ -93,21 +96,24 @@ class ReducedSystem:
     sample_points: tuple[Fraction, ...]
     kernel_matrix: tuple[tuple[Fraction, ...], ...]
     constraint_row: tuple[Fraction, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
     kind: str  # "lipschitz" | "weighted"
     tau: "StepFunction | None" = None
     L: Fraction | None = None
     xi: Fraction = Fraction(0)
 
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        rows = [
+            (*[int(i == j) - a for j, a in enumerate(row)], Fraction(-1)) for i, row in enumerate(self.kernel_matrix)
+        ]
+        return (*rows, (*self.constraint_row, Fraction(0)))
+
     @property
     def size(self) -> int:
-        return len(self.matrix)
+        return len(self.sample_points) + 1
 
     def determinant(self) -> Fraction:
         return fraction_determinant(self.matrix)
-
-    def float_matrix(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -215,39 +221,6 @@ def _validate_deviation(tau: StepFunction, T: Fraction) -> None:
             raise ValueError(f"deviation value {v} outside [0, T]")
 
 
-def _assemble(
-    n: int,
-    T: Fraction,
-    samples: list[Fraction],
-    kernel: list[list[Fraction]],
-    constraint: list[Fraction],
-    kind: str,
-    tau: "StepFunction | None",
-    L: Fraction | None,
-    xi: Fraction,
-) -> ReducedSystem:
-    J = len(samples)
-    full: list[list[Fraction]] = []
-    for i in range(J):
-        row = [-kernel[i][j] for j in range(J)]
-        row[i] += 1
-        row.append(Fraction(-1))
-        full.append(row)
-    full.append(constraint + [Fraction(0)])
-    return ReducedSystem(
-        n=n,
-        T=T,
-        sample_points=tuple(samples),
-        kernel_matrix=tuple([tuple(r) for r in kernel]),
-        constraint_row=tuple(constraint),
-        matrix=tuple([tuple(r) for r in full]),
-        kind=kind,
-        tau=tau,
-        L=L,
-        xi=xi,
-    )
-
-
 def _step_kernel(
     n: int,
     T: Fraction,
@@ -309,8 +282,8 @@ def reduce_system(
     samples, rows, measure = _step_kernel(n, T, tau, tau.breakpoints, StepFunction.constant(1, T))
     factor = -L * T**n / math.factorial(n + 1)
     xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
-    kernel = [[factor * acc - xi_factor * m for acc, m in zip(row, measure)] for row in rows]
-    return _assemble(n, T, samples, kernel, measure, "lipschitz", tau, L, xi)
+    kernel = tuple([tuple([factor * acc - xi_factor * m for acc, m in zip(row, measure)]) for row in rows])
+    return ReducedSystem(n, T, tuple(samples), kernel, tuple(measure), "lipschitz", tau, L, xi)
 
 
 def reduce_weighted(
@@ -337,8 +310,8 @@ def reduce_weighted(
     cuts = tuple(sorted(set(p.breakpoints) | set(tau.breakpoints)))
     samples, rows, constraint = _step_kernel(n, T, tau, cuts, p)
     factor = -(T**n) / math.factorial(n + 1)
-    kernel = [[factor * acc for acc in row] for row in rows]
-    return _assemble(n, T, samples, kernel, constraint, "weighted", tau, None, Fraction(0))
+    kernel = tuple([tuple([factor * acc for acc in row]) for row in rows])
+    return ReducedSystem(n, T, tuple(samples), kernel, tuple(constraint), "weighted", tau)
 
 
 MARGIN_OVERFLOW = "reduced matrix entry exceeds the float64 range"
@@ -347,7 +320,7 @@ MARGIN_OVERFLOW = "reduced matrix entry exceeds the float64 range"
 def _margin(sys: ReducedSystem) -> tuple[float | None, np.ndarray | None]:
     """Smallest singular value of the float matrix, and the matrix; (None, None) on overflow."""
     try:
-        matrix = sys.float_matrix()
+        matrix = np.array([[float(x) for x in row] for row in sys.matrix], dtype=np.float64)
     except OverflowError:
         return None, None
     return float(np.linalg.svd(matrix, compute_uv=False)[-1]), matrix

@@ -59,6 +59,30 @@ def test_bounds_bad_rational(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["bounds", "--n", "400", "--L", "1"], "L"),
+        (["bounds", "--n", "400", "--weight", "--T", "1"], "P"),
+        (["table", "--n-max", "400", "--format", "json"], "table"),
+    ],
+)
+def test_order_400_floats_do_not_overflow(capsys, argv, key):
+    # 1/K_400 and 4/K_399 exceed the float range; the exact values still print
+    from favard.constants import favard_closed_form
+
+    exact = {"L": 1 / favard_closed_form(400), "P": 4 / favard_closed_form(399)}
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and "Traceback" not in err
+    if key == "table":
+        rows = {(r["family"], r["n"]): r for r in json.loads(out)}
+        for family, value in exact.items():
+            assert F(rows[family, 400]["threshold"]) == value
+            assert rows[family, 400]["threshold_float"] is None
+    else:
+        assert str(exact[key]) in out
+
+
 def test_witness_json(capsys):
     code, out, _ = run_cli(capsys, "witness", "--n", "2", "--T", "1", "--format", "json")
     assert code == 0

@@ -1,7 +1,7 @@
 """Integer piecewise-polynomial routines against the Fraction code they replaced.
 
 The ``reference_*`` functions are the bodies ``PiecewisePolynomial.mean``,
-``integrate``, ``antiderivative``, ``piece_index``, ``left_limit_in_unit`` and
+``antiderivative``, ``piece_index``, ``left_limit_in_unit`` and
 ``sampling.periodic_antiderivatives`` had before those ran on integer
 coefficient rows over one denominator and integer breakpoint numerators:
 every step there is a ``Fraction`` operation, and ``periodic_antiderivatives``
@@ -9,7 +9,6 @@ calls ``antiderivative`` and then ``mean`` at each order. Equality here is
 ``==`` on canonical Fractions and on whole ``PiecewisePolynomial`` values.
 """
 
-import math
 from bisect import bisect_right
 from fractions import Fraction as F
 
@@ -27,23 +26,6 @@ def _spans(pw):
 
 def reference_mean(pw):
     return sum((p.integrate(a, b) for p, a, b in _spans(pw)), F(0))
-
-
-def reference_integrate(pw, a, b):
-    def cumulative_unit(u):
-        total = F(0)
-        for p, lo, hi in _spans(pw):
-            if u <= lo:
-                break
-            total += p.integrate(lo, min(u, hi))
-        return total
-
-    def cumulative(t):
-        x = t / pw.period
-        k = math.floor(x)
-        return pw.period * (k * reference_mean(pw) + cumulative_unit(x - k))
-
-    return cumulative(b) - cumulative(a)
 
 
 def reference_antiderivative(pw):
@@ -111,16 +93,6 @@ def unit_points(pw):
 @given(piecewise())
 def test_mean_matches_reference(pw):
     assert pw.mean() == reference_mean(pw)
-
-
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(piecewise(), st.lists(st.builds(F, st.integers(-60, 60), st.integers(1, 20)), min_size=2, max_size=2))
-def test_integrate_matches_reference(pw, ends):
-    a, b = sorted(ends)
-    assert pw.integrate(a, b) == reference_integrate(pw, a, b)
-    if a < b:
-        with pytest.raises(ValueError):
-            pw.integrate(b, a)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

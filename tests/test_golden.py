@@ -27,6 +27,9 @@ CASES = {
     "table_json": ["table", "--n-max", "6", "--format", "json"],
     "table_text": ["table", "--n-max", "6"],
     "bounds_weight": ["bounds", "--n", "3", "--weight", "--T", "5/2", "--format", "json"],
+    "bounds_lipschitz": ["bounds", "--n", "5", "--L", "3/2"],
+    "bounds_lipschitz_json": ["bounds", "--n", "5", "--L", "3/2", "--format", "json"],
+    "table_csv": ["table", "--n-max", "12", "--format", "csv"],
     "constants_recurrence": ["constants", "--route", "recurrence", "--n-max", "8", "--format", "csv"],
     "solve_lipschitz": ["solve", str(GOLDEN / "instances" / "solve_lipschitz.json")],
     "solve_lipschitz_forced": ["solve", str(GOLDEN / "instances" / "solve_lipschitz_forced.json")],

@@ -90,10 +90,6 @@ class TestMinAbsIntegral:
         assert ms.exact
         assert ms.value_coeff == 2**20 * ks[20]
 
-    def test_non_positive_width_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            centered_abs_integral(3, F(1, 100), width=-1)
-
     def test_structural_median_n1_to_30(self):
         # odd n: antisymmetric about 1/2, median 0; even n: symmetric and monotone, median p(1/4)
         for n in range(1, 31):

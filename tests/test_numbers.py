@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
 
+import pytest
 
+from favard import numbers
+from favard.constants import favard_closed_form
 from favard.exact import Polynomial
 from favard.numbers import (
-    BernoulliEulerCache,
     bernoulli_numbers,
     bernoulli_numbers_tangent,
     bernoulli_polynomial,
@@ -41,15 +43,44 @@ def test_zigzag_sequence():
     assert zigzag_numbers(8) == [1, 1, 1, 2, 5, 16, 61, 272, 1385]
 
 
-def test_cache_build_validates_sign_patterns():
-    cache = BernoulliEulerCache.build(31)
-    assert cache.n_max == 31
+def test_table_validates_sign_patterns():
+    bern, eul = bernoulli_numbers(31), euler_numbers(31)
+    assert len(bern) == len(eul) == 32
     for k in range(2, 16):
-        assert cache.bernoulli[2 * k + 1] == 0
+        assert bern[2 * k + 1] == 0
     for k in range(1, 15):
-        assert (-1) ** (k + 1) * cache.bernoulli[2 * k] > 0
-        assert cache.euler[2 * k - 1] == 0
-        assert (-1) ** k * cache.euler[2 * k] > 0
+        assert (-1) ** (k + 1) * bern[2 * k] > 0
+        assert eul[2 * k - 1] == 0
+        assert (-1) ** k * eul[2 * k] > 0
+
+
+def test_table_growth_keeps_prefixes(monkeypatch):
+    monkeypatch.setattr(numbers, "_table", ((F(1),), (1,)))
+    small = bernoulli_numbers(3)
+    large = bernoulli_numbers(40)
+    again = bernoulli_numbers(3)
+    assert type(small) is type(large) is type(again) is list
+    assert small == again == large[:4]
+    assert euler_numbers(3) == euler_numbers(40)[:4]
+
+
+def _corrupt_last(route):
+    def corrupted(n_max):
+        out = route(n_max)
+        out[-1] += 1
+        return out
+
+    return corrupted
+
+
+@pytest.mark.parametrize("name", ["bernoulli_numbers_tangent", "euler_numbers_zigzag"])
+def test_corrupted_check_route_is_caught(monkeypatch, name):
+    # every number reaching K_n or a Bernoulli polynomial passes through the checked table
+    monkeypatch.setattr(numbers, name, _corrupt_last(getattr(numbers, name)))
+    for use in (favard_closed_form, bernoulli_polynomial):
+        monkeypatch.setattr(numbers, "_table", ((F(1),), (1,)))
+        with pytest.raises(AssertionError, match="routes disagree"):
+            use(6)
 
 
 class TestBernoulliPolynomial:

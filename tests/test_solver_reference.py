@@ -7,7 +7,9 @@ the Fraction Gauss-Jordan kernel vector singular systems used before the
 elimination became rank-revealing. ``reference_reduce_system``,
 ``reference_reduce_weighted`` and ``reference_reconstruct`` are the
 per-(sample, value, interval) double loops the reductions used before each
-breakpoint was evaluated once per sample.
+breakpoint was evaluated once per sample. ``reference_assemble`` is the
+layout of the full homogeneous matrix the reductions stored before
+``ReducedSystem.matrix`` was derived from the kernel and constraint row.
 """
 
 import math
@@ -137,6 +139,18 @@ def reference_reduce_weighted(n, T, p, tau):
                 acc += p((lo + hi) / 2) * (hi - lo)
         constraint.append(acc)
     return pre_vals, kernel, constraint
+
+
+def reference_assemble(kernel, constraint):
+    """[I - A | -1] over [constraint | 0], built row by row as the reductions did."""
+    full = []
+    for i in range(len(kernel)):
+        row = [-kernel[i][j] for j in range(len(kernel))]
+        row[i] += 1
+        row.append(F(-1))
+        full.append(row)
+    full.append(constraint + [F(0)])
+    return full
 
 
 def reference_reconstruct(n, T, L, tau, samples, constant, t):
@@ -283,6 +297,8 @@ class TestReductionsAgainstDoubleLoops:
         assert list(sys.sample_points) == samples
         assert [list(row) for row in sys.kernel_matrix] == kernel
         assert list(sys.constraint_row) == constraint
+        assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
+        assert sys.size == len(sys.matrix)
         values = data.draw(st.lists(entries, min_size=len(samples), max_size=len(samples)))
         t = data.draw(st.sampled_from(list(tau.breakpoints) + [T / 5, T * F(9, 7), F(-1, 3)]))
         expected = reference_reconstruct(n, T, L, tau, values, F(2, 3), t)
@@ -297,3 +313,4 @@ class TestReductionsAgainstDoubleLoops:
         assert list(sys.sample_points) == samples
         assert [list(row) for row in sys.kernel_matrix] == kernel
         assert list(sys.constraint_row) == constraint
+        assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
