@@ -15,12 +15,11 @@ verbatim and flagged, never silently replaced.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import favard_closed_form
-from .exact import RationalLike, format_rational, to_rational
+from .exact import RationalLike, format_rational, to_float, to_rational
 
 __all__ = [
     "BoundResult",
@@ -54,18 +53,6 @@ def _float(x: Fraction) -> float | None:
     """float(x), or None when x is out of the float range."""
     try:
         return float(x)
-    except OverflowError:
-        return None
-
-
-def _float_root(x: Fraction, n: int) -> float | None:
-    """x^(1/n) for x > 0 and n != 0: float(x) ** (1/n) where x is a normal double,
-    else from the logs of x's integer numerator and denominator; None out of range."""
-    f = _float(x)
-    if f is not None and f >= sys.float_info.min:
-        return f ** (1.0 / n)
-    try:
-        return math.exp((math.log(x.numerator) - math.log(x.denominator)) / n)
     except OverflowError:
         return None
 
@@ -114,14 +101,14 @@ def min_period_bound(n: int, L: RationalLike) -> BoundResult:
         raise ValueError("L must be positive")
     K = favard_closed_form(n)
     power_threshold = 1 / (L * K)
-    root_L = _float_root(L, n)
+    root_L = to_float(L, n)
     return BoundResult(
         kind="min_period",
         n=n,
         exact=power_threshold,
         exact_is_power=True,
         strict=False,
-        float_value=_float_root(power_threshold, n),
+        float_value=to_float(power_threshold, n),
         extras={
             "alpha_n": alpha_constant(n),
             "ode_comparison": 2 * math.pi / root_L if root_L else None,
@@ -132,7 +119,7 @@ def min_period_bound(n: int, L: RationalLike) -> BoundResult:
 
 def alpha_constant(n: int) -> float | None:
     """alpha(n) = K_n^(-1/n): the implicit sharp constant in T >= alpha(n)/L^(1/n)."""
-    return _float_root(favard_closed_form(n), -n)
+    return to_float(favard_closed_form(n), -n)
 
 
 def weight_threshold(n: int, T: RationalLike) -> BoundResult:

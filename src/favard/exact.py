@@ -42,6 +42,7 @@ function, so instances are safe to share between threads.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,6 +55,7 @@ __all__ = [
     "RationalLike",
     "to_rational",
     "format_rational",
+    "to_float",
     "frac_part",
     "Polynomial",
     "PiecewisePolynomial",
@@ -80,6 +82,31 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def to_float(x: Fraction, root: int = 1, pi_power: int = 0) -> float | None:
+    """x^(1/root) * pi^pi_power as a float (x > 0 unless root is 1); None out of the float range.
+
+    Where x is zero or a normal double and the result is finite this is
+    ``float(x) ** (1 / root) * math.pi ** pi_power``; otherwise it is taken
+    from the logs of x's integer numerator and denominator.
+    """
+    if x == 0:
+        return 0.0
+    try:
+        f = float(x)
+        if abs(f) >= sys.float_info.min:
+            value = f ** (1.0 / root) * math.pi**pi_power
+            if math.isfinite(value):
+                return value
+    except OverflowError:
+        pass
+    log_x = math.log(abs(x.numerator)) - math.log(x.denominator)
+    try:
+        value = math.exp(log_x / root + pi_power * math.log(math.pi))
+    except OverflowError:
+        return None
+    return value if x > 0 else -value
 
 
 def frac_part(x: Fraction) -> Fraction:

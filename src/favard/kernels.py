@@ -34,23 +34,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import (
     Polynomial,
     RationalLike,
     format_rational,
     frac_part,
     lagrange_interpolate,
+    to_float,
     to_rational,
 )
 from .numbers import bernoulli_polynomial
-from .roots import abs_integral, measure_below
+from .roots import level_split
 
 __all__ = [
     "phi_eval",
-    "phi_series_value",
-    "phi_series_tail_bound",
     "MedianSplit",
     "min_abs_integral",
     "centered_abs_integral",
@@ -80,49 +77,37 @@ def phi_eval(n: int, u: RationalLike) -> Fraction:
     return _phi_coefficient_poly(n)(u)
 
 
-def phi_series_value(n: int, u: float, terms: int, chunk: int = 200_000) -> float:
-    """Float partial Fourier sum (1/pi) * sum(k^(-n) cos(2 pi k u - n pi/2), k <= terms)."""
-    total = 0.0
-    phase = n * math.pi / 2
-    for start in range(1, terms + 1, chunk):
-        k = np.arange(start, min(start + chunk, terms + 1), dtype=np.float64)
-        total += float(np.sum(np.cos(2 * math.pi * k * u - phase) / k**n))
-    return total / math.pi
-
-
-def phi_series_tail_bound(n: int, terms: int) -> float:
-    """Upper bound (2/pi) * sum(k^(-n), k > terms) via integral comparison; n >= 2."""
-    if n < 2:
-        raise ValueError("tail bound requires n >= 2")
-    return 2.0 / math.pi * (terms ** (1 - n)) / (n - 1)
-
-
 @dataclass(frozen=True)
 class MedianSplit:
     """Optimal centering of phi_n: median level and the minimized integral.
 
     ``xi_star`` and ``value_coeff`` are rational coefficients of pi^pi_power
-    and pi^(pi_power + 1) respectively; ``exact`` marks whether the measure
-    condition and the integral were established in exact arithmetic (the
-    error bound is zero in that case).
+    and pi^(pi_power + 1) respectively, with pi_power = n - 1; ``exact``
+    marks an integral established in exact arithmetic (error bound zero).
+    The median's measure condition is always exact: ``min_abs_integral``
+    raises otherwise.
     """
 
     n: int
     xi_star: Fraction
-    pi_power: int
     value_coeff: Fraction
     value_error_coeff: Fraction
-    exact: bool
-    measure_low: Fraction
-    measure_high: Fraction
 
     @property
-    def value(self) -> float:
-        return float(self.value_coeff) * math.pi ** (self.pi_power + 1)
+    def pi_power(self) -> int:
+        return self.n - 1
 
     @property
-    def value_error(self) -> float:
-        return float(self.value_error_coeff) * math.pi ** (self.pi_power + 1)
+    def exact(self) -> bool:
+        return self.value_error_coeff == 0
+
+    @property
+    def value(self) -> float | None:
+        return to_float(self.value_coeff, pi_power=self.n)
+
+    @property
+    def value_error(self) -> float | None:
+        return to_float(self.value_error_coeff, pi_power=self.n)
 
 
 def min_abs_integral(n: int) -> MedianSplit:
@@ -131,28 +116,18 @@ def min_abs_integral(n: int) -> MedianSplit:
     The median xi* is 0 for odd n (p antisymmetric about 1/2, vanishing in
     (0, 1) only at 1/2) and p(1/4) for even n (p symmetric about 1/2 and
     monotone on [0, 1/2], crossing that level at 1/4 and 3/4). The measure
-    {u : p(u) <= xi*} = 1/2 is then verified exactly; a failure would
-    contradict these facts about Bernoulli polynomials and raises
-    AssertionError.
+    {u : p(u) <= xi*} = 1/2 is then verified exactly, from the same sign
+    partition that gives the integral; a failure would contradict these
+    facts about Bernoulli polynomials and raises AssertionError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = _phi_coefficient_poly(n)
     c = Fraction(0) if n % 2 else p(Fraction(1, 4))
-    m_lo, m_hi = measure_below(p, Fraction(0), Fraction(1), c)
+    m_lo, m_hi, est, err = level_split(p, Fraction(0), Fraction(1), c)
     if not m_lo == m_hi == Fraction(1, 2):
         raise AssertionError(f"n={n}: the structural median {c} has measure in [{m_lo}, {m_hi}], not 1/2")
-    est, err = abs_integral(p, Fraction(0), Fraction(1), c)
-    return MedianSplit(
-        n=n,
-        xi_star=c,
-        pi_power=n - 1,
-        value_coeff=2 * est,
-        value_error_coeff=2 * err,
-        exact=(err == 0),
-        measure_low=m_lo,
-        measure_high=m_hi,
-    )
+    return MedianSplit(n=n, xi_star=c, value_coeff=2 * est, value_error_coeff=2 * err)
 
 
 def centered_abs_integral(n: int, xi_coeff: RationalLike) -> tuple[Fraction, Fraction]:
@@ -163,7 +138,7 @@ def centered_abs_integral(n: int, xi_coeff: RationalLike) -> tuple[Fraction, Fra
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    est, err = abs_integral(_phi_coefficient_poly(n), Fraction(0), Fraction(1), to_rational(xi_coeff))
+    _, _, est, err = level_split(_phi_coefficient_poly(n), Fraction(0), Fraction(1), to_rational(xi_coeff))
     return 2 * est, 2 * err
 
 
@@ -223,7 +198,7 @@ def green_solution_polynomial(n: int, T: RationalLike, f: Polynomial) -> Polynom
 
 
 def phi_samples(n: int, count: int) -> list[dict]:
-    """CSV-ready sampling of phi_n: (u, phi_n_coeff, pi_power, float_value)."""
+    """CSV-ready sampling of phi_n: (u, phi_n_coeff, pi_power, float_value); float_value is None out of range."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = _phi_coefficient_poly(n)
@@ -236,7 +211,7 @@ def phi_samples(n: int, count: int) -> list[dict]:
                 "u": format_rational(u),
                 "phi_n_coeff": format_rational(c),
                 "pi_power": n - 1,
-                "float_value": float(c) * math.pi ** (n - 1),
+                "float_value": to_float(c, pi_power=n - 1),
             }
         )
     return rows

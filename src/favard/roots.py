@@ -1,25 +1,30 @@
 """Exact real-root location for rational polynomials on an interval.
 
-Strategy: extract every rational root exactly first, then isolate whatever
-remains of the square-free part with Sturm counts and bisection. Rational
-roots need no integer factoring: once the square-free part is cleared to a
-primitive integer polynomial with leading coefficient l, every rational
-root has a denominator dividing l, so distinct candidates lie at least
-1/l^2 apart, and a Sturm enclosure narrower than that holds at most one,
+Strategy: build the square-free part and its Sturm sequence once, extract
+every rational root exactly, then isolate the remaining real roots with
+the same Sturm counts and bisection. Rational roots need no integer
+factoring: once the square-free part is cleared to a primitive integer
+polynomial with leading coefficient l, every rational root has a
+denominator dividing l, so distinct candidates lie at least 1/l^2 apart,
+and a Sturm enclosure narrower than that holds at most one,
 ``Fraction.limit_denominator(|l|)`` of its midpoint, which one exact
 evaluation confirms or rejects. The work is polynomial in the bit size of
 the coefficients. Sturm counts read the sign of each sequence member from
 its integer Horner sum (``Polynomial.sign``) without building a Fraction.
-After deflation no rational roots remain, so sign tests at the rational
-bisection midpoints never land on a root. Consumers therefore receive
-exact roots whenever they exist and arbitrarily narrow rational enclosures
-otherwise, which keeps downstream measures and integrals exact or
-rigorously bounded.
+A Sturm count of the half-open interval (lo, hi] stays correct when lo or
+hi is a root, so the irrational roots in (lo, hi] are that count minus the
+rational roots already found there; no root is divided out. Consumers
+therefore receive exact roots whenever they exist and arbitrarily narrow
+rational enclosures otherwise, which keeps downstream measures and
+integrals exact or rigorously bounded. ``level_split`` reads both the
+measure below a level and the integral of the distance to it from one
+sign partition.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,8 +40,7 @@ __all__ = [
     "RootEnclosure",
     "isolate_roots",
     "sign_segments",
-    "measure_below",
-    "abs_integral",
+    "level_split",
     "DEFAULT_WIDTH",
 ]
 
@@ -109,31 +113,21 @@ def count_roots(p: Polynomial, a: Fraction, b: Fraction, seq: list[Polynomial] |
     return va - vb
 
 
-def _bisect(q: Polynomial, seq: list[Polynomial], a: Fraction, b: Fraction, done):
-    """Sturm bisection of (a, b]: yields intervals (lo, hi] holding one root of q once done(lo, hi)."""
-    stack = [(a, b, count_roots(q, a, b, seq))]
+def _bisect(count, a: Fraction, b: Fraction, done):
+    """Bisection of (a, b] by a root count: yields intervals (lo, hi] holding one root once done(lo, hi)."""
+    stack = [(a, b, count(a, b))]
     while stack:
         lo, hi, cnt = stack.pop()
         if cnt == 1 and done(lo, hi):
             yield lo, hi
         elif cnt:
             mid = (lo + hi) / 2
-            stack.append((lo, mid, count_roots(q, lo, mid, seq)))
-            stack.append((mid, hi, count_roots(q, mid, hi, seq)))
+            stack.append((lo, mid, count(lo, mid)))
+            stack.append((mid, hi, count(mid, hi)))
 
 
-def _multiplicity(p: Polynomial, r: Fraction) -> int:
-    """Multiplicity of r as a root of p, by repeated division by (u - r)."""
-    factor = Polynomial.of(-r, 1)
-    mult = 0
-    while p.sign(r) == 0:
-        p, _ = poly_divmod(p, factor)
-        mult += 1
-    return mult
-
-
-def rational_roots(p: Polynomial, a: Fraction, b: Fraction) -> list[tuple[Fraction, int]]:
-    """All rational roots of p in [a, b] with multiplicities, exactly.
+def rational_roots(p: Polynomial, a: Fraction, b: Fraction) -> list[Fraction]:
+    """All distinct rational roots of p in [a, b], sorted, exactly.
 
     Let S be the square-free part of p, cleared to a primitive integer
     polynomial with leading coefficient l. By Gauss's lemma a rational root
@@ -143,8 +137,7 @@ def rational_roots(p: Polynomial, a: Fraction, b: Fraction) -> list[tuple[Fracti
     root of S: a root at hi is found exactly, and otherwise the interval is
     narrowed below width 1/l^2, where ``mid.limit_denominator(|l|)`` is the
     only fraction that can be the root; one exact sign test decides it. The
-    point a, outside every (lo, hi], is tested on its own. Multiplicities in
-    p come from repeated division.
+    point a, outside every (lo, hi], is tested on its own.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -152,18 +145,17 @@ def rational_roots(p: Polynomial, a: Fraction, b: Fraction) -> list[tuple[Fracti
     s = square_free(p)
     if s.degree < 1 or a > b:
         return []
-    return _rational_roots(p, s, sturm_sequence(s), a, b)
+    return _rational_roots(s, sturm_sequence(s), a, b)
 
 
-def _rational_roots(
-    p: Polynomial, s: Polynomial, seq: list[Polynomial], a: Fraction, b: Fraction
-) -> list[tuple[Fraction, int]]:
-    """:func:`rational_roots` given s = square_free(p) of degree >= 1, its Sturm sequence and a <= b."""
+def _rational_roots(s: Polynomial, seq: list[Polynomial], a: Fraction, b: Fraction) -> list[Fraction]:
+    """:func:`rational_roots` given a square-free s of degree >= 1, its Sturm sequence and a <= b."""
     ints, _ = s._integer_form
     lead = abs(ints[-1]) // math.gcd(*ints)
     separation = Fraction(1, lead * lead)
     found = [a] if s.sign(a) == 0 else []
-    for lo, hi in _bisect(s, seq, a, b, lambda lo, hi: s.sign(hi) == 0 or hi - lo < separation):
+    count = lambda lo, hi: count_roots(s, lo, hi, seq)
+    for lo, hi in _bisect(count, a, b, lambda lo, hi: s.sign(hi) == 0 or hi - lo < separation):
         if s.sign(hi) == 0:
             found.append(hi)
             continue
@@ -171,7 +163,7 @@ def _rational_roots(
         # when the root here is irrational, r may be another root of S outside (lo, hi)
         if lo < r < hi and s.sign(r) == 0:
             found.append(r)
-    return sorted((r, _multiplicity(p, r)) for r in found)
+    return sorted(found)
 
 
 @dataclass(frozen=True)
@@ -180,7 +172,6 @@ class RootEnclosure:
 
     low: Fraction
     high: Fraction
-    multiplicity: int = 1
 
     @property
     def exact(self) -> bool:
@@ -201,6 +192,9 @@ def isolate_roots(
 
     Enclosure widths do not exceed ``width``, which must be positive. Raises
     on the zero polynomial (callers special-case identically-zero pieces).
+    One square-free part and one Sturm sequence serve both searches: the
+    irrational roots in (lo, hi] are the Sturm count there minus the
+    rational roots found in (lo, hi].
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -211,16 +205,16 @@ def isolate_roots(
         raise ValueError("need a <= b")
     if p.degree == 0:
         return []
-    q = square_free(p)
-    seq = sturm_sequence(q)
-    out = [RootEnclosure(r, r, m) for r, m in _rational_roots(p, q, seq, a, b)]
-    for enc in out:
-        q, _ = poly_divmod(q, Polynomial.of(-enc.low, 1))
-    if q.degree >= 1:
-        if out:  # deflated: the sequence of square_free(p) no longer fits q
-            seq = sturm_sequence(q)
-        # q has no rational roots now, so q(a), q(b) and all midpoints are nonzero
-        out += [RootEnclosure(lo, hi, 1) for lo, hi in _bisect(q, seq, a, b, lambda lo, hi: hi - lo <= width)]
+    s = square_free(p)
+    seq = sturm_sequence(s)
+    found = _rational_roots(s, seq, a, b)
+
+    def count(lo: Fraction, hi: Fraction) -> int:
+        return count_roots(s, lo, hi, seq) - (bisect_right(found, hi) - bisect_right(found, lo))
+
+    out = [RootEnclosure(r, r) for r in found]
+    if s.degree > len(found):
+        out += [RootEnclosure(lo, hi) for lo, hi in _bisect(count, a, b, lambda lo, hi: hi - lo <= width)]
     return sorted(out, key=lambda e: (e.low, e.high))
 
 
@@ -249,51 +243,31 @@ def sign_segments(
     return segments, encs
 
 
-def measure_below(
+def level_split(
     p: Polynomial,
     a: Fraction,
     b: Fraction,
     level: Fraction,
     width: Fraction = DEFAULT_WIDTH,
-) -> tuple[Fraction, Fraction]:
-    """Bounds (lo, hi) on the measure of {u in [a, b] : p(u) <= level}.
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(measure_low, measure_high, estimate, error_bound) from one sign partition of p - level on [a, b].
 
-    Exact (lo == hi) whenever every root of p - level in [a, b] is rational.
+    The measure of {u in [a, b] : p(u) <= level} lies in [measure_low,
+    measure_high], and the integral of |p - level| over [a, b] lies within
+    error_bound of estimate. Both are exact (measure_low == measure_high,
+    error_bound == 0) whenever every root of p - level in [a, b] is rational;
+    otherwise each enclosure adds its width to the measure slack and at most
+    Lip * width^2 to the error, with the Lipschitz constant bounded by the
+    coefficient sum of (p - level)'.
     """
     q = p - Polynomial.const(level)
     if q.is_zero:
-        length = b - a
-        return length, length
+        return b - a, b - a, Fraction(0), Fraction(0)
     segments, encs = sign_segments(q, a, b, width)
-    lo = sum((hi_ - lo_ for lo_, hi_, s in segments if s < 0), Fraction(0))
+    below = sum((hi - lo for lo, hi, s in segments if s < 0), Fraction(0))
     slack = sum((e.width for e in encs), Fraction(0))
-    return lo, lo + slack
-
-
-def abs_integral(
-    p: Polynomial,
-    a: Fraction,
-    b: Fraction,
-    level: Fraction = Fraction(0),
-    width: Fraction = DEFAULT_WIDTH,
-) -> tuple[Fraction, Fraction]:
-    """(estimate, error_bound) for the integral of |p - level| over [a, b].
-
-    Exact (error_bound == 0) whenever all sign changes happen at rational
-    points; otherwise each enclosure contributes at most Lip * width^2, with
-    the Lipschitz constant bounded by the coefficient sum of (p - level)'.
-    """
-    q = p - Polynomial.const(level)
-    if q.is_zero:
-        return Fraction(0), Fraction(0)
-    segments, encs = sign_segments(q, a, b, width)
-    total = Fraction(0)
-    for lo, hi, s in segments:
-        total += s * q.integrate(lo, hi)
-    err = Fraction(0)
+    total = sum((s * q.integrate(lo, hi) for lo, hi, s in segments), Fraction(0))
     lip = q.derivative().coefficient_bound()
-    for e in encs:
-        if not e.exact:
-            # |q| <= lip * width on the enclosure, interval length <= width
-            err += lip * e.width * e.width
-    return total, err
+    # |q| <= lip * width on an enclosure of length width
+    err = sum((lip * e.width * e.width for e in encs if not e.exact), Fraction(0))
+    return below, below + slack, total, err

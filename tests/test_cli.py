@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -373,6 +374,18 @@ def test_kernel_samples_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "u,phi_n_coeff,pi_power,float_value"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_samples_where_pi_power_overflows_a_double(capsys, fmt):
+    # pi^649 and |phi_n_coeff| ~ pi^-649 are out of the float range; phi_650(0) = -1/pi, phi_650(pi) = 1/pi
+    code, out, err = run_cli(capsys, "kernel", "--n", "650", "--samples", "2", "--format", fmt)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        values = [row["float_value"] for row in json.loads(out)]
+    else:
+        values = [float(line.rsplit(",", 1)[1]) for line in out.strip().splitlines()[1:]]
+    assert values == pytest.approx([-1 / math.pi, 1 / math.pi], rel=1e-12)
 
 
 def test_suite_subset_and_determinism(capsys):

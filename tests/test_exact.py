@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from favard.exact import (
     format_rational,
     frac_part,
     lagrange_interpolate,
+    to_float,
     to_rational,
 )
 
@@ -21,6 +23,20 @@ def test_rational_string_round_trip():
         assert to_rational(format_rational(x)) == x
     assert format_rational(F(8, 2)) == "4"
     assert format_rational(F(-3, 9)) == "-1/3"
+
+
+def test_to_float():
+    # a normal double with a finite result: exactly float(x) ** (1 / root) * pi ** pi_power
+    for x, root, m in ((F(-7, 3), 1, 5), (F(2), 3, 0), (F(9, 4), -2, 0), (F(1, 10**300), 1, 40)):
+        assert to_float(x, root, m) == float(x) ** (1.0 / root) * math.pi**m
+    assert to_float(F(0), 1, 700) == 0.0
+    # out of the double range on the way, in range at the end: from the logs
+    assert to_float(F(-1, 10**400), 1, 810) == pytest.approx(-(10 ** (810 * math.log10(math.pi) - 400)), rel=1e-12)
+    assert to_float(F(10**400), 400) == pytest.approx(10.0, rel=1e-12)
+    assert to_float(F(1, 10**400), -400) == pytest.approx(10.0, rel=1e-12)
+    # out of the double range at the end
+    assert to_float(F(10**400), 1, 1) is None
+    assert to_float(F(10**300), 1, 100) is None
 
 
 def test_frac_part():

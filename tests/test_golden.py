@@ -1,8 +1,9 @@
 """Byte equality of CLI stdout against recorded golden files.
 
-Each ``tests/golden/<name>.out`` holds the exact stdout of one command. A
-change that alters any of these bytes changes the CLI contract and must
-re-record the file on purpose.
+Each ``tests/golden/<name>.out`` holds the exact stdout of one command, except
+``kernel_min_abs_n1_40.out``, which holds the ``kernel --min-abs`` JSON of
+the orders 1..40 one after another. A change that alters any of these bytes
+changes the CLI contract and must re-record the file on purpose.
 """
 
 from pathlib import Path
@@ -50,9 +51,20 @@ CASES = {
 }
 
 
+MIN_ABS_ORDERS = range(1, 41)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_stdout_matches_golden(name, capsys):
     code = main(CASES[name])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_kernel_min_abs_orders_1_to_40_match_golden(capsys):
+    # one file: the --min-abs JSON of every order n = 1..40, in order
+    codes = [main(["kernel", "--n", str(n), "--min-abs", "--format", "json"]) for n in MIN_ABS_ORDERS]
+    out = capsys.readouterr().out
+    assert codes == [0] * len(MIN_ABS_ORDERS)
+    assert out == (GOLDEN / "kernel_min_abs_n1_40.out").read_text()

@@ -2,8 +2,10 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from favard import kernels
 from favard.constants import favard_closed_form
 from favard.exact import Polynomial, lagrange_interpolate
 from favard.kernels import (
@@ -13,8 +15,6 @@ from favard.kernels import (
     green_solution_polynomial,
     min_abs_integral,
     phi_eval,
-    phi_series_tail_bound,
-    phi_series_value,
 )
 from favard.numbers import bernoulli_polynomial
 
@@ -22,6 +22,21 @@ from favard.numbers import bernoulli_polynomial
 def phi_poly(n):
     """p with phi_n(2 pi u) = p(u) pi^(n-1) on [0, 1), built from B_n directly."""
     return bernoulli_polynomial(n) * F(-(2 ** (n - 1)), math.factorial(n))
+
+
+def phi_series_value(n, u, terms, chunk=200_000):
+    """Series reference: float partial Fourier sum (1/pi) * sum(k^(-n) cos(2 pi k u - n pi/2), k <= terms)."""
+    total = 0.0
+    phase = n * math.pi / 2
+    for start in range(1, terms + 1, chunk):
+        k = np.arange(start, min(start + chunk, terms + 1), dtype=np.float64)
+        total += float(np.sum(np.cos(2 * math.pi * k * u - phase) / k**n))
+    return total / math.pi
+
+
+def phi_series_tail_bound(n, terms):
+    """Upper bound (2/pi) * sum(k^(-n), k > terms) on the series tail via integral comparison; n >= 2."""
+    return 2.0 / math.pi * (terms ** (1 - n)) / (n - 1)
 
 
 class TestPhi:
@@ -67,7 +82,17 @@ class TestMinAbsIntegral:
             ms = min_abs_integral(n)
             assert ms.exact
             assert ms.value_coeff == favard_closed_form(n) * 2**n
-            assert ms.measure_low == ms.measure_high == F(1, 2)
+
+    def test_wrong_median_measure_raises(self, monkeypatch):
+        split = kernels.level_split
+
+        def measure_off_by_a_quarter(*args):
+            m_lo, m_hi, est, err = split(*args)
+            return m_lo + F(1, 4), m_hi + F(1, 4), est, err
+
+        monkeypatch.setattr(kernels, "level_split", measure_off_by_a_quarter)
+        with pytest.raises(AssertionError, match="not 1/2"):
+            min_abs_integral(4)
 
     def test_n1(self):
         ms = min_abs_integral(1)

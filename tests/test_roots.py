@@ -5,13 +5,11 @@ import pytest
 from favard.exact import Polynomial
 from favard.numbers import bernoulli_polynomial
 from favard.roots import (
-    abs_integral,
     count_roots,
     isolate_roots,
-    measure_below,
+    level_split,
     poly_divmod,
     poly_gcd,
-    rational_roots,
     sign_segments,
     square_free,
 )
@@ -38,12 +36,6 @@ def test_count_roots_sturm():
     p = Polynomial.of(0, -1, 0, 1)  # u^3 - u: roots -1, 0, 1
     assert count_roots(p, F(-2), F(2)) == 3
     assert count_roots(p, F(1, 2), F(2)) == 1
-
-
-def test_rational_roots_with_multiplicity():
-    p = Polynomial.of(F(-1, 2), 1) * Polynomial.of(F(-1, 2), 1) * Polynomial.of(-2, 1)
-    roots = rational_roots(p, F(0), F(3))
-    assert roots == [(F(1, 2), 2), (F(2), 1)]
 
 
 def test_isolate_rational_and_irrational():
@@ -74,7 +66,7 @@ def test_sign_segments():
 
 def test_measure_below_exact():
     B2 = bernoulli_polynomial(2)
-    lo, hi = measure_below(B2, F(0), F(1), B2(F(1, 4)))
+    lo, hi, _, _ = level_split(B2, F(0), F(1), B2(F(1, 4)))
     assert lo == hi == F(1, 2)
 
 
@@ -82,14 +74,14 @@ def test_measure_below_enclosure():
     import math
 
     p = Polynomial.of(-2, 0, 1)  # u^2 - 2 <= 0 on [0, sqrt(2)]
-    lo, hi = measure_below(p, F(0), F(2), F(0), width=F(1, 10**9))
+    lo, hi, _, _ = level_split(p, F(0), F(2), F(0), width=F(1, 10**9))
     assert hi - lo <= F(1, 10**9)
     assert float(lo) <= math.sqrt(2) <= float(hi) + 1e-9
 
 
 def test_abs_integral_exact():
     B1 = bernoulli_polynomial(1)
-    val, err = abs_integral(B1, F(0), F(1))
+    _, _, val, err = level_split(B1, F(0), F(1), F(0))
     assert err == 0
     assert val == F(1, 4)
 
@@ -98,7 +90,7 @@ def test_abs_integral_irrational_crossing():
     import math
 
     p = Polynomial.of(-2, 0, 1)
-    val, err = abs_integral(p, F(0), F(2), width=F(1, 10**10))
+    _, _, val, err = level_split(p, F(0), F(2), F(0), width=F(1, 10**10))
     # antiderivative u^3/3 - 2u; split at sqrt(2), computed in floats
     r = math.sqrt(2)
     prim = lambda u: u**3 / 3 - 2 * u

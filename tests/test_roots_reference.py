@@ -1,4 +1,4 @@
-"""Rational roots from Sturm enclosures against the trial-division code they replaced.
+"""Root isolation against the code it replaced.
 
 ``reference_rational_roots`` is the body ``roots.rational_roots`` had before
 it found roots by narrowing Sturm enclosures below 1/l^2 and rounding with
@@ -6,9 +6,17 @@ it found roots by narrowing Sturm enclosures below 1/l^2 and rounding with
 trailing and leading coefficients by trial division and tests each
 ``±num/den``. It is exact but super-polynomial in the coefficients' bit
 size, so the inputs here keep those coefficients to a few dozen bits.
+
+``reference_isolate_roots`` is the route ``roots.isolate_roots`` took before
+it counted the irrational roots on the one Sturm sequence of the square-free
+part: it divides the rational roots out and builds a second Sturm sequence
+for what is left. ``reference_measure_below`` and ``reference_abs_integral``
+are the two functions ``roots.level_split`` replaced, each with its own sign
+partition on that route.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -17,11 +25,12 @@ from hypothesis import strategies as st
 
 from favard import roots
 from favard.exact import Polynomial
-from favard.roots import isolate_roots, poly_divmod, rational_roots
+from favard.kernels import min_abs_integral
+from favard.roots import isolate_roots, level_split, poly_divmod, rational_roots
 
 
 def reference_rational_roots(p, a, b):
-    """All rational roots of p in [a, b] with multiplicities, by the rational-root theorem."""
+    """All distinct rational roots of p in [a, b], sorted, by the rational-root theorem."""
     if p.is_zero:
         raise ValueError("zero polynomial")
     denom_lcm = 1
@@ -32,10 +41,7 @@ def reference_rational_roots(p, a, b):
         ints.pop(0)  # factor out powers of x; root 0 handled below
     lead = ints[-1]
     tail = ints[0]
-    out = []
-    if p.coeffs[0] == 0 and a <= 0 <= b:
-        mult = next(i for i, c in enumerate(p.coeffs) if c != 0)
-        out.append((F(0), mult))
+    out = [F(0)] if p.coeffs[0] == 0 and a <= 0 <= b else []
 
     def divisors(n):
         n = abs(n)
@@ -48,38 +54,25 @@ def reference_rational_roots(p, a, b):
             d += 1
         return sorted(set(out))
 
-    seen = {r for r, _ in out}
     for num in divisors(tail):
         for den in divisors(lead):
             for sign in (1, -1):
                 cand = F(sign * num, den)
-                if cand in seen or not a <= cand <= b:
-                    continue
-                if p(cand) == 0:
-                    mult = 0
-                    q = p
-                    while True:
-                        quo, rem = poly_divmod(q, Polynomial.of(-cand, 1))
-                        if not rem.is_zero:
-                            break
-                        mult += 1
-                        q = quo
-                        if q.is_zero or q(cand) != 0:
-                            break
-                    out.append((cand, mult))
-                    seen.add(cand)
+                if cand not in out and a <= cand <= b and p(cand) == 0:
+                    out.append(cand)
     return sorted(out)
 
 
 def reference_isolate_roots(p, a, b, width):
-    """The body ``roots.isolate_roots`` had before it shared one square-free part
-    and Sturm sequence with the rational-root search, on the trial-division roots."""
+    """(low, high) of each root of p in [a, b]: the trial-division roots, divided out of
+    the square-free part, then Sturm bisection of the quotient on its own sequence."""
     if p.degree == 0:
         return []
-    out = [roots.RootEnclosure(r, r, m) for r, m in reference_rational_roots(p, a, b)]
+    found = reference_rational_roots(p, a, b)
+    out = [(r, r) for r in found]
     q = roots.square_free(p)
-    for enc in out:
-        q, _ = poly_divmod(q, Polynomial.of(-enc.low, 1))
+    for r in found:
+        q, _ = poly_divmod(q, Polynomial.of(-r, 1))
     if q.degree >= 1:
         seq = roots.sturm_sequence(q)
         stack = [(a, b, roots.count_roots(q, a, b, seq))]
@@ -88,12 +81,55 @@ def reference_isolate_roots(p, a, b, width):
             if cnt == 0:
                 continue
             if cnt == 1 and hi - lo <= width:
-                out.append(roots.RootEnclosure(lo, hi, 1))
+                out.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
             stack.append((lo, mid, roots.count_roots(q, lo, mid, seq)))
             stack.append((mid, hi, roots.count_roots(q, mid, hi, seq)))
-    return sorted(out, key=lambda e: (e.low, e.high))
+    return sorted(out)
+
+
+def reference_sign_segments(q, a, b, width):
+    """``roots.sign_segments`` on the enclosures of :func:`reference_isolate_roots`."""
+    encs = reference_isolate_roots(q, a, b, width)
+    segments = []
+    cursor = a
+    for low, high in encs:
+        if low > cursor:
+            segments.append((cursor, low, q.sign((cursor + low) / 2)))
+        cursor = max(cursor, high)
+    if cursor < b:
+        segments.append((cursor, b, q.sign((cursor + b) / 2)))
+    return segments, encs
+
+
+def reference_measure_below(p, a, b, level, width):
+    """Bounds (lo, hi) on the measure of {u in [a, b] : p(u) <= level}."""
+    q = p - Polynomial.const(level)
+    if q.is_zero:
+        length = b - a
+        return length, length
+    segments, encs = reference_sign_segments(q, a, b, width)
+    lo = sum((hi_ - lo_ for lo_, hi_, s in segments if s < 0), F(0))
+    slack = sum((high - low for low, high in encs), F(0))
+    return lo, lo + slack
+
+
+def reference_abs_integral(p, a, b, level, width):
+    """(estimate, error_bound) for the integral of |p - level| over [a, b]."""
+    q = p - Polynomial.const(level)
+    if q.is_zero:
+        return F(0), F(0)
+    segments, encs = reference_sign_segments(q, a, b, width)
+    total = F(0)
+    for lo, hi, s in segments:
+        total += s * q.integrate(lo, hi)
+    err = F(0)
+    lip = q.derivative().coefficient_bound()
+    for low, high in encs:
+        if low != high:
+            err += lip * (high - low) * (high - low)
+    return total, err
 
 
 QUADRATICS = (Polynomial.of(-2, 0, 1), Polynomial.of(-1, -1, 1))  # u^2 - 2, u^2 - u - 1
@@ -130,29 +166,39 @@ def rational_polynomials(draw):
     return p, [r for r, _ in factors]
 
 
+WIDTHS = (F(1, 10**13), F(1, 1000), F(1, 3))
+
+
+def points(roots_):
+    """Interval ends and levels: a root, 0, a free fraction or a negative one."""
+    free = st.fractions(min_value=-(2**12), max_value=2**12, max_denominator=2**12)
+    return st.one_of(st.sampled_from(roots_ or [F(0)]), st.just(F(0)), free, free.map(lambda x: -abs(x)))
+
+
 @st.composite
 def intervals(draw, roots_):
     """[a, b] with roots at an end, at 0, at a bisection midpoint, negative, or a == b."""
-    free = st.fractions(min_value=-(2**12), max_value=2**12, max_denominator=2**12)
-    roots_ = roots_ or [F(0)]
-    pool = st.one_of(st.sampled_from(roots_), st.just(F(0)), free, free.map(lambda x: -abs(x)))
     kind = draw(st.sampled_from(("ends", "midpoint", "point")))
     if kind == "midpoint":  # r at (a + b) / 2, or a quarter of the way from either end
-        r = draw(st.sampled_from(roots_))
+        r = draw(st.sampled_from(roots_ or [F(0)]))
         h = draw(st.fractions(min_value=F(1, 2**14), max_value=2**6, max_denominator=2**14))
         left, right = draw(st.sampled_from(((1, 1), (1, 3), (3, 1))))
         return r - left * h, r + right * h
-    a = draw(pool)
+    a = draw(points(roots_))
     if kind == "point":
         return a, a
-    b = draw(pool)
+    b = draw(points(roots_))
     return min(a, b), max(a, b)
+
+
+def pairs(encs):
+    return [(e.low, e.high) for e in encs]
 
 
 class TestRationalRootsAgainstTrialDivision:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.data())
-    def test_roots_and_multiplicities(self, data):
+    def test_roots_match_trial_division(self, data):
         p, roots_ = data.draw(rational_polynomials())
         a, b = data.draw(intervals(roots_))
         assert rational_roots(p, a, b) == reference_rational_roots(p, a, b)
@@ -162,8 +208,18 @@ class TestRationalRootsAgainstTrialDivision:
     def test_isolate_roots_enclosures(self, data):
         p, roots_ = data.draw(rational_polynomials())
         a, b = data.draw(intervals(roots_))
-        width = data.draw(st.sampled_from((F(1, 10**13), F(1, 1000), F(1, 3))))
-        assert isolate_roots(p, a, b, width) == reference_isolate_roots(p, a, b, width)
+        width = data.draw(st.sampled_from(WIDTHS))
+        assert pairs(isolate_roots(p, a, b, width)) == reference_isolate_roots(p, a, b, width)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_level_split_matches_measure_below_and_abs_integral(self, data):
+        p, roots_ = data.draw(rational_polynomials())
+        a, b = data.draw(intervals(roots_))
+        level = data.draw(points(roots_))
+        width = data.draw(st.sampled_from(WIDTHS))
+        expect = reference_measure_below(p, a, b, level, width) + reference_abs_integral(p, a, b, level, width)
+        assert level_split(p, a, b, level, width) == expect
 
     @pytest.mark.parametrize("r", [F(99, 70), F(577, 408), F(-1393, 985)])
     def test_rational_root_next_to_an_irrational_one(self, r):
@@ -182,5 +238,50 @@ class TestRationalRootsAgainstTrialDivision:
     def test_interval_outside_a_root_gives_nothing(self):
         p = Polynomial.of(-1, 1) * QUADRATICS[0]  # the integer 1 is the nearest fraction to sqrt(2)
         assert rational_roots(p, F(7, 5), F(3, 2)) == []
-        assert rational_roots(p, F(1), F(1)) == [(F(1), 1)]
+        assert rational_roots(p, F(1), F(1)) == [F(1)]
         assert rational_roots(p, F(2), F(1)) == []
+
+    def test_double_root_reported_once(self):
+        half = Polynomial.of(F(-1, 2), 1)
+        p = half * half * Polynomial.of(-2, 1) * QUADRATICS[0]  # (u - 1/2)^2 (u - 2) (u^2 - 2)
+        assert rational_roots(p, F(0), F(3)) == [F(1, 2), F(2)]
+        encs = isolate_roots(p, F(0), F(3))
+        assert [e.low for e in encs if e.exact] == [F(1, 2), F(2)]
+        assert sum(not e.exact for e in encs) == 1
+
+
+def count_outer_calls(monkeypatch, names):
+    """Patch each ``roots.<name>`` to count its calls that are not made from inside another patched one."""
+    calls = Counter()
+    active = []
+    for name in names:
+
+        def counted(*args, _name=name, _fn=getattr(roots, name), **kwargs):
+            if not active:
+                calls[_name] += 1
+            active.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(roots, name, counted)
+    return calls
+
+
+class TestOneIsolationPerPolynomial:
+    def test_isolate_roots_builds_one_sturm_sequence_and_divides_nothing_out(self, monkeypatch):
+        # (u - 1/3)^2 (u + 5) (u^2 - 2): a double and a simple rational root, two irrational ones
+        third = Polynomial.of(F(-1, 3), 1)
+        p = third * third * Polynomial.of(5, 1) * QUADRATICS[0]
+        calls = count_outer_calls(monkeypatch, ["square_free", "sturm_sequence", "poly_divmod"])
+        encs = roots.isolate_roots(p, F(-6), F(2))
+        assert [e.low for e in encs if e.exact] == [F(-5), F(1, 3)]
+        assert sum(not e.exact for e in encs) == 2
+        assert calls == {"square_free": 1, "sturm_sequence": 1}
+
+    @pytest.mark.parametrize("n", [1, 4, 7])
+    def test_min_abs_integral_isolates_once(self, monkeypatch, n):
+        calls = count_outer_calls(monkeypatch, ["isolate_roots"])
+        min_abs_integral(n)
+        assert calls == {"isolate_roots": 1}
