@@ -50,7 +50,6 @@ from .witness import (
     DeviationMap,
     VerificationReport,
     Witness,
-    auxiliary_solution,
     build_witness,
     verify_witness,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "StepFunction",
     "VerificationReport",
     "Witness",
-    "auxiliary_solution",
     "bernoulli_numbers",
     "bernoulli_polynomial",
     "build_witness",

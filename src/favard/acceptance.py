@@ -30,7 +30,7 @@ from .sampling import (
 from .solver import contraction_norm, reduce_system, solve_weighted
 from .witness import build_witness, extremal_ratio, verify_witness
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "DEFAULT_SEED"]
+__all__ = ["CriterionResult", "CRITERIA", "run_all", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20260810
 
@@ -302,13 +302,14 @@ CRITERIA: tuple[Criterion, ...] = (
 )
 
 
-def run_criterion(index: int, seed: int = DEFAULT_SEED) -> CriterionResult:
-    for crit in CRITERIA:
-        if crit.index == index:
-            return crit.run(seed)
-    raise ValueError(f"no criterion {index}")
-
-
 def run_all(seed: int = DEFAULT_SEED, indices: list[int] | None = None) -> list[CriterionResult]:
+    """Run the criteria with the given indices (all by default), in index order.
+
+    Raises ValueError naming any index that is not a criterion, before running any.
+    """
+    if indices is not None:
+        unknown = sorted(set(indices) - {c.index for c in CRITERIA})
+        if unknown:
+            raise ValueError(f"no criterion {', '.join(map(str, unknown))}")
     selected = CRITERIA if indices is None else [c for c in CRITERIA if c.index in indices]
     return [c.run(seed) for c in selected]

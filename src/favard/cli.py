@@ -112,6 +112,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     T = _parse_rational_arg(args.T, "--T")
+    if args.emit_samples < 0:
+        raise SchemaError("--emit-samples", "must be >= 0 (0 emits no samples)")
     w = build_witness(args.n, T)
     report = verify_witness(w)
     payload = w.to_json_dict()
@@ -296,7 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="kernel phi_n sampling and its optimal centering")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=16)
+    p.add_argument(
+        "--samples", type=int, default=16, help="count (>= 1); rows are held in memory, so time and memory grow with it"
+    )
     p.add_argument("--min-abs", action="store_true", help="report the minimized |phi_n - xi| integral")
     p.add_argument("--format", choices=("text", "json", "csv"), default="csv")
     p.add_argument("--output", default=None)
@@ -305,7 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="build and verify the extremal periodic solution")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--T", default="1")
-    p.add_argument("--emit-samples", type=int, default=0, metavar="K", help="CSV of K equispaced (t, y(t)) float pairs")
+    p.add_argument(
+        "--emit-samples", type=int, default=0, metavar="K", help="CSV of K equispaced (t, y(t)) float pairs (0: none)"
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_witness)

@@ -264,10 +264,6 @@ class Polynomial:
             acc = acc * arg + Polynomial.const(c)
         return acc
 
-    def shifted(self, s: RationalLike) -> "Polynomial":
-        """p(u + s)."""
-        return self.compose_linear(s, 1)
-
     def coefficient_bound(self) -> Fraction:
         """Sum of |coefficients|: bounds |p| and serves as a Lipschitz bound on [0, 1]."""
         return sum((abs(c) for c in self.coeffs), Fraction(0))

@@ -201,6 +201,8 @@ def phi_samples(n: int, count: int) -> list[dict]:
     """CSV-ready sampling of phi_n: (u, phi_n_coeff, pi_power, float_value); float_value is None out of range."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if count < 1:
+        raise ValueError("the sample count must be >= 1")
     p = _phi_coefficient_poly(n)
     rows = []
     for i in range(count):

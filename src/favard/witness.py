@@ -5,37 +5,30 @@ tau and a non-constant T-periodic y with y^(n)(t) = L y(tau(t)) at the
 critical Lipschitz constant L = 1/(K_n T^n), which shows the minimal-period
 bound T >= 1/(L K_n)^(1/n) cannot be improved.
 
-The construction solves the auxiliary problem x^(n) = L h with h the
-half-period square wave, in closed Bernoulli-polynomial form:
-
-    y(t) = C + (2 L T^n / (n+1)!) (B_{n+1}(1/2) - B_{n+1}(0)
-           + B_{n+1}(t/T) - PB_{n+1}(t/T - 1/2)).
-
-Direct rational evaluation of this formula yields the h-orientation opposite
-to the tabulated anchor values (for n = 2 it gives y(T/4) = +1 where the
-anchor sign chain predicts -1), so nothing here trusts a sign chain: the
-builder evaluates y exactly, derives the orientation flag sigma and the tau
-branch assignment from the values themselves, and the verifier re-checks all
-identities in exact arithmetic. Both the tabulated deviation and the derived
-one are kept on the witness for comparison.
+The construction is the n-fold zero-mean periodic antiderivative of the
+half-period square wave h, scaled by -L, so y^(n) = -L h and the orientation
+sigma is -1 by construction. A constant then centres the two sample values
+y(a), y(b) (a, b = T/4, 3T/4 for even n and 0, T/2 for odd n) at +-1, and
+the deviation branches are assigned from those exact values so that
+y(tau(t)) = sigma h(t). The verifier re-checks all identities in exact
+arithmetic. Both the tabulated deviation and the derived one are kept on the
+witness for comparison.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constants import favard_closed_form
 from .exact import (
     PiecewisePolynomial,
-    Polynomial,
     RationalLike,
     StepFunction,
     format_rational,
+    periodic_antiderivatives,
     to_rational,
 )
-from .numbers import bernoulli_polynomial
 from .roots import isolate_roots
 
 __all__ = [
@@ -43,7 +36,6 @@ __all__ = [
     "Witness",
     "CheckResult",
     "VerificationReport",
-    "auxiliary_solution",
     "build_witness",
     "verify_witness",
     "tabulated_deviation",
@@ -92,13 +84,18 @@ def tabulated_deviation(n: int, T: Fraction) -> DeviationMap:
     return DeviationMap(period=T, first=first, second=second)
 
 
+def _square_wave(T: Fraction) -> StepFunction:
+    return StepFunction((Fraction(0), T / 2, T), (1, -1), T)
+
+
 @dataclass(frozen=True)
 class Witness:
     """Extremal object: order, period, critical constant, and the explicit solution.
 
     Invariants established by the builder and re-checkable exactly:
-    y^(n) = sigma * L_crit * h piecewise, periodic boundary conditions,
-    y(tau(t)) = sigma * h(t), and L_crit * K_n * T^n = 1.
+    y^(n) = sigma * L_crit * h piecewise with sigma = -1 by construction,
+    periodic boundary conditions, y(tau(t)) = sigma * h(t), and
+    L_crit * K_n * T^n = 1. ``C`` is y(0).
     """
 
     n: int
@@ -113,7 +110,7 @@ class Witness:
     @property
     def h(self) -> StepFunction:
         """Half-period square wave: +1 on the first half period, -1 on the second."""
-        return StepFunction((Fraction(0), self.T / 2, self.T), (1, -1), self.T)
+        return _square_wave(self.T)
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,46 +158,13 @@ class VerificationReport:
         }
 
 
-def auxiliary_solution(
-    n: int,
-    T: RationalLike,
-    L: RationalLike,
-    C: RationalLike = 0,
-) -> PiecewisePolynomial:
-    """Closed-form periodic solution of x^(n) = L h(t) as a piecewise polynomial.
-
-    Two pieces in u = t/T, split where the argument of PB_{n+1}(u - 1/2)
-    crosses an integer: {u - 1/2} is u + 1/2 on [0, 1/2) and u - 1/2 on [1/2, 1).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    T, L, C = to_rational(T), to_rational(L), to_rational(C)
-    Bn1 = bernoulli_polynomial(n + 1)
-    scale = 2 * L * T**n / math.factorial(n + 1)
-    base = Bn1(Fraction(1, 2)) - Bn1(Fraction(0))
-    piece_lo = (Polynomial.const(base) + Bn1 - Bn1.shifted(Fraction(1, 2))) * scale
-    piece_hi = (Polynomial.const(base) + Bn1 - Bn1.shifted(Fraction(-1, 2))) * scale
-    pw = PiecewisePolynomial(
-        (Fraction(0), Fraction(1, 2), Fraction(1)),
-        (piece_lo, piece_hi),
-        T,
-    )
-    return pw.plus_constant(C)
-
-
-def _nth_derivative(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:
-    for _ in range(n):
-        pw = pw.derivative()
-    return pw
-
-
 def build_witness(n: int, T: RationalLike) -> Witness:
-    """Construct the extremal witness at L = 1/(K_n T^n), deriving all signs exactly.
+    """Construct the extremal witness at L = 1/(K_n T^n).
 
-    The additive constant centers the two candidate sample values at +-1
-    (for even n this gives C = 0); the orientation sigma is read off the
-    exact n-th derivative, and the deviation branches are assigned so that
-    y(tau(t)) = sigma * h(t) holds identically.
+    y is -L times the n-fold periodic antiderivative of h, plus the constant
+    that centres the two sample values at +-1 (for even n this constant is 0);
+    the deviation branches are assigned so that y(tau(t)) = sigma * h(t) holds
+    identically, with sigma = -1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -209,24 +173,16 @@ def build_witness(n: int, T: RationalLike) -> Witness:
         raise ValueError("T must be positive")
     K = favard_closed_form(n)
     L = 1 / (K * T**n)
-    y0 = auxiliary_solution(n, T, L, 0)
+    sigma = -1  # y^(n) = -L h
+    y0 = periodic_antiderivatives(_square_wave(T).as_piecewise(), n) * (sigma * L)
     if n % 2 == 0:
         a, b = T / 4, 3 * T / 4
     else:
         a, b = Fraction(0), T / 2
-    C = -(y0(a) + y0(b)) / 2
-    y = y0.plus_constant(C)
+    y = y0.plus_constant(-(y0(a) + y0(b)) / 2)
     va, vb = y(a), y(b)
     if not (abs(va) == 1 and vb == -va):
         raise AssertionError(f"sample values not +-1: y({a}) = {va}, y({b}) = {vb}")
-
-    first_piece = _nth_derivative(y, n).pieces[0]
-    if first_piece.degree != 0:
-        raise AssertionError("n-th derivative is not piecewise constant")
-    sigma_frac = first_piece(Fraction(0)) / L
-    if abs(sigma_frac) != 1:
-        raise AssertionError("n-th derivative magnitude differs from L_crit")
-    sigma = int(sigma_frac)
 
     # y(tau(t)) = sigma * h(t): the first branch points to the sample equal to sigma
     if va == sigma:
@@ -237,7 +193,7 @@ def build_witness(n: int, T: RationalLike) -> Witness:
         n=n,
         T=T,
         L_crit=L,
-        C=C,
+        C=y(0),
         sigma=sigma,
         y=y,
         tau=tau,
@@ -255,28 +211,25 @@ def verify_witness(w: Witness) -> VerificationReport:
     """
     checks: list[CheckResult] = []
 
-    deriv = _nth_derivative(w.y, w.n)
+    # derivatives 0..n-1 must agree across the period end; d ends as y^(n)
+    d = w.y
+    bc_disc = None
+    for _ in range(w.n):
+        start = d.value_in_unit(Fraction(0))
+        wrap = d.left_limit_in_unit(Fraction(1))
+        if bc_disc is None and start != wrap:
+            bc_disc = abs(start - wrap)
+        d = d.derivative()
+
     target = w.h.as_piecewise() * (w.sigma * w.L_crit)
-    ok = deriv.breakpoints == target.breakpoints and deriv.pieces == target.pieces
+    ok = d.breakpoints == target.breakpoints and d.pieces == target.pieces
     disc = None
     if not ok:
         disc = Fraction(0)
         for u in (Fraction(1, 4), Fraction(3, 4)):
-            disc = max(disc, abs(deriv.value_in_unit(u) - target.value_in_unit(u)))
+            disc = max(disc, abs(d.value_in_unit(u) - target.value_in_unit(u)))
     checks.append(CheckResult("differential_identity", ok, disc))
-
-    bc_ok = True
-    bc_disc = None
-    d = w.y
-    for i in range(w.n):
-        start = d.value_in_unit(Fraction(0))
-        wrap = d.left_limit_in_unit(Fraction(1))
-        if start != wrap:
-            bc_ok = False
-            bc_disc = abs(start - wrap)
-            break
-        d = d.derivative()
-    checks.append(CheckResult("periodic_boundary_conditions", bc_ok, bc_disc))
+    checks.append(CheckResult("periodic_boundary_conditions", bc_disc is None, bc_disc))
 
     va = w.y(w.tau.first)
     vb = w.y(w.tau.second)

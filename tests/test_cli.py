@@ -397,6 +397,39 @@ def test_suite_subset_and_determinism(capsys):
     assert all(r["passed"] for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv, unknown",
+    [
+        (["suite", "--criteria", "99"], "99"),
+        (["suite", "--criteria", "3,99"], "99"),
+        (["suite", "--criteria", "3,99", "--format", "json"], "99"),
+        (["suite", "--criteria", "0,12,5", "--format", "json"], "0, 12"),
+    ],
+)
+def test_suite_unknown_criterion_exits_2(capsys, argv, unknown):
+    # an unknown index is a usage error before any criterion runs, not an empty passing matrix
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"no criterion {unknown}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--n", "3", "--samples", "0"],
+        ["kernel", "--n", "3", "--samples", "0", "--format", "json"],
+        ["kernel", "--n", "3", "--samples", "-3"],
+        ["kernel", "--n", "3", "--samples", "-3", "--format", "json"],
+        ["witness", "--n", "3", "--emit-samples", "-2"],
+        ["witness", "--n", "3", "--emit-samples", "-2", "--format", "json"],
+    ],
+)
+def test_non_positive_sample_count_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
 def test_suite_json_byte_identical(capsys):
     code1, out1, _ = run_cli(capsys, "suite", "--criteria", "3,10", "--format", "json")
     code2, out2, _ = run_cli(capsys, "suite", "--criteria", "3,10", "--format", "json")

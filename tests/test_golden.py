@@ -22,6 +22,8 @@ CASES = {
     "witness": ["witness", "--n", "5", "--T", "5/2", "--format", "json"],
     "suite": ["suite", "--criteria", "5,10", "--format", "json"],
     "witness_text": ["witness", "--n", "6", "--T", "1/3"],
+    "witness_n14_T97": ["witness", "--n", "14", "--T", "97", "--format", "json"],
+    "witness_samples_n3": ["witness", "--n", "3", "--T", "5/2", "--emit-samples", "8"],
     "suite_c4_c6": ["suite", "--criteria", "4,6", "--format", "json"],
     "suite_c7_c11": ["suite", "--criteria", "7,11", "--format", "json"],
     "kernel_samples_n3": ["kernel", "--n", "3", "--samples", "8"],

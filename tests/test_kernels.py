@@ -15,6 +15,7 @@ from favard.kernels import (
     green_solution_polynomial,
     min_abs_integral,
     phi_eval,
+    phi_samples,
 )
 from favard.numbers import bernoulli_polynomial
 
@@ -55,6 +56,11 @@ class TestPhi:
             phi_eval(1, F(3, 2))
         with pytest.raises(ValueError):
             phi_eval(0, F(1, 2))
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_samples_need_a_positive_count(self, count):
+        with pytest.raises(ValueError):
+            phi_samples(3, count)
 
     def test_zero_mean_exact(self):
         for n in range(1, 11):

@@ -1,14 +1,15 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from favard.constants import favard_closed_form
-from favard.exact import PiecewisePolynomial, StepFunction
+from favard.exact import PiecewisePolynomial, Polynomial, StepFunction
+from favard.numbers import bernoulli_polynomial
 from favard.witness import (
     DeviationMap,
-    auxiliary_solution,
     build_witness,
     extremal_ratio,
     tabulated_deviation,
@@ -17,6 +18,23 @@ from favard.witness import (
 )
 
 PERIODS = (F(1), F(5, 2), F(1, 3))
+
+
+def reference_auxiliary_solution(n, T, L, C=0):
+    """Closed-form periodic solution of x^(n) = -L h(t), in u = t/T on two pieces:
+
+        x = C + (2 L T^n / (n+1)!) (B_{n+1}(1/2) - B_{n+1}(0) + B_{n+1}(u) - PB_{n+1}(u - 1/2)),
+
+    split where {u - 1/2} jumps: it is u + 1/2 on [0, 1/2) and u - 1/2 on [1/2, 1).
+    x(0) = C. ``build_witness`` integrates h instead; this form checks it.
+    """
+    T, L, C = F(T), F(L), F(C)
+    Bn1 = bernoulli_polynomial(n + 1)
+    scale = 2 * L * T**n / math.factorial(n + 1)
+    base = Polynomial.const(Bn1(F(1, 2)) - Bn1(F(0))) + Bn1
+    piece_lo = (base - Bn1.compose_linear(F(1, 2), 1)) * scale
+    piece_hi = (base - Bn1.compose_linear(F(-1, 2), 1)) * scale
+    return PiecewisePolynomial((F(0), F(1, 2), F(1)), (piece_lo, piece_hi), T).plus_constant(C)
 
 
 def test_step_sign():
@@ -69,9 +87,16 @@ class TestBuildWitness:
             assert w.tau == w.tabulated_tau == tabulated_deviation(n, F(1))
 
     def test_orientation_flag(self):
-        # direct evaluation of the closed form forces sigma = -1 for every order
+        # y is -L_crit times the n-fold antiderivative of h, so sigma = -1 for every order
         for n in range(1, 9):
             assert build_witness(n, F(1)).sigma == -1
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("T", PERIODS + (F(97),))
+    def test_matches_closed_form(self, n, T):
+        # integrating h n times gives the Bernoulli closed form, shifted by C = y(0)
+        w = build_witness(n, T)
+        assert w.y == reference_auxiliary_solution(n, T, w.L_crit, 0).plus_constant(w.C)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):
@@ -98,6 +123,22 @@ class TestVerifyWitness:
         fail = report.first_failure
         assert fail.name == "sampling_identity"
         assert fail.discrepancy == F(1, 1000)
+
+    def test_tampered_solution_fails_differential_and_boundary_checks(self):
+        # adding eps u^2 to every piece moves y^(2) by 2 eps and breaks y(0) = y(1-) by eps
+        w = build_witness(2, F(1))
+        eps = F(1, 1000)
+        y = PiecewisePolynomial(w.y.breakpoints, tuple(p + Polynomial.of(0, 0, eps) for p in w.y.pieces), w.T)
+        report = verify_witness(dataclasses.replace(w, y=y))
+        assert [c.name for c in report.checks] == [
+            "differential_identity",
+            "periodic_boundary_conditions",
+            "sampling_identity",
+            "threshold_identity",
+        ]
+        assert [c.passed for c in report.checks] == [False, False, False, True]
+        assert report.checks[0].discrepancy == 2 * eps
+        assert report.checks[1].discrepancy == eps
 
     def test_tampered_threshold_fails(self):
         w = build_witness(3, F(1))
@@ -135,24 +176,23 @@ def test_extremal_ratio_attains_best_constant():
 
 class TestAuxiliarySolution:
     def test_n1_difference(self):
-        y = auxiliary_solution(1, F(1), F(4), 0)
+        y = reference_auxiliary_solution(1, F(1), F(4), 0)
         assert abs(y(0) - y(F(1, 2))) == 2
 
     def test_n2_antisymmetry(self):
-        y = auxiliary_solution(2, F(1), F(32), 0)
+        y = reference_auxiliary_solution(2, F(1), F(32), 0)
         assert y(F(1, 4)) + y(F(3, 4)) == 0
 
     def test_n3_differential_identity(self):
-        y = auxiliary_solution(3, F(1), F(192), F(7, 13))
+        y = reference_auxiliary_solution(3, F(1), F(192), F(7, 13))
         d = y
         for _ in range(3):
             d = d.derivative()
-        values = {d.value_in_unit(F(1, 4)), d.value_in_unit(F(3, 4))}
-        assert values == {F(192), F(-192)}
+        assert (d.value_in_unit(F(1, 4)), d.value_in_unit(F(3, 4))) == (F(-192), F(192))
 
     def test_constant_shifts(self):
-        base = auxiliary_solution(4, F(1), F(10), 0)
-        shifted = auxiliary_solution(4, F(1), F(10), F(3, 7))
+        base = reference_auxiliary_solution(4, F(1), F(10), 0)
+        shifted = reference_auxiliary_solution(4, F(1), F(10), F(3, 7))
         assert shifted(F(1, 5)) - base(F(1, 5)) == F(3, 7)
 
 
