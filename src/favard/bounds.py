@@ -49,14 +49,6 @@ PUBLISHED_P: dict[int, Fraction] = {
 }
 
 
-def _float(x: Fraction) -> float | None:
-    """float(x), or None when x is out of the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return None
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """One computed threshold.
@@ -141,7 +133,7 @@ def weight_threshold(n: int, T: RationalLike) -> BoundResult:
         exact=exact,
         exact_is_power=False,
         strict=strict,
-        float_value=_float(exact),
+        float_value=to_float(exact),
         extras={"T": format_rational(T)},
     )
 
@@ -163,7 +155,7 @@ class ConclusionRow:
             "family": self.family,
             "n": self.n,
             "threshold": format_rational(self.threshold),
-            "threshold_float": _float(self.threshold),
+            "threshold_float": to_float(self.threshold),
             "strict": self.strict,
             "published_value": (
                 None if self.published_value is None else format_rational(self.published_value)

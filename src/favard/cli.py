@@ -4,6 +4,10 @@ Rationals cross this boundary as exact strings only ("p/q"); float fields are
 always labeled as approximations. Identical arguments and seed produce
 byte-identical output. Exit status: 0 on success, 1 on verification failure,
 2 on usage or schema errors.
+
+Each ``_cmd_*`` handler computes and returns its result without writing
+anything; ``dispatch`` renders it in the requested ``--format`` and writes it
+to stdout or ``--output``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,11 @@ class SchemaError(Exception):
         self.path = path
 
 
+# (payload, text lines, exit status): the payload is rendered as JSON or CSV
+# (a dict is one row); text lines of None mean the text view is the CSV
+Result = tuple[object, "list[str] | None", int]
+
+
 def _parse_rational_arg(text: str, name: str) -> Fraction:
     try:
         return to_rational(text)
@@ -42,22 +51,14 @@ def _parse_rational_arg(text: str, name: str) -> Fraction:
         raise SchemaError(name, f"not an exact rational: {text!r}")
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _to_csv(rows: list[dict]) -> str:
+def _to_csv(payload: list[dict] | dict) -> str:
+    rows = [payload] if isinstance(payload, dict) else payload
     if not rows:
         return ""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -65,79 +66,57 @@ def _to_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_constants(args: argparse.Namespace) -> int:
+def _cmd_constants(args: argparse.Namespace) -> Result:
     table = favard_table(args.n_max, args.route)
     rows = table.to_rows()
-    if args.format == "csv":
-        _emit(_to_csv(rows), args.output)
-    elif args.format == "json":
-        _emit(_to_json(rows), args.output)
-    else:
-        lines = [f"K_{r['n']} = {r['K_n']} ~ {r['K_n_float']!r}  [{r['routes']}]" for r in rows]
-        _emit("\n".join(lines) + "\n", args.output)
-    if args.route == "all" and not table.all_routes_agree():
-        return 1
-    return 0
+    lines = [f"K_{r['n']} = {r['K_n']} ~ {r['K_n_float']!r}  [{r['routes']}]" for r in rows]
+    return rows, lines, 1 if args.route == "all" and not table.all_routes_agree() else 0
 
 
-def _cmd_kernel(args: argparse.Namespace) -> int:
-    if args.min_abs:
-        ms = min_abs_integral(args.n)
-        payload = {
-            "n": ms.n,
-            "xi_star": format_rational(ms.xi_star),
-            "pi_power": ms.pi_power,
-            "value_coeff": format_rational(ms.value_coeff),
-            "value_float": ms.value,
-            "exact": ms.exact,
-            "error_bound_float": ms.value_error,
-        }
-        if args.format == "json":
-            _emit(_to_json(payload), args.output)
-        else:
-            _emit(
-                f"min over xi of the period integral of |phi_{ms.n} - xi|:\n"
-                f"  xi* = {payload['xi_star']} * pi^{ms.pi_power}\n"
-                f"  value = {payload['value_coeff']} * pi^{ms.pi_power + 1} ~ {ms.value!r}\n",
-                args.output,
-            )
-        return 0
-    rows = phi_samples(args.n, args.samples)
-    if args.format == "json":
-        _emit(_to_json(rows), args.output)
-    else:
-        _emit(_to_csv(rows), args.output)
-    return 0
+def _cmd_kernel(args: argparse.Namespace) -> Result:
+    if args.samples < 1:
+        raise SchemaError("--samples", "must be >= 1")
+    if not args.min_abs:
+        return phi_samples(args.n, args.samples), None, 0
+    ms = min_abs_integral(args.n)
+    payload = {
+        "n": ms.n,
+        "xi_star": format_rational(ms.xi_star),
+        "pi_power": ms.pi_power,
+        "value_coeff": format_rational(ms.value_coeff),
+        "value_float": ms.value,
+        "exact": ms.exact,
+        "error_bound_float": ms.value_error,
+    }
+    lines = [
+        f"min over xi of the period integral of |phi_{ms.n} - xi|:",
+        f"  xi* = {payload['xi_star']} * pi^{ms.pi_power}",
+        f"  value = {payload['value_coeff']} * pi^{ms.pi_power + 1} ~ {ms.value!r}",
+    ]
+    return payload, lines, 0
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: argparse.Namespace) -> Result:
     T = _parse_rational_arg(args.T, "--T")
     if args.emit_samples < 0:
         raise SchemaError("--emit-samples", "must be >= 0 (0 emits no samples)")
     w = build_witness(args.n, T)
     report = verify_witness(w)
+    status = 0 if report.all_passed else 1
+    if args.emit_samples:
+        ts = [T * Fraction(i, args.emit_samples) for i in range(args.emit_samples)]
+        return [{"t": format_rational(t), "y": float(w.y(t))} for t in ts], None, status
     payload = w.to_json_dict()
     payload["checks"] = report.to_json_dict()
     payload["all_checks_passed"] = report.all_passed
-    if args.emit_samples:
-        k = args.emit_samples
-        rows = [
-            {"t": format_rational(T * Fraction(i, k)), "y": float(w.y(T * Fraction(i, k)))}
-            for i in range(k)
-        ]
-        _emit(_to_csv(rows), args.output)
-    elif args.format == "json":
-        _emit(_to_json(payload), args.output)
-    else:
-        lines = [
-            f"n = {w.n}, T = {format_rational(w.T)}",
-            f"L_crit = {format_rational(w.L_crit)}  (threshold attained: L K_n T^n = 1)",
-            f"C = {format_rational(w.C)}, sigma = {w.sigma}",
-            f"tau: [0,T/2) -> {format_rational(w.tau.first)}, [T/2,T) -> {format_rational(w.tau.second)}",
-            f"checks: {'all passed' if report.all_passed else report.first_failure}",
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0 if report.all_passed else 1
+    lines = [
+        f"n = {w.n}, T = {format_rational(w.T)}",
+        f"L_crit = {format_rational(w.L_crit)}  (threshold attained: L K_n T^n = 1)",
+        f"C = {format_rational(w.C)}, sigma = {w.sigma}",
+        f"tau: [0,T/2) -> {format_rational(w.tau.first)}, [T/2,T) -> {format_rational(w.tau.second)}",
+        f"checks: {'all passed' if report.all_passed else report.first_failure}",
+    ]
+    return payload, lines, status
 
 
 def _require(data: dict, key: str, path: str):
@@ -170,7 +149,7 @@ def _parse_step(data, path: str, period: Fraction) -> StepFunction:
         raise SchemaError(path, str(exc))
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> Result:
     with open(args.instance) as fh:
         try:
             data = json.load(fh)
@@ -204,56 +183,40 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             if v < 0:
                 raise SchemaError(f"p.values[{i}]", "weight values must be nonnegative")
         report = solve_weighted(n, T, p, tau)
-    payload = report.to_json_dict()
-    _emit(_to_json(payload), args.output)
-    return 0
+    return report.to_json_dict(), None, 0
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> Result:
     if args.weight:
-        T = _parse_rational_arg(args.T, "--T")
-        res = weight_threshold(args.n, T)
-        if args.format == "json":
-            _emit(_to_json(res.to_json_dict()), args.output)
-        else:
-            op = ">" if res.strict else ">="
-            _emit(f"||p||_L1 {op} {format_rational(res.exact)}\n", args.output)
-        return 0
-    L = _parse_rational_arg(args.L, "--L")
-    res = min_period_bound(args.n, L)
-    if args.format == "json":
-        _emit(_to_json(res.to_json_dict()), args.output)
-    else:
-        lines = [f"T^{args.n} >= {format_rational(res.exact)}"]
-        if args.n == 1:
-            lines.insert(0, f"T >= {format_rational(res.exact)}")
-        elif res.float_value is not None:
-            lines.append(f"T >= {res.float_value!r} (approx)")
-        lines.append(f"alpha({args.n}) = {res.extras['alpha_n']!r} (approx)")
-        lines.append(f"undeviated comparison: T >= {res.extras['ode_comparison']!r} (approx)")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+        res = weight_threshold(args.n, _parse_rational_arg(args.T, "--T"))
+        op = ">" if res.strict else ">="
+        return res.to_json_dict(), [f"||p||_L1 {op} {format_rational(res.exact)}"], 0
+    if args.L is None:
+        raise SchemaError("--L", "required unless --weight is given")
+    res = min_period_bound(args.n, _parse_rational_arg(args.L, "--L"))
+    lines = [f"T^{args.n} >= {format_rational(res.exact)}"]
+    if args.n == 1:
+        lines.insert(0, f"T >= {format_rational(res.exact)}")
+    elif res.float_value is not None:
+        lines.append(f"T >= {res.float_value!r} (approx)")
+    lines.append(f"alpha({args.n}) = {res.extras['alpha_n']!r} (approx)")
+    lines.append(f"undeviated comparison: T >= {res.extras['ode_comparison']!r} (approx)")
+    return res.to_json_dict(), lines, 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Result:
     rows = [r.to_json_dict() for r in conclusion_table(args.n_max)]
-    if args.format == "json":
-        _emit(_to_json(rows), args.output)
-    elif args.format == "csv":
-        _emit(_to_csv(rows), args.output)
-    else:
-        lines = []
-        for r in rows:
-            power = f"/T^{r['power']}" if r["power"] else ""
-            op = ">" if r["strict"] else ">="
-            flag = "  ** differs from published value {} **".format(r["published_value"]) if r["erratum_flag"] else ""
-            coeff = r["threshold"] if "/" not in r["threshold"] or not power else f"({r['threshold']})"
-            lines.append(f"{r['family']}_{r['n']} {op} {coeff}{power}{flag}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    lines = []
+    for r in rows:
+        power = f"/T^{r['power']}" if r["power"] else ""
+        op = ">" if r["strict"] else ">="
+        flag = "  ** differs from published value {} **".format(r["published_value"]) if r["erratum_flag"] else ""
+        coeff = r["threshold"] if "/" not in r["threshold"] or not power else f"({r['threshold']})"
+        lines.append(f"{r['family']}_{r['n']} {op} {coeff}{power}{flag}")
+    return rows, lines, 0
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
+def _cmd_suite(args: argparse.Namespace) -> Result:
     indices = None
     if args.criteria:
         try:
@@ -261,21 +224,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         except ValueError:
             raise SchemaError("--criteria", "expected a comma-separated list of integers")
     results = run_all(seed=args.seed, indices=indices)
-    if args.format == "json":
-        # no wall-clock fields: identical arguments and seed give identical bytes
-        payload = [
-            {
-                "index": r.index,
-                "name": r.name,
-                "passed": r.passed and r.within_time,
-                "detail": r.detail,
-            }
-            for r in results
-        ]
-        _emit(_to_json(payload), args.output)
-    else:
-        _emit("\n".join(r.line() for r in results) + "\n", args.output)
-    return 0 if all(r.passed and r.within_time for r in results) else 1
+    # no wall-clock fields in the payload: identical arguments and seed give identical JSON bytes
+    payload = [
+        {"index": r.index, "name": r.name, "passed": r.passed and r.within_time, "detail": r.detail} for r in results
+    ]
+    return payload, [r.line() for r in results], 0 if all(r["passed"] for r in payload) else 1
 
 
 @functools.cache
@@ -288,13 +241,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    all_formats = ("text", "json", "csv")
+
+    def output_options(p: argparse.ArgumentParser, func, formats=("text", "json")) -> None:
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--output", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("constants", help="Favard constants K_n by all exact routes")
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--route", choices=("all",) + ROUTES, default="all")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_constants)
+    output_options(p, _cmd_constants, all_formats)
 
     p = sub.add_parser("kernel", help="kernel phi_n sampling and its optimal centering")
     p.add_argument("--n", type=int, required=True)
@@ -302,9 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=16, help="count (>= 1); rows are held in memory, so time and memory grow with it"
     )
     p.add_argument("--min-abs", action="store_true", help="report the minimized |phi_n - xi| integral")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_kernel)
+    output_options(p, _cmd_kernel, all_formats)
 
     p = sub.add_parser("witness", help="build and verify the extremal periodic solution")
     p.add_argument("--n", type=int, required=True)
@@ -312,46 +268,48 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--emit-samples", type=int, default=0, metavar="K", help="CSV of K equispaced (t, y(t)) float pairs (0: none)"
     )
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_witness)
+    output_options(p, _cmd_witness)
 
     p = sub.add_parser("solve", help="solvability analysis of a periodic problem instance (JSON file)")
     p.add_argument("instance", help="path to the instance JSON")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_solve)
+    output_options(p, _cmd_solve, formats=())
 
     p = sub.add_parser("bounds", help="sharp period or weight thresholds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", default=None, help="Lipschitz constant (rational string)")
     p.add_argument("--weight", action="store_true", help="weight-threshold mode (needs --T)")
     p.add_argument("--T", default="1")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_bounds)
+    output_options(p, _cmd_bounds)
 
     p = sub.add_parser("table", help="threshold coefficient table with erratum flags")
     p.add_argument("--n-max", type=int, default=5)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_table)
+    output_options(p, _cmd_table, all_formats)
 
     p = sub.add_parser("suite", help="run the acceptance criteria and print the pass/fail matrix")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--criteria", default=None, help="comma-separated criterion indices (default: all)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_suite)
+    output_options(p, _cmd_suite)
 
     return parser
 
 
 def dispatch(args: argparse.Namespace) -> int:
-    if args.command == "bounds" and not args.weight and args.L is None:
-        print("usage error: --L is required unless --weight is given", file=sys.stderr)
-        return 2
+    """Run one subcommand and write its result in the requested format (JSON where it has no --format)."""
     try:
-        return args.func(args)
+        payload, lines, status = args.func(args)
+        fmt = getattr(args, "format", "json")
+        if fmt == "json":
+            out = _to_json(payload)
+        elif fmt == "csv" or lines is None:
+            out = _to_csv(payload)
+        else:
+            out = "\n".join(lines) + "\n"
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(out)
+        else:
+            sys.stdout.write(out)
+        return status
     except SchemaError as exc:
         print(f"usage error at {exc}", file=sys.stderr)
         return 2

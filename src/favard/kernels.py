@@ -20,8 +20,11 @@ isolation. For polynomial kernels the median is unique: no level set has
 positive measure.
 
 The Green function of x^(n) = f with x(0) = x(T) = 0 and periodic interior
-derivatives is the one function ``green_eval``:
+derivatives is
 G(t, s) = scale * (B_n(t/T) - B_n(0) - PB_n((t-s)/T) + B_n(1 - s/T)).
+``green_apply`` integrates its own copy of G against a polynomial forcing,
+split at s = t; ``green_eval`` evaluates G pointwise and has no caller in the
+package (the tests integrate it to cross-check ``green_apply``).
 The prefactor commonly printed as T^n/n! fails the u^(n) = f residual check
 (u = integral of G f must scale as T^n f); the dimensionally consistent
 scale = T^(n-1)/n! is used here and confirmed by the shipped residual tests.

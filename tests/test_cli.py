@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -44,9 +45,9 @@ def test_bounds_first_order_text(capsys):
 
 
 def test_bounds_requires_L(capsys):
-    code, _, err = run_cli(capsys, "bounds", "--n", "2")
-    assert code == 2
-    assert "usage error" in err
+    code, out, err = run_cli(capsys, "bounds", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "usage error at --L: required unless --weight is given\n"
 
 
 def test_bounds_weight_mode(capsys):
@@ -99,6 +100,13 @@ def test_witness_samples_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "t,y"
     assert len(lines) == 9
+
+
+def test_witness_samples_json(capsys):
+    # --format json applies to the sample rows too; the text view of the samples is their CSV
+    code, out, _ = run_cli(capsys, "witness", "--n", "3", "--emit-samples", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == [{"t": "0", "y": -1.0}, {"t": "1/2", "y": 1.0}]
 
 
 def test_table_flags_exactly_two_errata(capsys):
@@ -422,6 +430,8 @@ def test_suite_unknown_criterion_exits_2(capsys, argv, unknown):
         ["kernel", "--n", "3", "--samples", "-3", "--format", "json"],
         ["witness", "--n", "3", "--emit-samples", "-2"],
         ["witness", "--n", "3", "--emit-samples", "-2", "--format", "json"],
+        ["kernel", "--n", "3", "--min-abs", "--samples", "-5"],
+        ["kernel", "--n", "3", "--min-abs", "--samples", "0", "--format", "json"],
     ],
 )
 def test_non_positive_sample_count_exits_2(capsys, argv):
@@ -444,3 +454,42 @@ def test_output_file(tmp_path, capsys):
     assert out == ""
     content = target.read_text()
     assert content.startswith("family,n,threshold")
+
+
+ALL_FORMATS = ("text", "json", "csv")
+TEXT_JSON = ("text", "json")
+# every subcommand and mode with each --format it accepts (solve has no --format and prints JSON);
+# kept cheap: orders at most 4, at most 4 samples, one acceptance criterion
+FORMAT_MATRIX = {
+    "constants": (["constants", "--n-max", "4"], ALL_FORMATS),
+    "kernel-samples": (["kernel", "--n", "3", "--samples", "4"], ALL_FORMATS),
+    "kernel-min-abs": (["kernel", "--n", "3", "--min-abs"], ALL_FORMATS),
+    "witness": (["witness", "--n", "3"], TEXT_JSON),
+    "witness-samples": (["witness", "--n", "3", "--emit-samples", "4"], TEXT_JSON),
+    "bounds-L": (["bounds", "--n", "3", "--L", "1"], TEXT_JSON),
+    "bounds-weight": (["bounds", "--n", "3", "--weight"], TEXT_JSON),
+    "table": (["table", "--n-max", "3"], ALL_FORMATS),
+    "suite": (["suite", "--criteria", "1"], TEXT_JSON),
+    "solve": (["solve", str(Path(__file__).parent / "golden" / "instances" / "solve_lipschitz.json")], (None,)),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, fmt", [(mode, fmt) for mode, (_, formats) in FORMAT_MATRIX.items() for fmt in formats]
+)
+def test_format_matrix(capsys, mode, fmt):
+    argv = FORMAT_MATRIX[mode][0]
+    code, out, err = run_cli(capsys, *argv, *(["--format", fmt] if fmt else []))
+    assert code == 0 and err == "" and out.endswith("\n")
+    if fmt == "text":
+        return
+    if fmt != "csv":
+        json.loads(out)
+        return
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows
+    # the CSV carries the JSON view's rows (a JSON object is one row) under the same keys
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(json_out)
+    payload = [payload] if isinstance(payload, dict) else payload
+    assert [set(row) for row in rows] == [set(item) for item in payload]

@@ -24,6 +24,11 @@ CASES = {
     "witness_text": ["witness", "--n", "6", "--T", "1/3"],
     "witness_n14_T97": ["witness", "--n", "14", "--T", "97", "--format", "json"],
     "witness_samples_n3": ["witness", "--n", "3", "--T", "5/2", "--emit-samples", "8"],
+    "witness_samples_n3_json": ["witness", "--n", "3", "--T", "5/2", "--emit-samples", "8", "--format", "json"],
+    "constants_text": ["constants", "--n-max", "8"],
+    "kernel_min_abs_text": ["kernel", "--n", "6", "--min-abs"],
+    "kernel_samples_n3_text": ["kernel", "--n", "3", "--samples", "8", "--format", "text"],
+    "bounds_weight_text": ["bounds", "--n", "3", "--weight", "--T", "5/2"],
     "suite_c4_c6": ["suite", "--criteria", "4,6", "--format", "json"],
     "suite_c7_c11": ["suite", "--criteria", "7,11", "--format", "json"],
     "kernel_samples_n3": ["kernel", "--n", "3", "--samples", "8"],
