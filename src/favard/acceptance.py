@@ -173,11 +173,11 @@ def _criterion_green(seed: int) -> tuple[bool, str]:
     f = bernoulli_polynomial(1)
     for n in range(2, 6):
         u = green_solution_polynomial(n, T, f)
-        # the interpolated polynomial must agree with the Green integral off the nodes
+        # the solution built by periodic antiderivatives must agree with the Green integral
         for _ in range(6):
             t = Fraction(rng.randint(1, 1022), 1023)
             if u(t) != green_apply(n, T, f, t):
-                return False, f"n={n}: interpolant disagrees with the Green integral at {t}"
+                return False, f"n={n}: solution disagrees with the Green integral at {t}"
         if u(0) != 0 or u(T) != 0:
             return False, f"n={n}: boundary values u(0)={u(0)}, u(T)={u(T)}"
         d = u

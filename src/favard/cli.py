@@ -218,7 +218,7 @@ def _cmd_table(args: argparse.Namespace) -> Result:
 
 def _cmd_suite(args: argparse.Namespace) -> Result:
     indices = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             indices = [int(x) for x in args.criteria.split(",")]
         except ValueError:
@@ -319,6 +319,9 @@ def dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact rationals may have any number of digits; lift the int<->str digit limit where it exists
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     return dispatch(args)

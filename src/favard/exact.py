@@ -61,7 +61,6 @@ __all__ = [
     "PiecewisePolynomial",
     "StepFunction",
     "periodic_antiderivatives",
-    "lagrange_interpolate",
 ]
 
 
@@ -516,21 +515,3 @@ def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolyno
         P, pden = [[c // g for c in r] for r in P], qden * q // g
     return pw._from_rows([[p * (r[0] * s - m)] + [p * c * s for c in r[1:]] for r in rows], qden * q)
 
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Polynomial:
-    """Exact interpolating polynomial through distinct rational points (Newton form)."""
-    xs = [to_rational(x) for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    ys = [to_rational(y) for _, y in points]
-    # divided differences
-    coef = list(ys)
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = Polynomial.zero()
-    basis = Polynomial.const(1)
-    for i, c in enumerate(coef):
-        poly = poly + basis * c
-        basis = basis * Polynomial.of(-xs[i], 1)
-    return poly

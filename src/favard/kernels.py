@@ -23,8 +23,10 @@ The Green function of x^(n) = f with x(0) = x(T) = 0 and periodic interior
 derivatives is
 G(t, s) = scale * (B_n(t/T) - B_n(0) - PB_n((t-s)/T) + B_n(1 - s/T)).
 ``green_apply`` integrates its own copy of G against a polynomial forcing,
-split at s = t; ``green_eval`` evaluates G pointwise and has no caller in the
-package (the tests integrate it to cross-check ``green_apply``).
+split at s = t; ``green_eval`` evaluates G pointwise (the tests integrate it).
+``green_solution_polynomial`` uses neither: convolution with PB_n is the
+n-fold zero-mean periodic antiderivative I^n (``exact.periodic_antiderivatives``),
+integral(PB_n((t - s)/T) g(s), s = 0..T) = -n! T^(1-n) I^n[g - mean g](t).
 The prefactor commonly printed as T^n/n! fails the u^(n) = f residual check
 (u = integral of G f must scale as T^n f); the dimensionally consistent
 scale = T^(n-1)/n! is used here and confirmed by the shipped residual tests.
@@ -38,11 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    PiecewisePolynomial,
     Polynomial,
     RationalLike,
     format_rational,
     frac_part,
-    lagrange_interpolate,
+    periodic_antiderivatives,
     to_float,
     to_rational,
 )
@@ -187,17 +190,18 @@ def green_apply(n: int, T: RationalLike, f: Polynomial, t: RationalLike) -> Frac
 
 
 def green_solution_polynomial(n: int, T: RationalLike, f: Polynomial) -> Polynomial:
-    """The solution u as an exact polynomial in t, reconstructed by interpolation.
-
-    u is a single polynomial of degree at most n + deg f + 1 on [0, T]; exact
-    samples of the Green integral at that many distinct rational nodes pin it
-    down, which gives an independent object to differentiate n times.
-    """
+    """u = integral(G(., s) f(s), s = 0..T) as an exact polynomial in t, built with I^n:
+    u(t) = scale * (B_n(t/T) - B_n(0)) * integral(f) + I^n[g](t) - I^n[g](0), g = f - mean f,
+    with I^n applied to the one piece of g(T u) of period T; no Green function is sampled."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     T = to_rational(T)
-    degree = n + max(f.degree, 0) + 1
-    nodes = [T * Fraction(i, degree + 1) for i in range(degree + 2)]
-    points = [(x, green_apply(n, T, f, x)) for x in nodes]
-    return lagrange_interpolate(points)
+    g = f.compose_linear(0, T)
+    mean = g.integrate(0, 1)
+    (I,) = periodic_antiderivatives(PiecewisePolynomial((0, 1), (g - Polynomial.const(mean),), T), n).pieces
+    Bn = bernoulli_polynomial(n)
+    u = (Bn - Polynomial.const(Bn(0))) * (T**n * mean / math.factorial(n)) + I - Polynomial.const(I(0))
+    return u.compose_linear(0, 1 / T)
 
 
 def phi_samples(n: int, count: int) -> list[dict]:

@@ -16,6 +16,9 @@ determinant decides unique solvability with no discretization error.
 Kernel integrals use phi_n(2 pi u) = -(2 pi)^(n-1) PB_n(u) / n!; the 2 pi
 powers cancel against the representation prefactor, leaving entries that are
 exact rationals times powers of T (the pi bookkeeping resolves away). The
+convolution is the n-fold zero-mean periodic antiderivative I^n
+(``exact.periodic_antiderivatives``), which builds whole solutions:
+integral(PB_n((t - s)/T) g(s), s = 0..T) = -n! T^(1-n) I^n[g - mean g](t). The
 free shift xi enters as a rank-one update absorbed by the constant column, so
 verdicts are exactly xi-invariant. The periodic extension convention
 y(z - T) = y(z), tau(z - T) = tau(z) is realized by wrapping all kernel
@@ -58,7 +61,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import RationalLike, StepFunction, format_rational, to_rational
+from .exact import (
+    PiecewisePolynomial,
+    RationalLike,
+    StepFunction,
+    format_rational,
+    periodic_antiderivatives,
+    to_rational,
+)
 from .numbers import bernoulli_polynomial, eval_periodic
 
 __all__ = [
@@ -227,16 +237,15 @@ def _step_kernel(
     tau: StepFunction,
     cuts: tuple[Fraction, ...],
     weight: StepFunction,
-    points: list[Fraction] | None = None,
 ) -> tuple[list[Fraction], list[list[Fraction]], list[Fraction]]:
-    """Samples s_j (the sorted deviation values), one row per point t (default:
-    the samples) and the row of weight integrals over the preimages P_j.
+    """Samples s_j (the sorted deviation values), one row per sample t and the
+    row of weight integrals over the preimages P_j.
 
     Entry j of the row for t sums w * (E_k - E_{k+1}) over the pieces
     [c_k, c_{k+1}) of ``cuts`` in P_j, with weight w and E_k = PB_{n+1}((t - c_k)/T):
     (n + 1)/T times integral(w * PB_n((t - sigma)/T)), across wraps too, as
     PB_{n+1} is a continuous antiderivative. Each piece gets its column and
-    weight once, each cut one evaluation per point.
+    weight once, each cut one evaluation per sample.
     """
     samples = sorted(set(tau.values))
     col = {v: j for j, v in enumerate(samples)}
@@ -249,7 +258,7 @@ def _step_kernel(
             pieces.append((k, j, w))
     Bn1 = bernoulli_polynomial(n + 1)
     rows = []
-    for t in samples if points is None else points:
+    for t in samples:
         E = [eval_periodic(Bn1, (t - c) / T) for c in cuts]
         row = [Fraction(0)] * len(samples)
         for k, j, w in pieces:
@@ -434,20 +443,17 @@ def reconstruct_solution(
     sys: ReducedSystem,
     samples: tuple[Fraction, ...],
     constant: Fraction,
-    t: RationalLike,
-) -> Fraction:
-    """Exact y(t) from the representation, given the solved samples and C_1.
+) -> PiecewisePolynomial:
+    """The exact solution y = L * I^n[z - mean z] + C_1 (see the module docstring) from
+    the solved samples and C_1, with z the step taking samples[j] on the preimage of s_j.
 
-    y(t) = -(T^(n-1) L / n!) * integral(PB_n((t - sigma)/T) z(sigma)) + C_1
-    with z the step built from the samples over the deviation preimages.
-    Evaluating at a sample point s_j reproduces samples[j] by construction.
+    I^n does not use the reduction's rows, so y(s_j) = samples[j] checks them.
     """
     if sys.kind != "lipschitz" or sys.L is None or sys.tau is None:
         raise ValueError("reconstruction applies to the Lipschitz reduction")
-    t = to_rational(t)
-    n, T, L = sys.n, sys.T, sys.L
-    _, (row,), _ = _step_kernel(n, T, sys.tau, sys.tau.breakpoints, StepFunction.constant(1, T), [t])
-    return -L * T**n / math.factorial(n + 1) * sum(v * x for v, x in zip(samples, row)) + constant
+    by_value = dict(zip(sys.sample_points, samples))
+    z = StepFunction(sys.tau.breakpoints, [by_value[v] for v in sys.tau.values], sys.T)
+    return (periodic_antiderivatives(z.as_piecewise().zero_mean(), sys.n) * sys.L).plus_constant(constant)
 
 
 def contraction_norm(sys: ReducedSystem) -> Fraction:

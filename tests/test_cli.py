@@ -412,13 +412,19 @@ def test_suite_subset_and_determinism(capsys):
         (["suite", "--criteria", "3,99"], "99"),
         (["suite", "--criteria", "3,99", "--format", "json"], "99"),
         (["suite", "--criteria", "0,12,5", "--format", "json"], "0, 12"),
+        (["suite", "--criteria", ""], None),
+        (["suite", "--criteria", ","], None),
     ],
 )
 def test_suite_unknown_criterion_exits_2(capsys, argv, unknown):
-    # an unknown index is a usage error before any criterion runs, not an empty passing matrix
+    # an unknown index, or an explicitly empty list, is a usage error before any
+    # criterion runs, not an empty or full passing matrix
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"no criterion {unknown}" in err
+    if unknown is None:
+        assert err == "usage error at --criteria: expected a comma-separated list of integers\n"
+    else:
+        assert f"no criterion {unknown}" in err
 
 
 @pytest.mark.parametrize(
@@ -493,3 +499,155 @@ def test_format_matrix(capsys, mode, fmt):
     payload = json.loads(json_out)
     payload = [payload] if isinstance(payload, dict) else payload
     assert [set(row) for row in rows] == [set(item) for item in payload]
+
+
+# ------------------------------------------------------------ digits past the int<->str limit
+
+LONG_SOLVE = {
+    "kind": "lipschitz",
+    "n": 3,
+    "T": "1e1500",
+    "L": "1",
+    "tau": {"breakpoints": ["0", "5e1499", "1e1500"], "values": ["0", "5e1499"]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, field, expected",
+    [
+        (["witness", "--n", "3", "--T", "1e-2000", "--format", "json"], "L_crit", None),
+        (["bounds", "--n", "1", "--L", "1e-5000", "--format", "json"], "exact", "4" + "0" * 5000),
+        (["bounds", "--n", "2", "--L", "7" * 4400, "--format", "json"], "exact", None),
+        (["solve"], "determinant", None),
+    ],
+    ids=["witness-tiny-T", "bounds-tiny-L", "bounds-4400-digit-L", "solve-huge-T"],
+)
+def test_rationals_past_the_int_str_digit_limit(tmp_path, capsys, argv, field, expected):
+    # Python limits int<->str conversions to 4,300 digits by default; exact rationals
+    # on the command line and in its output may be longer
+    if argv == ["solve"]:
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(LONG_SOLVE))
+        argv = ["solve", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    value = json.loads(out)[field]
+    assert len(value) > 4300
+    assert expected in (None, value)
+
+
+# ------------------------------------------------------------ argument fuzz
+
+EXTREME_RATIONALS = [
+    "1e-5000",
+    "1e5000",
+    "-1e-300",
+    "7" * 4400,
+    "1/" + "3" * 4400,
+    "-" + "9" * 4301 + "/7",
+]
+ORDINARY_RATIONALS = ["0", "-1", "1", "5/2", "1/3", " 2/7 ", "0.125"]
+BAD_ARGS = ["", "1/0", "abc", "nan", "inf", "1e", "--1", "1/-0"]
+ARG_RATIONALS = st.one_of(
+    st.sampled_from(EXTREME_RATIONALS),
+    st.sampled_from(ORDINARY_RATIONALS),
+    st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(1, 10**6)),
+    st.sampled_from(BAD_ARGS),
+)
+# mostly positive: periods, Lipschitz constants and weights must be, so these reach the computation
+POSITIVE_MOSTLY = st.one_of(
+    st.sampled_from([x for x in EXTREME_RATIONALS + ORDINARY_RATIONALS if "-" not in x and x != "0"]), ARG_RATIONALS
+)
+FORMATS = st.sampled_from(["text", "json", "text", "json", "csv", "xml"])
+MALFORMED_JSON = ["", "{", "[1, 2", "null", '{"kind":', '{"kind": "lipschitz"}', "\u0000", '{"n": 1e999}']
+
+
+@st.composite
+def solve_documents(draw):
+    """Instance text: malformed JSON, or a Lipschitz/weighted instance (n <= 3, three
+    pieces) whose period, constants and step values are extreme rationals."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(MALFORMED_JSON))
+    m = draw(st.integers(1, 9))
+    e = draw(st.sampled_from([-2000, -300, 0, 1, 300, 1500]))
+    doc = {
+        "kind": draw(st.sampled_from(["lipschitz", "weighted"])),
+        "n": draw(st.sampled_from([1, 2, 3, 0])),
+        "T": f"{4 * m}e{e}",
+        "L": draw(POSITIVE_MOSTLY),
+        "tau": {
+            "breakpoints": ["0", f"{m}e{e}", f"{2 * m}e{e}", f"{4 * m}e{e}"],
+            "values": [draw(st.sampled_from(["0", f"{m}e{e}", f"{3 * m}e{e}", f"{4 * m}e{e}"])) for _ in range(3)],
+        },
+        "p": {
+            "breakpoints": ["0", f"{2 * m}e{e}", f"{4 * m}e{e}"],
+            "values": [draw(POSITIVE_MOSTLY) for _ in range(2)],
+        },
+    }
+    if draw(st.booleans()):
+        doc["C"] = draw(POSITIVE_MOSTLY)
+    return json.dumps(doc)
+
+
+def orders(cap):
+    return st.integers(-1, cap).map(str)  # passed as --n=<order>, so -1 reaches the program
+
+
+@st.composite
+def cli_arguments(draw):
+    """(argv, instance text or None) for any subcommand. Order caps keep each example
+    cheap: witness n <= 8 and weight-mode bounds n <= 12 (their exact outputs grow with
+    T^n), kernel --min-abs n <= 24, constants and table n-max <= 60, bounds --L n <= 400,
+    kernel sampling n <= 650 with at most 4 samples; suite runs only criteria 1, 3 and 10."""
+    command = draw(st.sampled_from(["constants", "kernel", "witness", "solve", "bounds", "table", "suite"]))
+    argv = [command]
+    if command == "constants":
+        argv += [f"--n-max={draw(orders(60))}", "--route", draw(st.sampled_from(["all", "recurrence", "nope"]))]
+    elif command == "kernel":
+        if draw(st.booleans()):
+            argv += [f"--n={draw(orders(24))}", "--min-abs"]
+        else:
+            argv += [f"--n={draw(orders(650))}"]
+        argv += [f"--samples={draw(st.integers(-1, 4))}"]
+    elif command == "witness":
+        argv += [f"--n={draw(orders(8))}", f"--T={draw(POSITIVE_MOSTLY)}", f"--emit-samples={draw(st.integers(-1, 3))}"]
+    elif command == "bounds":
+        if draw(st.booleans()):
+            argv += [f"--n={draw(orders(12))}", "--weight", f"--T={draw(POSITIVE_MOSTLY)}"]
+        else:
+            argv += [f"--n={draw(orders(400))}"]
+            if draw(st.integers(0, 3)):
+                argv += [f"--L={draw(POSITIVE_MOSTLY)}"]
+    elif command == "table":
+        argv += [f"--n-max={draw(orders(60))}"]
+    elif command == "suite":
+        criteria = st.sampled_from(["", ",", "1", "3,10", "1,,3", " 10", "x", "99", "-1"])
+        argv += [f"--criteria={draw(criteria)}", f"--seed={draw(st.integers(-(10**9), 10**9))}"]
+    if command == "solve":
+        return argv, draw(solve_documents())
+    if draw(st.booleans()):
+        argv += ["--format", draw(FORMATS)]
+    return argv, None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cli_arguments())
+def test_any_arguments_exit_cleanly(case):
+    # every subcommand either answers (exit 0) or reports a usage error (exit 2, nothing
+    # on stdout); no input ends in a traceback
+    argv, instance = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if instance is not None:
+            path = Path(tmp) / "instance.json"
+            path.write_text(instance)
+            argv = argv + [str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""

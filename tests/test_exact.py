@@ -12,7 +12,6 @@ from favard.exact import (
     StepFunction,
     format_rational,
     frac_part,
-    lagrange_interpolate,
     to_float,
     to_rational,
 )
@@ -251,11 +250,3 @@ class TestStepFunction:
         s = StepFunction((F(0), F(5, 6), F(5, 2)), (F(1), F(-3)), F(5, 2))
         assert s.as_piecewise() == PiecewisePolynomial.step((0, F(1, 3), 1), (1, -3), F(5, 2))
 
-
-def test_lagrange_interpolation():
-    p = Polynomial.of(F(1, 3), -2, 0, 5)
-    nodes = [F(i, 7) for i in range(5)]
-    rebuilt = lagrange_interpolate([(x, p(x)) for x in nodes])
-    assert rebuilt == p
-    with pytest.raises(ValueError):
-        lagrange_interpolate([(F(0), F(1)), (F(0), F(2))])

@@ -7,7 +7,7 @@ import pytest
 
 from favard import kernels
 from favard.constants import favard_closed_form
-from favard.exact import Polynomial, lagrange_interpolate
+from favard.exact import Polynomial
 from favard.kernels import (
     centered_abs_integral,
     green_apply,
@@ -18,6 +18,41 @@ from favard.kernels import (
     phi_samples,
 )
 from favard.numbers import bernoulli_polynomial
+
+
+def lagrange_interpolate(points):
+    """Reference: the exact interpolating polynomial through distinct rational points (Newton form)."""
+    xs = [F(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    coef = [F(y) for _, y in points]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    poly = Polynomial.zero()
+    basis = Polynomial.const(1)
+    for i, c in enumerate(coef):
+        poly = poly + basis * c
+        basis = basis * Polynomial.of(-xs[i], 1)
+    return poly
+
+
+def test_lagrange_interpolation():
+    p = Polynomial.of(F(1, 3), -2, 0, 5)
+    nodes = [F(i, 7) for i in range(5)]
+    rebuilt = lagrange_interpolate([(x, p(x)) for x in nodes])
+    assert rebuilt == p
+    with pytest.raises(ValueError):
+        lagrange_interpolate([(F(0), F(1)), (F(0), F(2))])
+
+
+def reference_green_solution_polynomial(n, T, f):
+    """Reference: u interpolated from exact samples of the Green integral. u is a single
+    polynomial of degree at most n + deg f + 1 on [0, T], pinned down by that many nodes."""
+    T = F(T)
+    degree = n + max(f.degree, 0) + 1
+    nodes = [T * F(i, degree + 1) for i in range(degree + 2)]
+    return lagrange_interpolate([(x, green_apply(n, T, f, x)) for x in nodes])
 
 
 def phi_poly(n):
@@ -180,6 +215,8 @@ class TestGreen:
     def test_requires_second_order(self):
         with pytest.raises(ValueError):
             green_eval(1, 1, 0, 0)
+        with pytest.raises(ValueError):
+            green_solution_polynomial(1, 1, Polynomial.const(1))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_residual_exact(self, n):
@@ -196,11 +233,26 @@ class TestGreen:
                     d = d.derivative()
                     assert d(0) == d(T)
 
-    def test_interpolant_matches_integral_off_nodes(self):
+    def test_solution_matches_green_integral(self):
         f = Polynomial.of(0, 1)
         u = green_solution_polynomial(3, F(1), f)
-        for t in (F(1, 7), F(3, 11), F(12, 13)):
+        for t in (F(0), F(1, 7), F(3, 11), F(12, 13), F(1)):
             assert u(t) == green_apply(3, F(1), f, t)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_interpolation_route(self, n, monkeypatch):
+        forcings = [
+            Polynomial.const(1),
+            bernoulli_polynomial(1),
+            Polynomial.of(F(3, 2), F(-1, 3), F(5, 7)),  # mean over [0, T] is never 0 here
+            Polynomial.of(F(1, 5), -2, 0, F(7, 3)),
+        ]
+        cases = [(T, f) for T in (F(1), F(5, 2), F(1, 3)) for f in forcings]
+        expected = [reference_green_solution_polynomial(n, T, f) for T, f in cases]
+        calls = []
+        monkeypatch.setattr(kernels, "green_apply", lambda *args: calls.append(args))
+        assert [green_solution_polynomial(n, T, f) for T, f in cases] == expected
+        assert calls == []
 
     def test_uncorrected_scale_fails_residual(self):
         # the commonly printed prefactor T^n/n! yields u^(n) = T f, not f:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from favard.constants import favard_closed_form
+from favard.exact import Polynomial
 from favard.kernels import min_abs_integral
 from favard.sampling import random_deviation, random_weight
 from favard.solver import (
@@ -165,8 +166,9 @@ class TestSolvePeriodic:
         assert report.status == "unique"
         assert report.solution_samples == (F(1),)
         sys = reduce_system(1, 1, 2, tau)
+        y = reconstruct_solution(sys, report.solution_samples, report.constant)
         for t in (F(0), F(1, 3), F(7, 8)):
-            assert reconstruct_solution(sys, report.solution_samples, report.constant, t) == 1
+            assert y(t) == 1
 
     def test_homogeneous_below_threshold_trivial(self):
         rng = random.Random(9)
@@ -189,14 +191,23 @@ class TestSolvePeriodic:
         assert all(v == F(-5, 7) / 12 for v in report.solution_samples)
 
     def test_reconstruction_fixed_point(self):
-        # reconstructed y reproduces the solved samples at the sample points
+        # y built by periodic antiderivatives, for any sample values v and constant,
+        # takes at s_i the value the reduction's row i gives, sum_j A_ij v_j + C_1;
+        # for a solved (here: non-constant kernel) vector that is v_i itself
         rng = random.Random(29)
-        tau = random_deviation(rng, F(1))
-        sys = reduce_system(2, 1, F(10), tau)
-        report = solve_periodic(2, 1, F(10), tau, F(1, 3))
-        assert report.status == "unique"
-        for s, v in zip(sys.sample_points, report.solution_samples):
-            assert reconstruct_solution(sys, report.solution_samples, report.constant, s) == v
+        for n in (1, 2, 3, 4):
+            for T in (F(1), F(5, 2)):
+                tau = random_deviation(rng, T)
+                sys = reduce_system(n, T, F(10), tau)
+                v = tuple([F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in sys.sample_points])
+                y = reconstruct_solution(sys, v, F(1, 3))
+                rows = [sum([a * x for a, x in zip(row, v)], F(1, 3)) for row in sys.kernel_matrix]
+                assert [y(s) for s in sys.sample_points] == rows
+        L = 1 / favard_closed_form(2)
+        report = solve_periodic(2, 1, L, witness_tau(2), 0)
+        sys = reduce_system(2, 1, L, witness_tau(2))
+        y = reconstruct_solution(sys, report.solution_samples, report.constant)
+        assert tuple([y(s) for s in sys.sample_points]) == report.solution_samples != (0, 0)
 
     def test_L_zero_degenerate(self):
         tau = StepFunction.constant(F(0), F(1))
@@ -227,26 +238,25 @@ class TestSolvePeriodic:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_reconstruction_satisfies_ode(self, n):
-        # independent closure: y from the representation obeys
-        # y^(n)(t) = L y(tau(t)) + C, checked by exact finite differences
-        # (y is piecewise polynomial of degree <= n between tau breakpoints,
-        # so an n-th central difference inside one piece is exact)
-        from math import comb
-
-        tau = StepFunction((F(0), F(1, 3), F(3, 4), F(1)), (F(1, 2), F(0), F(7, 8)), F(1))
-        L, C = F(7), F(2, 5)
-        report = solve_periodic(n, 1, L, tau, C)
-        assert report.status == "unique"
-        sys = reduce_system(n, 1, L, tau)
-
-        def y(t):
-            return reconstruct_solution(sys, report.solution_samples, report.constant, t)
-
-        for lo, hi, _ in tau.intervals():
-            t = (lo + hi) / 2
-            h = (hi - lo) / (2 * (n + 2))
-            fd = sum((-1) ** k * comb(n, k) * y(t + (F(n, 2) - k) * h) for k in range(n + 1))
-            assert fd / h**n == L * y(tau(t)) + C
+        # y^(n) = L y(tau) + C exactly on every piece, read off by differentiating the
+        # pieces n times, and y, .., y^(n-1) agree across the period end. The forced
+        # problem's unique solution is the constant -C/L; the witness deviation at the
+        # threshold gives a non-constant one from the kernel vector, with C = 0.
+        for T in (F(1), F(5, 2)):
+            forced = StepFunction((0, T / 3, 3 * T / 4, T), (T / 2, 0, 7 * T / 8), T)
+            critical = 1 / (favard_closed_form(n) * T**n)
+            cases = ((forced, F(7), F(2, 5), "unique"), (witness_tau(n, T), critical, 0, "nontrivial_kernel"))
+            for tau, L, C, status in cases:
+                report = solve_periodic(n, T, L, tau, C)
+                assert report.status == status
+                y = reconstruct_solution(reduce_system(n, T, L, tau), report.solution_samples, report.constant)
+                assert all([p.degree <= 0 for p in y.pieces]) == (status == "unique")
+                d = y
+                for _ in range(n):
+                    assert d.value_in_unit(F(0)) == d.left_limit_in_unit(F(1))
+                    d = d.derivative()
+                assert d.breakpoints == tau.as_piecewise().breakpoints
+                assert list(d.pieces) == [Polynomial.const(L * y(v) + C) for v in tau.values]
 
     def test_witness_singular_at_nonunit_period(self):
         T = F(5, 2)

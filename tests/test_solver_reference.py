@@ -7,7 +7,9 @@ the Fraction Gauss-Jordan kernel vector singular systems used before the
 elimination became rank-revealing. ``reference_reduce_system``,
 ``reference_reduce_weighted`` and ``reference_reconstruct`` are the
 per-(sample, value, interval) double loops the reductions used before each
-breakpoint was evaluated once per sample. ``reference_assemble`` is the
+breakpoint was evaluated once per sample; ``reconstruct_solution`` now
+integrates with periodic antiderivatives instead, so ``reference_reconstruct``
+checks it by a different route. ``reference_assemble`` is the
 layout of the full homogeneous matrix the reductions stored before
 ``ReducedSystem.matrix`` was derived from the kernel and constraint row.
 """
@@ -302,7 +304,7 @@ class TestReductionsAgainstDoubleLoops:
         values = data.draw(st.lists(entries, min_size=len(samples), max_size=len(samples)))
         t = data.draw(st.sampled_from(list(tau.breakpoints) + [T / 5, T * F(9, 7), F(-1, 3)]))
         expected = reference_reconstruct(n, T, L, tau, values, F(2, 3), t)
-        assert reconstruct_solution(sys, tuple(values), F(2, 3), t) == expected
+        assert reconstruct_solution(sys, tuple(values), F(2, 3))(t) == expected
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(step_instances())
