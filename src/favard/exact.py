@@ -41,6 +41,7 @@ function, so instances are safe to share between threads.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from bisect import bisect_right
@@ -79,8 +80,57 @@ def format_rational(x: Fraction) -> str:
     """Serialize as ``"p/q"``, omitting the denominator when it is 1."""
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_str(x.numerator)
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+
+
+# str(int) takes time quadratic in the digit count; past about this many bits
+# the divide and conquer of _int_str is faster.
+_STR_BITS = 1 << 16
+
+
+def _int_str(n: int) -> str:
+    """``str(n)``, the same bytes, in time near linear in the digit count for large n.
+
+    Past _STR_BITS bits the bits are split in halves, each half converted to a
+    ``Decimal`` and the two recombined as hi * 2^k + lo, as CPython 3.12's
+    ``_pylong`` does, in a local exact context (the thread's decimal context is
+    never touched). Where the interpreter limits int/str conversion, a result
+    longer than the limit raises the ValueError ``str(n)`` raises.
+    """
+    if abs(n).bit_length() <= _STR_BITS:
+        return str(n)
+    D = decimal.Decimal
+    ctx = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
+    )
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        p = powers.get(w)
+        if p is None:
+            if w <= 128:
+                p = ctx.power(D(2), w)
+            elif w - 1 in powers:
+                p = ctx.add(powers[w - 1], powers[w - 1])
+            else:
+                p = ctx.multiply(pow2(w >> 1), pow2(w - (w >> 1)))
+            powers[w] = p
+        return p
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        if w <= 128:
+            return D(m)
+        k = w >> 1
+        hi = m >> k
+        return ctx.add(ctx.multiply(convert(hi, w - k), pow2(k)), convert(m - (hi << k), k))
+
+    m = abs(n)
+    digits = str(convert(m, m.bit_length()))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit < len(digits):
+        return str(n)
+    return digits if n > 0 else "-" + digits
 
 
 def to_float(x: Fraction, root: int = 1, pi_power: int = 0) -> float | None:

@@ -31,21 +31,36 @@ walk the pieces of the partition once, giving each its column and weight, and
 evaluate PB_{n+1} once per (sample, breakpoint); each entry is a sum of
 differences of those values.
 
+From the kernel to the end of elimination everything is integer. Each
+sample's row is evaluated on its own grid 1/G (the lcm of the breakpoint
+denominators over T and that sample's own), so the PB_{n+1} values are integer
+Horner sums over one common denominator per row and the weights share one
+denominator. The reductions then fold the factor L T^n / (n+1)!, the
+identity, the -1 column and the xi term into each row, clear it once and
+divide it by the gcd of its entries: the system is stored as primitive
+integer rows with a rational scale each (see :class:`ReducedSystem`), never
+as Fractions, and those rows are no larger than the ones elimination used
+to clear from the rational matrix.
+
 Every verdict comes from one rank-revealing integer Bareiss elimination of
-[M | rhs] (rhs only on the forced path): full rank gives the determinant and,
-by fraction-free back substitution, the exact solution; rank below the size
-gives determinant 0 and the kernel vector whose first free variable is 1 and
-other free variables 0, the nontrivial periodic solution reported at the
-threshold.
+those rows, augmented on the forced path by the right-hand side, which only
+the constraint row has and which is cleared together with it: full rank
+gives the determinant (the product of the row scales times the last pivot)
+and, by fraction-free back substitution, the exact solution; rank below the
+size gives determinant 0 and the kernel vector whose first free variable is
+1 and other free variables 0, the nontrivial periodic solution reported at
+the threshold.
 
 Edge case: L = 0 degenerates (the homogeneous problem then admits all
 constants, but the zero-mean row no longer follows from y^(n) = 0), so it is
 special-cased to a nontrivial-kernel verdict instead of being decided by the
 reduced system's determinant, on the homogeneous and the forced path alike.
 
-The float margin is advisory: when an entry of the reduced matrix does not
-fit in a double it is reported as null with the reason in the provenance,
-and the exact determinant verdict stands alone.
+The float margin is advisory: its matrix takes each entry from the integer
+rows by one correctly rounded int / int division, the same double a Fraction
+converts to. When an entry does not fit in a double the margin is reported
+as null with the reason in the provenance, and the exact determinant verdict
+stands alone.
 
 Instance analyses are pure functions of their inputs and independent of each
 other, so they can run concurrently; the exact elimination inside one
@@ -58,6 +73,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -65,11 +81,12 @@ from .exact import (
     PiecewisePolynomial,
     RationalLike,
     StepFunction,
+    _horner,
     format_rational,
     periodic_antiderivatives,
     to_rational,
 )
-from .numbers import bernoulli_polynomial, eval_periodic
+from .numbers import bernoulli_polynomial
 
 __all__ = [
     "ReducedSystem",
@@ -93,19 +110,21 @@ NEAR_SINGULAR_BAND = 1e-10
 class ReducedSystem:
     """Finite exact system equivalent to the periodic problem for step data.
 
-    ``kernel_matrix`` is the bare J x J kernel A (needed for contraction norms)
-    and ``constraint_row`` the zero-mean constraint on y^(n). ``matrix`` is
-    derived from them on first use: the (J+1) x (J+1) homogeneous system in
-    (y(s_1)..y(s_J), C_1), whose rows 0..J-1 encode
-    v_i - sum_j A_ij v_j - C_1 = 0 and whose last row is the constraint. All
-    entries are exact rationals.
+    The (J+1) x (J+1) homogeneous system in (y(s_1)..y(s_J), C_1) is stored as
+    primitive integer ``rows`` (each with content 1) and their ``scales``, each a
+    pair (p, q) of ints: row i of the system is p / q times rows[i]. Rows
+    0..J-1 encode v_i - sum_j A_ij v_j - C_1 = 0 and the last row is the
+    zero-mean constraint on y^(n). ``matrix`` (the system as Fractions),
+    ``kernel_matrix`` (the bare J x J kernel A, needed for contraction norms)
+    and ``constraint_row`` are derived from them on first use; the verdict
+    paths never build them.
     """
 
     n: int
     T: Fraction
     sample_points: tuple[Fraction, ...]
-    kernel_matrix: tuple[tuple[Fraction, ...], ...]
-    constraint_row: tuple[Fraction, ...]
+    rows: tuple[tuple[int, ...], ...]
+    scales: tuple[tuple[int, int], ...]
     kind: str  # "lipschitz" | "weighted"
     tau: "StepFunction | None" = None
     L: Fraction | None = None
@@ -113,17 +132,25 @@ class ReducedSystem:
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        rows = [
-            (*[int(i == j) - a for j, a in enumerate(row)], Fraction(-1)) for i, row in enumerate(self.kernel_matrix)
-        ]
-        return (*rows, (*self.constraint_row, Fraction(0)))
+        return tuple([tuple([Fraction(p * x, q) for x in row]) for row, (p, q) in zip(self.rows, self.scales)])
+
+    @cached_property
+    def kernel_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            [tuple([int(i == j) - x for j, x in enumerate(row[:-1])]) for i, row in enumerate(self.matrix[:-1])]
+        )
+
+    @cached_property
+    def constraint_row(self) -> tuple[Fraction, ...]:
+        return self.matrix[-1][:-1]
 
     @property
     def size(self) -> int:
         return len(self.sample_points) + 1
 
     def determinant(self) -> Fraction:
-        return fraction_determinant(self.matrix)
+        rows, scales = _integer_system(self)
+        return _eliminate(rows, *_product(scales), False)[0]
 
 
 @dataclass(frozen=True)
@@ -151,31 +178,64 @@ class SolveReport:
         return out
 
 
-def _bareiss(
-    matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]",
-    rhs: list[Fraction] | None = None,
-) -> tuple[Fraction, list[Fraction] | None, list[Fraction] | None]:
-    """(determinant, solution, kernel vector) of a square system from one Bareiss pass.
+def _product(scales: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The product of the scales (p, q), as one pair (numerator, denominator)."""
+    num = den = 1
+    for p, q in scales:
+        num *= p
+        den *= q
+    return num, den
 
-    Each row of [M | rhs] is cleared to integers by its own denominator, then
-    eliminated with exact integer divisions (Bareiss 1968); a column with no
-    pivot is skipped, so the pass ends in row echelon form and reveals the
-    rank. The last pivot D is the leading minor of the scaled, row-permuted M
-    on the pivot columns, so D x is integral by Cramer's rule and back
-    substitution stays in integers until x = y / D. Full rank gives the
-    determinant and, given ``rhs``, the solution; otherwise the determinant is
-    0 and the kernel vector has its first free variable 1, the other free
-    variables 0 (the vector Gauss-Jordan reduction reads off).
+
+def _primitive(row: list[int], p: int, q: int) -> tuple[tuple[int, ...], tuple[int, int]]:
+    """p / q times ``row`` as a primitive integer row and its scale, reduced; a zero row keeps scale 1."""
+    g = math.gcd(*row)
+    if g == 0:
+        return tuple(row), (1, 1)
+    p *= g
+    h = math.gcd(p, q)
+    return tuple([x // g for x in row]), (p // h, q // h)
+
+
+def _integer_system(
+    sys: ReducedSystem, rhs: Fraction | None = None
+) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Fresh integer rows and scales of [M | 0 ... 0 rhs], or of M when ``rhs`` is None.
+
+    Every row but the last is homogeneous. The forced constraint row
+    p / q rows[-1] . x = rhs is cleared together with its right-hand side into
+    one primitive integer row.
     """
-    m = len(matrix)
-    width = m if rhs is None else m + 1
-    scale = 1
-    rows: list[list[int]] = []
-    for i, row in enumerate(matrix):
-        entries = list(row) if rhs is None else [*row, rhs[i]]
-        denom = math.lcm(*(x.denominator for x in entries))
-        scale *= denom
-        rows.append([x.numerator * (denom // x.denominator) for x in entries])
+    rows, scales = [list(row) for row in sys.rows], list(sys.scales)
+    if rhs is not None:
+        for row in rows[:-1]:
+            row.append(0)
+        (p, q), (rp, rq) = scales[-1], rhs.as_integer_ratio()
+        last, scales[-1] = _primitive([*[p * rq * x for x in rows[-1]], rp * q], 1, q * rq)
+        rows[-1] = list(last)
+    return rows, scales
+
+
+def _eliminate(
+    rows: list[list[int]], num: int, den: int, augmented: bool
+) -> tuple[Fraction, list[Fraction] | None, list[Fraction] | None]:
+    """(determinant, solution, kernel vector) of the square system whose row i is
+    s_i times ``rows[i]``, from one Bareiss pass over the integer rows (changed in place).
+
+    ``num / den`` is the product of the row scales s_i; with ``augmented`` the
+    last entry of each row is its right-hand side. The rows are eliminated
+    with exact integer divisions (Bareiss 1968); a column with no pivot is
+    skipped, so the pass ends in row echelon form and reveals the rank. The
+    last pivot D is the leading minor of the row-permuted integer matrix on
+    the pivot columns, so D x is integral by Cramer's rule and back
+    substitution stays in integers until x = y / D. Row scales change neither
+    the solution nor the kernel. Full rank gives the determinant and, when
+    augmented, the solution; otherwise the determinant is 0 and the kernel
+    vector has its first free variable 1, the other free variables 0 (the
+    vector Gauss-Jordan reduction reads off).
+    """
+    m = len(rows)
+    width = m + augmented
     sign = 1
     prev = 1
     pivots: list[int] = []
@@ -197,8 +257,8 @@ def _bareiss(
         prev = pk
         pivots.append(col)
     free = next((c for c in range(m) if c not in pivots), None)
-    if free is None and rhs is None:
-        return Fraction(sign * prev, scale), None, None
+    if free is None and not augmented:
+        return Fraction(sign * prev * num, den), None, None
     y = [0] * m
     if free is not None:
         y[free] = prev
@@ -207,8 +267,24 @@ def _bareiss(
         y[col] = (b - sum(row[j] * y[j] for j in range(col + 1, m))) // row[col]
     x = [Fraction(v, prev) for v in y]
     if free is None:
-        return Fraction(sign * prev, scale), x, None
+        return Fraction(sign * prev * num, den), x, None
     return Fraction(0), None, x
+
+
+def _bareiss(
+    matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]",
+    rhs: list[Fraction] | None = None,
+) -> tuple[Fraction, list[Fraction] | None, list[Fraction] | None]:
+    """(determinant, solution, kernel vector) of a rational square system: each row of
+    [M | rhs] is cleared to integers by its own denominator, then :func:`_eliminate` runs."""
+    den = 1
+    rows: list[list[int]] = []
+    for i, row in enumerate(matrix):
+        entries = list(row) if rhs is None else [*row, rhs[i]]
+        d = math.lcm(*[x.denominator for x in entries])
+        den *= d
+        rows.append([x.numerator * (d // x.denominator) for x in entries])
+    return _eliminate(rows, 1, den, rhs is not None)
 
 
 def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]") -> Fraction:
@@ -231,40 +307,112 @@ def _validate_deviation(tau: StepFunction, T: Fraction) -> None:
             raise ValueError(f"deviation value {v} outside [0, T]")
 
 
+def _over(x: Fraction, tp: int, tq: int) -> tuple[int, int]:
+    """x / T, with T = tp / tq, as a reduced pair (numerator, denominator)."""
+    p, q = x.as_integer_ratio()
+    p, q = p * tq, q * tp
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _on_pieces(f: StepFunction, cuts: tuple[Fraction, ...]) -> list[Fraction]:
+    """The value of f on each piece [cuts[k], cuts[k+1]) of cuts, which contain f's breakpoints."""
+    out, i = [], 0
+    for lo in cuts[:-1]:
+        if lo == f.breakpoints[i + 1]:
+            i += 1
+        out.append(f.values[i])
+    return out
+
+
 def _step_kernel(
     n: int,
     T: Fraction,
     tau: StepFunction,
     cuts: tuple[Fraction, ...],
     weight: StepFunction,
-) -> tuple[list[Fraction], list[list[Fraction]], list[Fraction]]:
-    """Samples s_j (the sorted deviation values), one row per sample t and the
-    row of weight integrals over the preimages P_j.
+) -> tuple[list[Fraction], list[list[int]], list[int], list[int], int]:
+    """Samples s_j (the sorted deviation values), one integer row per sample s with
+    its denominator, and the integer row of weight integrals over the preimages
+    P_j with its denominator.
 
-    Entry j of the row for t sums w * (E_k - E_{k+1}) over the pieces
-    [c_k, c_{k+1}) of ``cuts`` in P_j, with weight w and E_k = PB_{n+1}((t - c_k)/T):
-    (n + 1)/T times integral(w * PB_n((t - sigma)/T)), across wraps too, as
+    Entry j of the row for s sums w * (E_k - E_{k+1}) over the pieces
+    [c_k, c_{k+1}) of ``cuts`` in P_j, with weight w and E_k = PB_{n+1}((s - c_k)/T):
+    (n + 1)/T times integral(w * PB_n((s - sigma)/T)), across wraps too, as
     PB_{n+1} is a continuous antiderivative. Each piece gets its column and
     weight once, each cut one evaluation per sample.
+
+    All of it is integer arithmetic. The weights share one denominator W. For
+    each sample, s/T and every c_k/T lie on one grid of step 1/G, with G the lcm
+    of the cut denominators and that sample's own: a grid per row, so the
+    denominators of different samples never multiply. With s/T = a/G and
+    c_k/T = b_k/G, (s - c_k)/T mod 1 = ((a - b_k) mod G)/G and E_k is the homogeneous Horner
+    sum of B_{n+1}'s integer numerators there, over D G^(n+1) with D their
+    common denominator. Row i is rows[i] / dens[i] with dens[i] = W D G^(n+1),
+    and the weight integral over P_j is T constraint[j] / cden with cden = W G_c,
+    G_c the cuts' lcm.
     """
+    tp, tq = T.as_integer_ratio()
+    grid = [_over(c, tp, tq) for c in cuts]
+    Gc = math.lcm(*[q for _, q in grid])
+    N = [p * (Gc // q) for p, q in grid]
     samples = sorted(set(tau.values))
     col = {v: j for j, v in enumerate(samples)}
-    constraint = [Fraction(0)] * len(samples)
+    ratios = [w.as_integer_ratio() for w in _on_pieces(weight, cuts)]
+    W = math.lcm(*[q for _, q in ratios])
+    constraint = [0] * len(samples)
     pieces = []
-    for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        j, w = col[tau(lo)], weight(lo)
-        constraint[j] += w * (hi - lo)
+    for k, (v, (p, q)) in enumerate(zip(_on_pieces(tau, cuts), ratios)):
+        j, w = col[v], p * (W // q)
         if w:
+            constraint[j] += w * (N[k + 1] - N[k])
             pieces.append((k, j, w))
-    Bn1 = bernoulli_polynomial(n + 1)
-    rows = []
-    for t in samples:
-        E = [eval_periodic(Bn1, (t - c) / T) for c in cuts]
-        row = [Fraction(0)] * len(samples)
+    nums, D = bernoulli_polynomial(n + 1)._integer_form
+    rows, dens = [], []
+    for s in samples:
+        a, b = _over(s, tp, tq)
+        G = math.lcm(Gc, b)
+        a, m = a * (G // b), G // Gc
+        E = [_horner(nums, (a - x * m) % G, G)[0] for x in N]
+        row = [0] * len(samples)
         for k, j, w in pieces:
             row[j] += w * (E[k] - E[k + 1])
         rows.append(row)
-    return samples, rows, constraint
+        dens.append(W * D * G ** (n + 1))
+    return samples, rows, dens, constraint, W * Gc
+
+
+def _system_rows(
+    T: Fraction,
+    kernel: tuple[list[list[int]], list[int], list[int], int],
+    c: Fraction,
+    b: Fraction = Fraction(0),
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+    """Primitive rows and scales of [I - A | -1] over [constraint | 0] from the integer
+    kernel (rows, dens, constraint, cden) of :func:`_step_kernel`, where
+    A_ij = -c rows[i][j] / dens[i] - b m_j and m_j = T constraint[j] / cden is the weight
+    integral over P_j.
+
+    Row i times M = lcm(dens[i] c.denominator, bq), with b T / cden = bp / bq, is
+    integral; dividing by the gcd of its entries makes it primitive, and its
+    scale is that gcd over M.
+    """
+    rows, dens, constraint, cden = kernel
+    tp, tq = T.as_integer_ratio()
+    cp, cq = c.numerator, c.denominator
+    bp, bq = b.numerator * tp, b.denominator * tq * cden
+    out = []
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        M = math.lcm(den * cq, bq) if bp else den * cq
+        f = cp * (M // (den * cq))
+        ints = [f * x for x in row]
+        if bp:
+            g = bp * (M // bq)
+            ints = [x + g * y for x, y in zip(ints, constraint)]
+        ints[i] += M
+        out.append(_primitive([*ints, -M], 1, M))
+    out.append(_primitive([*constraint, 0], tp, tq * cden))
+    return tuple([r for r, _ in out]), tuple([s for _, s in out])
 
 
 def reduce_system(
@@ -288,11 +436,11 @@ def reduce_system(
     if L < 0:
         raise ValueError("L must be >= 0")
     _validate_deviation(tau, T)
-    samples, rows, measure = _step_kernel(n, T, tau, tau.breakpoints, StepFunction.constant(1, T))
-    factor = -L * T**n / math.factorial(n + 1)
+    c = L * T**n / math.factorial(n + 1)
     xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
-    kernel = tuple([tuple([factor * acc - xi_factor * m for acc, m in zip(row, measure)]) for row in rows])
-    return ReducedSystem(n, T, tuple(samples), kernel, tuple(measure), "lipschitz", tau, L, xi)
+    samples, *kernel = _step_kernel(n, T, tau, tau.breakpoints, StepFunction.constant(1, T))
+    rows, scales = _system_rows(T, kernel, c, xi_factor)
+    return ReducedSystem(n, T, tuple(samples), rows, scales, "lipschitz", tau, L, xi)
 
 
 def reduce_weighted(
@@ -316,20 +464,24 @@ def reduce_weighted(
     if any(v < 0 for v in p.values):
         raise ValueError("weight must be nonnegative")
     _validate_deviation(tau, T)
+    c = T**n / math.factorial(n + 1)
     cuts = tuple(sorted(set(p.breakpoints) | set(tau.breakpoints)))
-    samples, rows, constraint = _step_kernel(n, T, tau, cuts, p)
-    factor = -(T**n) / math.factorial(n + 1)
-    kernel = tuple([tuple([factor * acc for acc in row]) for row in rows])
-    return ReducedSystem(n, T, tuple(samples), kernel, tuple(constraint), "weighted", tau)
+    samples, *kernel = _step_kernel(n, T, tau, cuts, p)
+    rows, scales = _system_rows(T, kernel, c)
+    return ReducedSystem(n, T, tuple(samples), rows, scales, "weighted", tau)
 
 
 MARGIN_OVERFLOW = "reduced matrix entry exceeds the float64 range"
 
 
 def _margin(sys: ReducedSystem) -> tuple[float | None, np.ndarray | None]:
-    """Smallest singular value of the float matrix, and the matrix; (None, None) on overflow."""
+    """Smallest singular value of the float matrix, and the matrix; (None, None) on overflow.
+
+    Each entry p x / q is one correctly rounded int / int division, the double
+    ``float`` gives for the same rational as a Fraction, overflowing alike.
+    """
     try:
-        matrix = np.array([[float(x) for x in row] for row in sys.matrix], dtype=np.float64)
+        matrix = np.array([[p * x / q for x in row] for row, (p, q) in zip(sys.rows, sys.scales)], dtype=np.float64)
     except OverflowError:
         return None, None
     return float(np.linalg.svd(matrix, compute_uv=False)[-1]), matrix
@@ -342,8 +494,9 @@ def _near_singular(sys: ReducedSystem, margin: float | None, matrix: np.ndarray 
     if margin is None or margin >= NEAR_SINGULAR_BAND * float(np.linalg.norm(matrix)):
         return False
     scaled = matrix.copy()
+    (p, q), (tp, tq) = sys.scales[-1], sys.T.as_integer_ratio()
     try:
-        scaled[-1] = [float(x / sys.T) for x in sys.matrix[-1]]
+        scaled[-1] = [p * x * tq / (q * tp) for x in sys.rows[-1]]
     except OverflowError:
         return True
     return bool(np.linalg.svd(scaled, compute_uv=False)[-1] < NEAR_SINGULAR_BAND * np.linalg.norm(scaled))
@@ -359,15 +512,17 @@ def _degenerate_l0() -> SolveReport:
     )
 
 
-def _report(sys: ReducedSystem, rhs: list[Fraction] | None, provenance: dict) -> SolveReport:
-    """The verdict from one elimination of the reduced matrix, with ``rhs`` on the forced path.
+def _report(sys: ReducedSystem, rhs: Fraction | None, provenance: dict) -> SolveReport:
+    """The verdict from one elimination of the reduced rows, with ``rhs`` the right-hand
+    side of the constraint row on the forced path (every other row is homogeneous).
 
     A zero determinant reports ``nontrivial_kernel`` with the kernel vector as
     samples and constant. Otherwise a forced system is ``unique`` with its
     solution, and a homogeneous one ``unique`` or ``near_singular`` by the
     float margin (see :func:`_near_singular`).
     """
-    det, solution, kernel = _bareiss(sys.matrix, rhs)
+    rows, scales = _integer_system(sys, rhs)
+    det, solution, kernel = _eliminate(rows, *_product(scales), rhs is not None)
     margin, matrix = _margin(sys)
     if margin is None:
         provenance["margin_unavailable"] = MARGIN_OVERFLOW
@@ -421,8 +576,8 @@ def solve_periodic(
     if L == 0:
         # Degenerate: y^(n) = C has periodic solutions iff C = 0, then all constants.
         return _degenerate_l0()
+    rhs = -C * T / L
     sys = reduce_system(n, T, L, tau)
-    rhs = [Fraction(0)] * len(sys.sample_points) + [-C * T / L]
     return _report(sys, rhs, {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False})
 
 

@@ -536,6 +536,18 @@ def test_rationals_past_the_int_str_digit_limit(tmp_path, capsys, argv, field, e
     assert expected in (None, value)
 
 
+def test_bounds_with_a_threshold_of_400000_digits(capsys):
+    # 4 / (K_79 T^79) at T = 10^-5000: the exact field is printed by divide and conquer
+    # (str(int) took about 5 s here); length and end digits as printed before
+    code, out, err = run_cli(capsys, "bounds", "--n", "80", "--weight", "--T", "1e-5000", "--format", "json")
+    assert code == 0 and err == ""
+    exact = json.loads(out)["exact"]
+    assert len(exact) == 395221 and exact.index("/") == 395142
+    assert exact.startswith("111641502605198018577836575931")
+    assert exact[:395142].isdigit() and exact[395143:].isdigit()
+    assert exact.endswith("195814110016561779")
+
+
 # ------------------------------------------------------------ argument fuzz
 
 EXTREME_RATIONALS = [

@@ -1,5 +1,7 @@
 import json
 import math
+import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favard.exact import (
+    _STR_BITS,
     PiecewisePolynomial,
     Polynomial,
     StepFunction,
@@ -22,6 +25,65 @@ def test_rational_string_round_trip():
         assert to_rational(format_rational(x)) == x
     assert format_rational(F(8, 2)) == "4"
     assert format_rational(F(-3, 9)) == "-1/3"
+
+
+@pytest.fixture
+def int_str_limit():
+    """Set the interpreter's int/str digit limit for one test and put the old one back."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+def same_as_str(n, text):
+    """text == str(n), checked without str's quadratic conversion: sign, length, the
+    leading and trailing 50 digits, and n modulo two primes read back from the digits."""
+    m = abs(n)
+    digits = text[1:] if n < 0 else text
+    assert text.startswith("-") == (n < 0) and digits.isdigit() and digits[0] != "0"
+    scale = 10 ** (len(digits) - 50)
+    assert scale * 10**49 <= m < scale * 10**50
+    assert int(digits[:50]) == m // scale
+    assert int(digits[-50:]) == m % 10**50
+    for p in (2**61 - 1, 2**89 - 1):
+        acc = 0
+        for i in range(0, len(digits), 18):
+            chunk = digits[i : i + 18]
+            acc = (acc * 10 ** len(chunk) + int(chunk)) % p
+        assert acc == m % p
+
+
+def test_format_rational_matches_str(int_str_limit):
+    int_str_limit(0)
+    rng = random.Random(15)
+    # across the switch-over to divide and conquer, then 10^3 to 10^5 digits
+    bits = [_STR_BITS - 1, _STR_BITS, _STR_BITS + 1] + [math.ceil(d * math.log2(10)) for d in (10**3, 10**4, 10**5)]
+    for b in bits:
+        n = rng.getrandbits(b) | 1 << (b - 1)
+        for x in (n, -n):
+            assert format_rational(F(x)) == str(x)
+        d = rng.getrandbits(b // 2) | 1
+        assert format_rational(F(-n, d)) == f"{F(-n, d).numerator}/{F(-n, d).denominator}"
+    # str(int) would take about 20 s at 10^6 digits
+    n = rng.getrandbits(math.ceil(10**6 * math.log2(10)))
+    for x in (n, -n):
+        same_as_str(x, format_rational(F(x)))
+
+
+def test_format_rational_keeps_the_digit_limit(int_str_limit):
+    int_str_limit(4300)
+    assert format_rational(F(10**4299)) == "1" + "0" * 4299
+    for x in (10**4300, -(10**30000), F(1, 3**70000)):
+        with pytest.raises(ValueError) as ours:
+            format_rational(F(x))
+        with pytest.raises(ValueError) as theirs:
+            str(F(x).numerator if F(x).denominator == 1 else F(x).denominator)
+        assert str(ours.value) == str(theirs.value)
+    int_str_limit(50000)
+    n = 7**50000  # 42,255 digits: divide and conquer under the limit
+    assert format_rational(F(n)) == str(n)
 
 
 def test_to_float():

@@ -12,11 +12,14 @@ integrates with periodic antiderivatives instead, so ``reference_reconstruct``
 checks it by a different route. ``reference_assemble`` is the
 layout of the full homogeneous matrix the reductions stored before
 ``ReducedSystem.matrix`` was derived from the kernel and constraint row.
+``reference_clear`` is the row clearing elimination did on that matrix before
+the reductions built primitive integer rows themselves.
 """
 
 import math
 from fractions import Fraction as F
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +27,10 @@ from favard.numbers import bernoulli_polynomial, eval_periodic
 from favard.solver import (
     StepFunction,
     _bareiss,
+    _eliminate,
+    _integer_system,
+    _margin,
+    _product,
     fraction_determinant,
     nullspace_vector,
     reconstruct_solution,
@@ -155,6 +162,14 @@ def reference_assemble(kernel, constraint):
     return full
 
 
+def reference_clear(row):
+    """A rational row times the lcm of its denominators, divided by the gcd of the result."""
+    d = math.lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (d // x.denominator) for x in row]
+    g = math.gcd(*ints) or 1
+    return tuple([x // g for x in ints])
+
+
 def reference_reconstruct(n, T, L, tau, samples, constant, t):
     Bn1 = bernoulli_polynomial(n + 1)
     by_value = dict(zip(sorted(tau.preimages()), samples))
@@ -270,12 +285,12 @@ PERIODS = (F(1), F(3, 2), F(2), F(5, 3))
 
 
 @st.composite
-def step_instances(draw):
+def step_instances(draw, periods=PERIODS):
     """(n, T, L, xi, tau, p): tau on a grid of T/12, p on a grid of T/10, so their
     breakpoints interleave and sometimes coincide; tau values repeat and include
     0 and T; p has zero pieces."""
     n = draw(st.integers(1, 4))
-    T = draw(st.sampled_from(PERIODS))
+    T = draw(st.sampled_from(periods))
     tau_bps = [F(0)] + [T * F(k, 12) for k in sorted(draw(st.sets(st.integers(1, 11), max_size=6)))] + [T]
     pool = [F(0), T, T / 3, T / 2, T * F(3, 4), T * F(1, 7)]
     tau_vals = draw(st.lists(st.sampled_from(pool), min_size=len(tau_bps) - 1, max_size=len(tau_bps) - 1))
@@ -300,6 +315,7 @@ class TestReductionsAgainstDoubleLoops:
         assert [list(row) for row in sys.kernel_matrix] == kernel
         assert list(sys.constraint_row) == constraint
         assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
+        assert list(sys.rows) == [reference_clear(row) for row in sys.matrix]
         assert sys.size == len(sys.matrix)
         values = data.draw(st.lists(entries, min_size=len(samples), max_size=len(samples)))
         t = data.draw(st.sampled_from(list(tau.breakpoints) + [T / 5, T * F(9, 7), F(-1, 3)]))
@@ -316,3 +332,71 @@ class TestReductionsAgainstDoubleLoops:
         assert [list(row) for row in sys.kernel_matrix] == kernel
         assert list(sys.constraint_row) == constraint
         assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
+        assert list(sys.rows) == [reference_clear(row) for row in sys.matrix]
+
+    def test_adversarial_denominators(self):
+        # deviation values T k / p for distinct primes p, breakpoints on a grid of T / 29 and
+        # weight breakpoints on one of T / 31: the per-row grids differ in every row
+        T = F(7, 3)
+        values = [T * F(1, 11), T * F(2, 13), T * F(3, 17), T * F(5, 19), T * F(4, 23), T, F(0)]
+        bps = [F(0)] + [T * F(k, 29) for k in (2, 5, 9, 13, 14, 20, 27)] + [T]
+        tau = StepFunction(bps, values + [T * F(3, 17)], T)
+        p = StepFunction([F(0), T * F(4, 31), T * F(17, 31), T], [F(2, 5), F(0), F(9, 7)], T)
+        for n in range(1, 5):
+            for L, xi in ((F(1), F(0)), (F(5, 2), F(-2, 3))):
+                sys = reduce_system(n, T, L, tau, xi=xi)
+                samples, kernel, constraint = reference_reduce_system(n, T, L, tau, xi)
+                assert list(sys.sample_points) == samples
+                assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
+                assert list(sys.rows) == [reference_clear(row) for row in sys.matrix]
+            sys = reduce_weighted(n, T, p, tau)
+            samples, kernel, constraint = reference_reduce_weighted(n, T, p, tau)
+            assert list(sys.sample_points) == samples
+            assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
+            assert list(sys.rows) == [reference_clear(row) for row in sys.matrix]
+
+
+# ------------------------------------------------------------ integer rows
+
+# periods whose reduced entries overflow or underflow a double at some order n
+EXTREME_PERIODS = PERIODS + (F(10) ** 90, F(1, 10**100), F(10**150, 7))
+
+
+def floats(rows, scales=None):
+    """float(x) for every entry, or with ``scales`` the int / int quotient p x / q for every
+    entry x of a row with scale (p, q); None when one overflows."""
+    try:
+        if scales is None:
+            return [[float(x) for x in row] for row in rows]
+        return [[p * x / q for x in row] for row, (p, q) in zip(rows, scales)]
+    except OverflowError:
+        return None
+
+
+def hexes(matrix):
+    return None if matrix is None else [[x.hex() for x in row] for row in matrix]
+
+
+class TestIntegerRows:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(step_instances(EXTREME_PERIODS), st.booleans(), entries)
+    def test_floats_and_elimination_match_the_fraction_matrix(self, instance, weighted, C):
+        n, T, L, xi, tau, p = instance
+        sys = reduce_weighted(n, T, p, tau) if weighted else reduce_system(n, T, L, tau, xi=xi)
+        expected = floats(sys.matrix)
+        margin, matrix = _margin(sys)
+        if expected is None:
+            assert margin is None and matrix is None
+        else:
+            assert hexes(matrix.tolist()) == hexes(expected)
+            assert margin == float(np.linalg.svd(np.array(expected), compute_uv=False)[-1])
+        rows, scales = _integer_system(sys)
+        assert _eliminate(rows, *_product(scales), False) == _bareiss(sys.matrix)
+        # the forced path: only the constraint row has a right-hand side
+        rhs = -C * T / L
+        rows, scales = _integer_system(sys, rhs)
+        augmented = [[*row, F(0)] for row in sys.matrix[:-1]] + [[*sys.matrix[-1], rhs]]
+        assert [[F(p * x, q) for x in row] for row, (p, q) in zip(rows, scales)] == augmented
+        assert hexes(floats(rows, scales)) == hexes(floats(augmented))
+        assert list(rows[-1]) == list(reference_clear(augmented[-1]))
+        assert _eliminate(rows, *_product(scales), True) == _bareiss(sys.matrix, [F(0)] * (sys.size - 1) + [rhs])
