@@ -27,7 +27,6 @@ from .exact import PiecewisePolynomial, Polynomial, StepFunction, format_rationa
 from .kernels import (
     MedianSplit,
     green_apply,
-    green_eval,
     green_solution_polynomial,
     min_abs_integral,
     phi_eval,
@@ -82,7 +81,6 @@ __all__ = [
     "favard_table",
     "format_rational",
     "green_apply",
-    "green_eval",
     "green_solution_polynomial",
     "min_abs_integral",
     "min_period_bound",

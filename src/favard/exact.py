@@ -320,10 +320,6 @@ class Polynomial:
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls([to_rational(s) for s in items])
-
 
 @dataclass(frozen=True)
 class PiecewisePolynomial:
@@ -477,14 +473,6 @@ class PiecewisePolynomial:
             "period": format_rational(self.period),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PiecewisePolynomial":
-        return cls(
-            tuple([to_rational(s) for s in data["breakpoints"]]),
-            tuple([Polynomial.from_strings(p) for p in data["pieces"]]),
-            to_rational(data["period"]),
-        )
-
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -521,24 +509,9 @@ class StepFunction:
         """The same function as constant pieces on the unit partition c_k / T."""
         return PiecewisePolynomial.step([b / self.period for b in self.breakpoints], self.values, self.period)
 
-    def intervals(self) -> list[tuple[Fraction, Fraction, Fraction]]:
-        return [
-            (self.breakpoints[i], self.breakpoints[i + 1], self.values[i])
-            for i in range(len(self.values))
-        ]
-
     def integral(self) -> Fraction:
-        return sum(
-            (v * (hi - lo) for lo, hi, v in self.intervals()),
-            Fraction(0),
-        )
-
-    def preimages(self) -> dict[Fraction, list[tuple[Fraction, Fraction]]]:
-        """Value -> list of intervals on which the function takes it."""
-        out: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
-        for lo, hi, v in self.intervals():
-            out.setdefault(v, []).append((lo, hi))
-        return out
+        bps = self.breakpoints
+        return sum((v * (hi - lo) for lo, hi, v in zip(bps, bps[1:], self.values)), Fraction(0))
 
 
 def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:

@@ -22,10 +22,10 @@ positive measure.
 The Green function of x^(n) = f with x(0) = x(T) = 0 and periodic interior
 derivatives is
 G(t, s) = scale * (B_n(t/T) - B_n(0) - PB_n((t-s)/T) + B_n(1 - s/T)).
-``green_apply`` integrates its own copy of G against a polynomial forcing,
-split at s = t; ``green_eval`` evaluates G pointwise (the tests integrate it).
-``green_solution_polynomial`` uses neither: convolution with PB_n is the
-n-fold zero-mean periodic antiderivative I^n (``exact.periodic_antiderivatives``),
+``green_apply`` integrates G against a polynomial forcing, split at s = t
+(the tests keep a pointwise G as a reference). ``green_solution_polynomial``
+does not use G: convolution with PB_n is the n-fold zero-mean periodic
+antiderivative I^n (``exact.periodic_antiderivatives``),
 integral(PB_n((t - s)/T) g(s), s = 0..T) = -n! T^(1-n) I^n[g - mean g](t).
 The prefactor commonly printed as T^n/n! fails the u^(n) = f residual check
 (u = integral of G f must scale as T^n f); the dimensionally consistent
@@ -44,7 +44,6 @@ from .exact import (
     Polynomial,
     RationalLike,
     format_rational,
-    frac_part,
     periodic_antiderivatives,
     to_float,
     to_rational,
@@ -57,7 +56,6 @@ __all__ = [
     "MedianSplit",
     "min_abs_integral",
     "centered_abs_integral",
-    "green_eval",
     "green_apply",
     "green_solution_polynomial",
     "phi_samples",
@@ -146,20 +144,6 @@ def centered_abs_integral(n: int, xi_coeff: RationalLike) -> tuple[Fraction, Fra
         raise ValueError("n must be >= 1")
     _, _, est, err = level_split(_phi_coefficient_poly(n), Fraction(0), Fraction(1), to_rational(xi_coeff))
     return 2 * est, 2 * err
-
-
-def green_eval(n: int, T: RationalLike, t: RationalLike, s: RationalLike) -> Fraction:
-    """Exact G(t, s) for x^(n) = f with x(0) = x(T) = 0 and periodic x', .., x^(n-2)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    T, t, s = to_rational(T), to_rational(t), to_rational(s)
-    if not (0 <= t <= T and 0 <= s <= T):
-        raise ValueError("need 0 <= t, s <= T")
-    scale = T ** (n - 1) / Fraction(math.factorial(n))
-    Bn = bernoulli_polynomial(n)
-    u_t = t / T
-    u_s = s / T
-    return scale * (Bn(u_t) - Bn(Fraction(0)) - Bn(frac_part(u_t - u_s)) + Bn(1 - u_s))
 
 
 def green_apply(n: int, T: RationalLike, f: Polynomial, t: RationalLike) -> Fraction:

@@ -35,12 +35,13 @@ From the kernel to the end of elimination everything is integer. Each
 sample's row is evaluated on its own grid 1/G (the lcm of the breakpoint
 denominators over T and that sample's own), so the PB_{n+1} values are integer
 Horner sums over one common denominator per row and the weights share one
-denominator. The reductions then fold the factor L T^n / (n+1)!, the
-identity, the -1 column and the xi term into each row, clear it once and
-divide it by the gcd of its entries: the system is stored as primitive
-integer rows with a rational scale each (see :class:`ReducedSystem`), never
-as Fractions, and those rows are no larger than the ones elimination used
-to clear from the rational matrix.
+denominator. In the same pass over the samples each row takes the factor
+L T^n / (n+1)!, the identity, the -1 column and the xi term, is cleared once
+and divided by the gcd of its entries: the system exists only as primitive
+integer rows with a Fraction scale each (see :class:`ReducedSystem`), and
+no matrix of Fractions is ever built. Those rows are no larger than the
+ones elimination used to clear from the rational matrix, and the exact
+contraction norm sums them directly.
 
 Every verdict comes from one rank-revealing integer Bareiss elimination of
 those rows, augmented on the forced path by the right-hand side, which only
@@ -71,9 +72,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -112,45 +111,28 @@ class ReducedSystem:
 
     The (J+1) x (J+1) homogeneous system in (y(s_1)..y(s_J), C_1) is stored as
     primitive integer ``rows`` (each with content 1) and their ``scales``, each a
-    pair (p, q) of ints: row i of the system is p / q times rows[i]. Rows
-    0..J-1 encode v_i - sum_j A_ij v_j - C_1 = 0 and the last row is the
-    zero-mean constraint on y^(n). ``matrix`` (the system as Fractions),
-    ``kernel_matrix`` (the bare J x J kernel A, needed for contraction norms)
-    and ``constraint_row`` are derived from them on first use; the verdict
-    paths never build them.
+    positive reduced Fraction: row i of the system is scales[i] times rows[i].
+    Rows 0..J-1 encode v_i - sum_j A_ij v_j - C_1 = 0 and the last row is the
+    zero-mean constraint on y^(n). This is the only form of the system: the
+    verdicts eliminate the rows and :func:`contraction_norm` sums them.
     """
 
     n: int
     T: Fraction
     sample_points: tuple[Fraction, ...]
     rows: tuple[tuple[int, ...], ...]
-    scales: tuple[tuple[int, int], ...]
+    scales: tuple[Fraction, ...]
     kind: str  # "lipschitz" | "weighted"
     tau: "StepFunction | None" = None
     L: Fraction | None = None
     xi: Fraction = Fraction(0)
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple([tuple([Fraction(p * x, q) for x in row]) for row, (p, q) in zip(self.rows, self.scales)])
-
-    @cached_property
-    def kernel_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            [tuple([int(i == j) - x for j, x in enumerate(row[:-1])]) for i, row in enumerate(self.matrix[:-1])]
-        )
-
-    @cached_property
-    def constraint_row(self) -> tuple[Fraction, ...]:
-        return self.matrix[-1][:-1]
 
     @property
     def size(self) -> int:
         return len(self.sample_points) + 1
 
     def determinant(self) -> Fraction:
-        rows, scales = _integer_system(self)
-        return _eliminate(rows, *_product(scales), False)[0]
+        return _eliminate(*_integer_system(self), False)[0]
 
 
 @dataclass(frozen=True)
@@ -178,51 +160,39 @@ class SolveReport:
         return out
 
 
-def _product(scales: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The product of the scales (p, q), as one pair (numerator, denominator)."""
-    num = den = 1
-    for p, q in scales:
-        num *= p
-        den *= q
-    return num, den
-
-
-def _primitive(row: list[int], p: int, q: int) -> tuple[tuple[int, ...], tuple[int, int]]:
-    """p / q times ``row`` as a primitive integer row and its scale, reduced; a zero row keeps scale 1."""
+def _primitive(row: list[int], p: int, q: int) -> tuple[tuple[int, ...], Fraction]:
+    """p / q times ``row`` as a primitive integer row and its scale; a zero row keeps scale 1."""
     g = math.gcd(*row)
     if g == 0:
-        return tuple(row), (1, 1)
-    p *= g
-    h = math.gcd(p, q)
-    return tuple([x // g for x in row]), (p // h, q // h)
+        return tuple(row), Fraction(1)
+    return tuple([x // g for x in row]), Fraction(p * g, q)
 
 
-def _integer_system(
-    sys: ReducedSystem, rhs: Fraction | None = None
-) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """Fresh integer rows and scales of [M | 0 ... 0 rhs], or of M when ``rhs`` is None.
+def _integer_system(sys: ReducedSystem, rhs: Fraction | None = None) -> tuple[list[list[int]], Fraction]:
+    """Fresh integer rows of [M | 0 ... 0 rhs], or of M when ``rhs`` is None, and the
+    product of their scales.
 
     Every row but the last is homogeneous. The forced constraint row
-    p / q rows[-1] . x = rhs is cleared together with its right-hand side into
-    one primitive integer row.
+    scales[-1] rows[-1] . x = rhs is cleared together with its right-hand side into
+    one primitive integer row. The product is reduced once, not after every factor.
     """
     rows, scales = [list(row) for row in sys.rows], list(sys.scales)
     if rhs is not None:
         for row in rows[:-1]:
             row.append(0)
-        (p, q), (rp, rq) = scales[-1], rhs.as_integer_ratio()
+        (p, q), (rp, rq) = scales[-1].as_integer_ratio(), rhs.as_integer_ratio()
         last, scales[-1] = _primitive([*[p * rq * x for x in rows[-1]], rp * q], 1, q * rq)
         rows[-1] = list(last)
-    return rows, scales
+    return rows, Fraction(math.prod([s.numerator for s in scales]), math.prod([s.denominator for s in scales]))
 
 
 def _eliminate(
-    rows: list[list[int]], num: int, den: int, augmented: bool
+    rows: list[list[int]], scale: Fraction, augmented: bool
 ) -> tuple[Fraction, list[Fraction] | None, list[Fraction] | None]:
     """(determinant, solution, kernel vector) of the square system whose row i is
     s_i times ``rows[i]``, from one Bareiss pass over the integer rows (changed in place).
 
-    ``num / den`` is the product of the row scales s_i; with ``augmented`` the
+    ``scale`` is the product of the row scales s_i; with ``augmented`` the
     last entry of each row is its right-hand side. The rows are eliminated
     with exact integer divisions (Bareiss 1968); a column with no pivot is
     skipped, so the pass ends in row echelon form and reveals the rank. The
@@ -258,7 +228,7 @@ def _eliminate(
         pivots.append(col)
     free = next((c for c in range(m) if c not in pivots), None)
     if free is None and not augmented:
-        return Fraction(sign * prev * num, den), None, None
+        return sign * prev * scale, None, None
     y = [0] * m
     if free is not None:
         y[free] = prev
@@ -267,7 +237,7 @@ def _eliminate(
         y[col] = (b - sum(row[j] * y[j] for j in range(col + 1, m))) // row[col]
     x = [Fraction(v, prev) for v in y]
     if free is None:
-        return Fraction(sign * prev * num, den), x, None
+        return sign * prev * scale, x, None
     return Fraction(0), None, x
 
 
@@ -284,7 +254,7 @@ def _bareiss(
         d = math.lcm(*[x.denominator for x in entries])
         den *= d
         rows.append([x.numerator * (d // x.denominator) for x in entries])
-    return _eliminate(rows, 1, den, rhs is not None)
+    return _eliminate(rows, Fraction(1, den), rhs is not None)
 
 
 def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]") -> Fraction:
@@ -331,16 +301,18 @@ def _step_kernel(
     tau: StepFunction,
     cuts: tuple[Fraction, ...],
     weight: StepFunction,
-) -> tuple[list[Fraction], list[list[int]], list[int], list[int], int]:
-    """Samples s_j (the sorted deviation values), one integer row per sample s with
-    its denominator, and the integer row of weight integrals over the preimages
-    P_j with its denominator.
+    c: Fraction,
+    b: Fraction = Fraction(0),
+) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
+    """Samples s_j (the sorted deviation values) and the primitive rows and scales of
+    [I - A | -1] over [m | 0], where A_ij = -c K_ij - b m_j and m_j is the weight
+    integral over the preimage P_j of s_j.
 
-    Entry j of the row for s sums w * (E_k - E_{k+1}) over the pieces
-    [c_k, c_{k+1}) of ``cuts`` in P_j, with weight w and E_k = PB_{n+1}((s - c_k)/T):
-    (n + 1)/T times integral(w * PB_n((s - sigma)/T)), across wraps too, as
-    PB_{n+1} is a continuous antiderivative. Each piece gets its column and
-    weight once, each cut one evaluation per sample.
+    K_ij sums w * (E_k - E_{k+1}) over the pieces [c_k, c_{k+1}) of ``cuts``
+    in P_j, with weight w and E_k = PB_{n+1}((s_i - c_k)/T): (n + 1)/T times
+    integral(w * PB_n((s_i - sigma)/T)), across wraps too, as PB_{n+1} is a
+    continuous antiderivative. Each piece gets its column and weight once,
+    each cut one evaluation per sample.
 
     All of it is integer arithmetic. The weights share one denominator W. For
     each sample, s/T and every c_k/T lie on one grid of step 1/G, with G the lcm
@@ -348,71 +320,49 @@ def _step_kernel(
     denominators of different samples never multiply. With s/T = a/G and
     c_k/T = b_k/G, (s - c_k)/T mod 1 = ((a - b_k) mod G)/G and E_k is the homogeneous Horner
     sum of B_{n+1}'s integer numerators there, over D G^(n+1) with D their
-    common denominator. Row i is rows[i] / dens[i] with dens[i] = W D G^(n+1),
-    and the weight integral over P_j is T constraint[j] / cden with cden = W G_c,
-    G_c the cuts' lcm.
+    common denominator. So K_i is an integer row over W D G^(n+1), and
+    m_j = T constraint[j] / cden with cden = W G_c, G_c the cuts' lcm. Row i
+    times M = lcm(W D G^(n+1) c.denominator, bq), with b T / cden = bp / bq, is
+    integral; dividing by the gcd of its entries makes it primitive, and its
+    scale is that gcd over M.
     """
     tp, tq = T.as_integer_ratio()
-    grid = [_over(c, tp, tq) for c in cuts]
+    grid = [_over(x, tp, tq) for x in cuts]
     Gc = math.lcm(*[q for _, q in grid])
     N = [p * (Gc // q) for p, q in grid]
     samples = sorted(set(tau.values))
-    col = {v: j for j, v in enumerate(samples)}
+    # integer pairs as keys: hashing a Fraction costs a modular inverse
+    col = {v.as_integer_ratio(): j for j, v in enumerate(samples)}
     ratios = [w.as_integer_ratio() for w in _on_pieces(weight, cuts)]
     W = math.lcm(*[q for _, q in ratios])
     constraint = [0] * len(samples)
     pieces = []
     for k, (v, (p, q)) in enumerate(zip(_on_pieces(tau, cuts), ratios)):
-        j, w = col[v], p * (W // q)
+        j, w = col[v.as_integer_ratio()], p * (W // q)
         if w:
             constraint[j] += w * (N[k + 1] - N[k])
             pieces.append((k, j, w))
     nums, D = bernoulli_polynomial(n + 1)._integer_form
-    rows, dens = [], []
-    for s in samples:
-        a, b = _over(s, tp, tq)
-        G = math.lcm(Gc, b)
-        a, m = a * (G // b), G // Gc
+    cp, cq = c.numerator, c.denominator
+    bp, bq = b.numerator * tp, b.denominator * tq * W * Gc
+    out = []
+    for i, s in enumerate(samples):
+        a, e = _over(s, tp, tq)
+        G = math.lcm(Gc, e)
+        a, m = a * (G // e), G // Gc
         E = [_horner(nums, (a - x * m) % G, G)[0] for x in N]
         row = [0] * len(samples)
         for k, j, w in pieces:
             row[j] += w * (E[k] - E[k + 1])
-        rows.append(row)
-        dens.append(W * D * G ** (n + 1))
-    return samples, rows, dens, constraint, W * Gc
-
-
-def _system_rows(
-    T: Fraction,
-    kernel: tuple[list[list[int]], list[int], list[int], int],
-    c: Fraction,
-    b: Fraction = Fraction(0),
-) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
-    """Primitive rows and scales of [I - A | -1] over [constraint | 0] from the integer
-    kernel (rows, dens, constraint, cden) of :func:`_step_kernel`, where
-    A_ij = -c rows[i][j] / dens[i] - b m_j and m_j = T constraint[j] / cden is the weight
-    integral over P_j.
-
-    Row i times M = lcm(dens[i] c.denominator, bq), with b T / cden = bp / bq, is
-    integral; dividing by the gcd of its entries makes it primitive, and its
-    scale is that gcd over M.
-    """
-    rows, dens, constraint, cden = kernel
-    tp, tq = T.as_integer_ratio()
-    cp, cq = c.numerator, c.denominator
-    bp, bq = b.numerator * tp, b.denominator * tq * cden
-    out = []
-    for i, (row, den) in enumerate(zip(rows, dens)):
-        M = math.lcm(den * cq, bq) if bp else den * cq
-        f = cp * (M // (den * cq))
-        ints = [f * x for x in row]
-        if bp:
-            g = bp * (M // bq)
-            ints = [x + g * y for x, y in zip(ints, constraint)]
+        den = W * D * G ** (n + 1) * cq
+        M = math.lcm(den, bq) if bp else den
+        f, g = cp * (M // den), bp * (M // bq)
+        ints = [f * x + g * y for x, y in zip(row, constraint)] if g else [f * x for x in row]
         ints[i] += M
         out.append(_primitive([*ints, -M], 1, M))
-    out.append(_primitive([*constraint, 0], tp, tq * cden))
-    return tuple([r for r, _ in out]), tuple([s for _, s in out])
+    out.append(_primitive([*constraint, 0], tp, tq * W * Gc))
+    rows, scales = zip(*out)
+    return tuple(samples), rows, scales
 
 
 def reduce_system(
@@ -438,9 +388,8 @@ def reduce_system(
     _validate_deviation(tau, T)
     c = L * T**n / math.factorial(n + 1)
     xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
-    samples, *kernel = _step_kernel(n, T, tau, tau.breakpoints, StepFunction.constant(1, T))
-    rows, scales = _system_rows(T, kernel, c, xi_factor)
-    return ReducedSystem(n, T, tuple(samples), rows, scales, "lipschitz", tau, L, xi)
+    samples, rows, scales = _step_kernel(n, T, tau, tau.breakpoints, StepFunction.constant(1, T), c, xi_factor)
+    return ReducedSystem(n, T, samples, rows, scales, "lipschitz", tau, L, xi)
 
 
 def reduce_weighted(
@@ -466,9 +415,8 @@ def reduce_weighted(
     _validate_deviation(tau, T)
     c = T**n / math.factorial(n + 1)
     cuts = tuple(sorted(set(p.breakpoints) | set(tau.breakpoints)))
-    samples, *kernel = _step_kernel(n, T, tau, cuts, p)
-    rows, scales = _system_rows(T, kernel, c)
-    return ReducedSystem(n, T, tuple(samples), rows, scales, "weighted", tau)
+    samples, rows, scales = _step_kernel(n, T, tau, cuts, p, c)
+    return ReducedSystem(n, T, samples, rows, scales, "weighted", tau)
 
 
 MARGIN_OVERFLOW = "reduced matrix entry exceeds the float64 range"
@@ -481,7 +429,8 @@ def _margin(sys: ReducedSystem) -> tuple[float | None, np.ndarray | None]:
     ``float`` gives for the same rational as a Fraction, overflowing alike.
     """
     try:
-        matrix = np.array([[p * x / q for x in row] for row, (p, q) in zip(sys.rows, sys.scales)], dtype=np.float64)
+        ratios = [s.as_integer_ratio() for s in sys.scales]
+        matrix = np.array([[p * x / q for x in row] for row, (p, q) in zip(sys.rows, ratios)], dtype=np.float64)
     except OverflowError:
         return None, None
     return float(np.linalg.svd(matrix, compute_uv=False)[-1]), matrix
@@ -494,7 +443,7 @@ def _near_singular(sys: ReducedSystem, margin: float | None, matrix: np.ndarray 
     if margin is None or margin >= NEAR_SINGULAR_BAND * float(np.linalg.norm(matrix)):
         return False
     scaled = matrix.copy()
-    (p, q), (tp, tq) = sys.scales[-1], sys.T.as_integer_ratio()
+    (p, q), (tp, tq) = sys.scales[-1].as_integer_ratio(), sys.T.as_integer_ratio()
     try:
         scaled[-1] = [p * x * tq / (q * tp) for x in sys.rows[-1]]
     except OverflowError:
@@ -521,8 +470,7 @@ def _report(sys: ReducedSystem, rhs: Fraction | None, provenance: dict) -> Solve
     solution, and a homogeneous one ``unique`` or ``near_singular`` by the
     float margin (see :func:`_near_singular`).
     """
-    rows, scales = _integer_system(sys, rhs)
-    det, solution, kernel = _eliminate(rows, *_product(scales), rhs is not None)
+    det, solution, kernel = _eliminate(*_integer_system(sys, rhs), rhs is not None)
     margin, matrix = _margin(sys)
     if margin is None:
         provenance["margin_unavailable"] = MARGIN_OVERFLOW
@@ -613,6 +561,13 @@ def reconstruct_solution(
 
 def contraction_norm(sys: ReducedSystem) -> Fraction:
     """Exact operator norm (max absolute row sum) of the reduced kernel matrix. With the optimal
-    centering shift it is bounded by L K_n T^n, the contraction factor of the representation operator."""
-    return max([sum([abs(x) for x in row], Fraction(0)) for row in sys.kernel_matrix], default=Fraction(0))
+    centering shift it is bounded by L K_n T^n, the contraction factor of the representation operator.
 
+    Row i of the kernel is A_ij = delta_ij - (p / q) rows[i][j] for j < J, with p / q > 0 the
+    row's scale, so its absolute sum is sum_j |q delta_ij - p rows[i][j]| / q.
+    """
+    sums = []
+    for i, (row, scale) in enumerate(zip(sys.rows[:-1], sys.scales)):
+        p, q = scale.as_integer_ratio()
+        sums.append(Fraction(sum([abs(q * (i == j) - p * x) for j, x in enumerate(row[:-1])]), q))
+    return max(sums, default=Fraction(0))

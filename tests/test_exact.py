@@ -20,6 +20,15 @@ from favard.exact import (
 )
 
 
+def piecewise_from_json(data):
+    """Reference reader for ``PiecewisePolynomial.to_json_dict``: nothing in the package reads one back."""
+    return PiecewisePolynomial(
+        tuple([to_rational(b) for b in data["breakpoints"]]),
+        tuple([Polynomial([to_rational(c) for c in p]) for p in data["pieces"]]),
+        to_rational(data["period"]),
+    )
+
+
 def test_rational_string_round_trip():
     for x in (F(3, 4), F(-7, 2), F(5), F(0), F(-1)):
         assert to_rational(format_rational(x)) == x
@@ -191,7 +200,7 @@ class TestPolynomial:
 
     def test_string_round_trip(self):
         p = Polynomial.of(F(1, 3), F(-2, 7), 5)
-        assert Polynomial.from_strings(p.to_strings()) == p
+        assert Polynomial([to_rational(c) for c in p.to_strings()]) == p
 
 
 class TestPiecewisePolynomial:
@@ -286,7 +295,7 @@ class TestPiecewisePolynomial:
             F(5, 2),
         )
         data = json.loads(json.dumps(pw.to_json_dict()))
-        assert PiecewisePolynomial.from_json_dict(data) == pw
+        assert piecewise_from_json(data) == pw
 
 
 @st.composite

@@ -7,11 +7,10 @@ import pytest
 
 from favard import kernels
 from favard.constants import favard_closed_form
-from favard.exact import Polynomial
+from favard.exact import Polynomial, frac_part
 from favard.kernels import (
     centered_abs_integral,
     green_apply,
-    green_eval,
     green_solution_polynomial,
     min_abs_integral,
     phi_eval,
@@ -35,6 +34,14 @@ def lagrange_interpolate(points):
         poly = poly + basis * c
         basis = basis * Polynomial.of(-xs[i], 1)
     return poly
+
+
+def green_eval(n, T, t, s):
+    """Reference: the Green function G(t, s) of x^(n) = f with x(0) = x(T) = 0 and periodic
+    x', .., x^(n-2), for 0 <= t, s <= T, with the scale T^(n-1)/n! of ``green_apply``."""
+    Bn = bernoulli_polynomial(n)
+    u_t, u_s = F(t) / T, F(s) / T
+    return T ** (n - 1) / F(math.factorial(n)) * (Bn(u_t) - Bn(F(0)) - Bn(frac_part(u_t - u_s)) + Bn(1 - u_s))
 
 
 def test_lagrange_interpolation():
@@ -214,7 +221,7 @@ class TestGreen:
 
     def test_requires_second_order(self):
         with pytest.raises(ValueError):
-            green_eval(1, 1, 0, 0)
+            green_apply(1, 1, Polynomial.const(1), 0)
         with pytest.raises(ValueError):
             green_solution_polynomial(1, 1, Polynomial.const(1))
 

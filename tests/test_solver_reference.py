@@ -9,11 +9,13 @@ elimination became rank-revealing. ``reference_reduce_system``,
 per-(sample, value, interval) double loops the reductions used before each
 breakpoint was evaluated once per sample; ``reconstruct_solution`` now
 integrates with periodic antiderivatives instead, so ``reference_reconstruct``
-checks it by a different route. ``reference_assemble`` is the
-layout of the full homogeneous matrix the reductions stored before
-``ReducedSystem.matrix`` was derived from the kernel and constraint row.
-``reference_clear`` is the row clearing elimination did on that matrix before
-the reductions built primitive integer rows themselves.
+checks it by a different route. ``preimages`` is the value -> intervals map
+those loops walk. ``reference_assemble`` is the layout of the full
+homogeneous Fraction matrix the reductions once stored, and
+``fraction_matrix`` rebuilds that matrix from the integer rows and scales
+the reductions store now. ``reference_clear`` is the row clearing
+elimination did on that matrix before the reductions built primitive
+integer rows themselves.
 """
 
 import math
@@ -30,7 +32,7 @@ from favard.solver import (
     _eliminate,
     _integer_system,
     _margin,
-    _product,
+    contraction_norm,
     fraction_determinant,
     nullspace_vector,
     reconstruct_solution,
@@ -95,13 +97,26 @@ def gauss_jordan_kernel(matrix):
     return vec
 
 
+def preimages(tau):
+    """Value -> list of the intervals [lo, hi) on which the step function tau takes it."""
+    out = {}
+    for lo, hi, v in zip(tau.breakpoints, tau.breakpoints[1:], tau.values):
+        out.setdefault(v, []).append((lo, hi))
+    return out
+
+
+def fraction_matrix(sys):
+    """The reduced system as a Fraction matrix: row i is sys.scales[i] times sys.rows[i]."""
+    return [[scale * x for x in row] for row, scale in zip(sys.rows, sys.scales)]
+
+
 def wrapped_kernel_integral(Bn1, n, a, lo, hi):
     """integral(PB_n(a - theta), theta = lo..hi) through the antiderivative PB_{n+1} / (n + 1)."""
     return (eval_periodic(Bn1, a - lo) - eval_periodic(Bn1, a - hi)) / (n + 1)
 
 
 def reference_reduce_system(n, T, L, tau, xi):
-    pre = tau.preimages()
+    pre = preimages(tau)
     samples = sorted(pre)
     Bn1 = bernoulli_polynomial(n + 1)
     factor = -L * T**n / math.factorial(n)
@@ -123,7 +138,7 @@ def reference_reduce_system(n, T, L, tau, xi):
 def reference_reduce_weighted(n, T, p, tau):
     cuts = sorted(set(p.breakpoints) | set(tau.breakpoints))
     refined = list(zip(cuts, cuts[1:]))
-    pre_vals = sorted(tau.preimages())
+    pre_vals = sorted(preimages(tau))
     Bn1 = bernoulli_polynomial(n + 1)
     factor = -(T**n) / F(math.factorial(n))
     kernel = []
@@ -170,11 +185,16 @@ def reference_clear(row):
     return tuple([x // g for x in ints])
 
 
+def reference_scale(row):
+    """The positive rational s with row = s * reference_clear(row); 1 for a zero row."""
+    return next((x / c for x, c in zip(row, reference_clear(row)) if c), F(1))
+
+
 def reference_reconstruct(n, T, L, tau, samples, constant, t):
     Bn1 = bernoulli_polynomial(n + 1)
-    by_value = dict(zip(sorted(tau.preimages()), samples))
+    by_value = dict(zip(sorted(preimages(tau)), samples))
     total = F(0)
-    for v, intervals in tau.preimages().items():
+    for v, intervals in preimages(tau).items():
         for lo, hi in intervals:
             total += by_value[v] * wrapped_kernel_integral(Bn1, n, t / T, lo / T, hi / T)
     return -L * T**n / math.factorial(n) * total + constant
@@ -312,11 +332,10 @@ class TestReductionsAgainstDoubleLoops:
         sys = reduce_system(n, T, L, tau, xi=xi)
         samples, kernel, constraint = reference_reduce_system(n, T, L, tau, xi)
         assert list(sys.sample_points) == samples
-        assert [list(row) for row in sys.kernel_matrix] == kernel
-        assert list(sys.constraint_row) == constraint
-        assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
-        assert list(sys.rows) == [reference_clear(row) for row in sys.matrix]
-        assert sys.size == len(sys.matrix)
+        matrix = fraction_matrix(sys)
+        assert matrix == reference_assemble(kernel, constraint)
+        assert list(sys.rows) == [reference_clear(row) for row in matrix]
+        assert sys.size == len(matrix)
         values = data.draw(st.lists(entries, min_size=len(samples), max_size=len(samples)))
         t = data.draw(st.sampled_from(list(tau.breakpoints) + [T / 5, T * F(9, 7), F(-1, 3)]))
         expected = reference_reconstruct(n, T, L, tau, values, F(2, 3), t)
@@ -329,10 +348,9 @@ class TestReductionsAgainstDoubleLoops:
         sys = reduce_weighted(n, T, p, tau)
         samples, kernel, constraint = reference_reduce_weighted(n, T, p, tau)
         assert list(sys.sample_points) == samples
-        assert [list(row) for row in sys.kernel_matrix] == kernel
-        assert list(sys.constraint_row) == constraint
-        assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
-        assert list(sys.rows) == [reference_clear(row) for row in sys.matrix]
+        matrix = fraction_matrix(sys)
+        assert matrix == reference_assemble(kernel, constraint)
+        assert list(sys.rows) == [reference_clear(row) for row in matrix]
 
     def test_adversarial_denominators(self):
         # deviation values T k / p for distinct primes p, breakpoints on a grid of T / 29 and
@@ -347,13 +365,15 @@ class TestReductionsAgainstDoubleLoops:
                 sys = reduce_system(n, T, L, tau, xi=xi)
                 samples, kernel, constraint = reference_reduce_system(n, T, L, tau, xi)
                 assert list(sys.sample_points) == samples
-                assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
-                assert list(sys.rows) == [reference_clear(row) for row in sys.matrix]
+                matrix = fraction_matrix(sys)
+                assert matrix == reference_assemble(kernel, constraint)
+                assert list(sys.rows) == [reference_clear(row) for row in matrix]
             sys = reduce_weighted(n, T, p, tau)
             samples, kernel, constraint = reference_reduce_weighted(n, T, p, tau)
             assert list(sys.sample_points) == samples
-            assert [list(row) for row in sys.matrix] == reference_assemble(kernel, constraint)
-            assert list(sys.rows) == [reference_clear(row) for row in sys.matrix]
+            matrix = fraction_matrix(sys)
+            assert matrix == reference_assemble(kernel, constraint)
+            assert list(sys.rows) == [reference_clear(row) for row in matrix]
 
 
 # ------------------------------------------------------------ integer rows
@@ -362,13 +382,10 @@ class TestReductionsAgainstDoubleLoops:
 EXTREME_PERIODS = PERIODS + (F(10) ** 90, F(1, 10**100), F(10**150, 7))
 
 
-def floats(rows, scales=None):
-    """float(x) for every entry, or with ``scales`` the int / int quotient p x / q for every
-    entry x of a row with scale (p, q); None when one overflows."""
+def floats(matrix):
+    """float(x) for every entry; None when one overflows."""
     try:
-        if scales is None:
-            return [[float(x) for x in row] for row in rows]
-        return [[p * x / q for x in row] for row, (p, q) in zip(rows, scales)]
+        return [[float(x) for x in row] for row in matrix]
     except OverflowError:
         return None
 
@@ -383,20 +400,41 @@ class TestIntegerRows:
     def test_floats_and_elimination_match_the_fraction_matrix(self, instance, weighted, C):
         n, T, L, xi, tau, p = instance
         sys = reduce_weighted(n, T, p, tau) if weighted else reduce_system(n, T, L, tau, xi=xi)
-        expected = floats(sys.matrix)
-        margin, matrix = _margin(sys)
+        matrix = fraction_matrix(sys)
+        expected = floats(matrix)
+        margin, svd_matrix = _margin(sys)
         if expected is None:
-            assert margin is None and matrix is None
+            assert margin is None and svd_matrix is None
         else:
-            assert hexes(matrix.tolist()) == hexes(expected)
+            assert hexes(svd_matrix.tolist()) == hexes(expected)
             assert margin == float(np.linalg.svd(np.array(expected), compute_uv=False)[-1])
-        rows, scales = _integer_system(sys)
-        assert _eliminate(rows, *_product(scales), False) == _bareiss(sys.matrix)
+        rows, scale = _integer_system(sys)
+        assert scale == math.prod(sys.scales)
+        assert _eliminate(rows, scale, False) == _bareiss(matrix)
         # the forced path: only the constraint row has a right-hand side
         rhs = -C * T / L
-        rows, scales = _integer_system(sys, rhs)
-        augmented = [[*row, F(0)] for row in sys.matrix[:-1]] + [[*sys.matrix[-1], rhs]]
-        assert [[F(p * x, q) for x in row] for row, (p, q) in zip(rows, scales)] == augmented
-        assert hexes(floats(rows, scales)) == hexes(floats(augmented))
-        assert list(rows[-1]) == list(reference_clear(augmented[-1]))
-        assert _eliminate(rows, *_product(scales), True) == _bareiss(sys.matrix, [F(0)] * (sys.size - 1) + [rhs])
+        rows, scale = _integer_system(sys, rhs)
+        augmented = [[*row, F(0)] for row in matrix[:-1]] + [[*matrix[-1], rhs]]
+        assert [tuple(row) for row in rows] == [reference_clear(row) for row in augmented]
+        assert scale == math.prod([reference_scale(row) for row in augmented])
+        assert _eliminate(rows, scale, True) == _bareiss(matrix, [F(0)] * (sys.size - 1) + [rhs])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(step_instances(EXTREME_PERIODS), st.booleans())
+    def test_rows_are_primitive_and_contraction_norm_is_the_reference_row_sum(self, instance, weighted):
+        n, T, L, xi, tau, p = instance
+        sys = reduce_weighted(n, T, p, tau) if weighted else reduce_system(n, T, L, tau, xi=xi)
+        assert all(math.gcd(*row) in (0, 1) for row in sys.rows)
+        assert all(isinstance(s, F) and s > 0 for s in sys.scales)
+        # the kernel A = I - M[:J, :J] of the Fraction matrix, summed row by row
+        matrix = fraction_matrix(sys)
+        J = sys.size - 1
+        kernel = [[int(i == j) - matrix[i][j] for j in range(J)] for i in range(J)]
+        assert contraction_norm(sys) == max([sum([abs(x) for x in row], F(0)) for row in kernel])
+
+
+def test_preimages_merge_equal_values():
+    s = StepFunction((F(0), F(1, 4), F(1, 2), F(1)), (F(1), F(2), F(1)), F(1))
+    pre = preimages(s)
+    assert set(pre) == {F(1), F(2)}
+    assert pre[F(1)] == [(F(0), F(1, 4)), (F(1, 2), F(1))]

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from test_exact import piecewise_from_json
 
 from favard.constants import favard_closed_form
 from favard.exact import PiecewisePolynomial, Polynomial, StepFunction
@@ -201,7 +202,4 @@ def test_witness_json_round_trip():
     payload = json.loads(json.dumps(w.to_json_dict()))
     # 1 / (K_3 T^3) = 192 * 8 / 125
     assert payload["L_crit"] == "1536/125"
-    from favard.exact import PiecewisePolynomial
-
-    y2 = PiecewisePolynomial.from_json_dict(payload["y"])
-    assert y2 == w.y
+    assert piecewise_from_json(payload["y"]) == w.y
