@@ -29,7 +29,6 @@ from .kernels import (
     green_apply,
     green_solution_polynomial,
     min_abs_integral,
-    phi_eval,
 )
 from .numbers import (
     bernoulli_numbers,
@@ -84,7 +83,6 @@ __all__ = [
     "green_solution_polynomial",
     "min_abs_integral",
     "min_period_bound",
-    "phi_eval",
     "reduce_system",
     "reduce_weighted",
     "solve_periodic",

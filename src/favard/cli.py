@@ -165,13 +165,8 @@ def _cmd_solve(args: argparse.Namespace) -> Result:
         raise SchemaError("n", "must be a positive integer")
     T = _parse_rational_arg(str(_require(data, "T", "")), "T")
     tau = _parse_step(_require(data, "tau", ""), "tau", T)
-    for i, v in enumerate(tau.values):
-        if not 0 <= v <= T:
-            raise SchemaError(f"tau.values[{i}]", "deviation values must lie in [0, T]")
     if kind == "lipschitz":
         L = _parse_rational_arg(str(_require(data, "L", "")), "L")
-        if L < 0:
-            raise SchemaError("L", "must be nonnegative")
         if "C" in data:
             C = _parse_rational_arg(str(data["C"]), "C")
             report = solve_periodic(n, T, L, tau, C)
@@ -179,9 +174,6 @@ def _cmd_solve(args: argparse.Namespace) -> Result:
             report = uniqueness_margin(reduce_system(n, T, L, tau))
     else:
         p = _parse_step(_require(data, "p", ""), "p", T)
-        for i, v in enumerate(p.values):
-            if v < 0:
-                raise SchemaError(f"p.values[{i}]", "weight values must be nonnegative")
         report = solve_weighted(n, T, p, tau)
     return report.to_json_dict(), None, 0
 

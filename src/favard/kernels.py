@@ -52,7 +52,6 @@ from .numbers import bernoulli_polynomial
 from .roots import level_split
 
 __all__ = [
-    "phi_eval",
     "MedianSplit",
     "min_abs_integral",
     "centered_abs_integral",
@@ -65,20 +64,6 @@ __all__ = [
 def _phi_coefficient_poly(n: int) -> Polynomial:
     """Polynomial p with phi_n(2 pi u) = p(u) * pi^(n-1) on [0, 1): p = -2^(n-1) B_n / n!."""
     return bernoulli_polynomial(n) * Fraction(-(2 ** (n - 1)), math.factorial(n))
-
-
-def phi_eval(n: int, u: RationalLike) -> Fraction:
-    """Exact phi_n(2 pi u) / pi^(n-1) for u in [0, 1).
-
-    At jump points of the n = 1 kernel the right-limit convention of the
-    periodic pieces applies.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    u = to_rational(u)
-    if not 0 <= u < 1:
-        raise ValueError("u must lie in [0, 1)")
-    return _phi_coefficient_poly(n)(u)
 
 
 @dataclass(frozen=True)

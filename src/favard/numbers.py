@@ -16,7 +16,9 @@ grows, the recurrence values are cross-checked against the second routes and
 the sign patterns before the new table is published. Sharing that table across
 callers and threads is safe: its values are a pure function of the index, and
 it only grows, rebound whole as one tuple, so a reader sees either the old or
-the new table and every prefix of both agrees.
+the new table and every prefix of both agrees. ``bernoulli_polynomial``
+builds each B_n once from that table and returns the same immutable object
+on every later call.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ def _grow(n_max: int) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
             raise AssertionError("Euler sign pattern violated")
     _table = (tuple(b), tuple(e))
     return _table
+
+
+# B_n(t) by n, each built once by bernoulli_polynomial
+_polynomials: dict[int, Polynomial] = {}
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
@@ -144,13 +150,15 @@ def bernoulli_polynomial(n: int) -> Polynomial:
     """Exact Bernoulli polynomial B_n(t) = sum(C(n, k) B_{n-k} t^k).
 
     Satisfies B_n'(t) = n B_{n-1}(t), zero mean on [0, 1] for n >= 1, and
-    B_n(0) = B_n.
+    B_n(0) = B_n. Each B_n is built once; later calls return the same object,
+    after reading the cross-checked table again.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     bern = bernoulli_numbers(n)
-    coeffs = [Fraction(comb(n, k)) * bern[n - k] for k in range(n + 1)]
-    return Polynomial(tuple(coeffs))
+    if n not in _polynomials:
+        _polynomials[n] = Polynomial(tuple([Fraction(comb(n, k)) * bern[n - k] for k in range(n + 1)]))
+    return _polynomials[n]
 
 
 def eval_periodic(poly: Polynomial, t: RationalLike) -> Fraction:

@@ -53,9 +53,10 @@ size gives determinant 0 and the kernel vector whose first free variable is
 the threshold.
 
 Edge case: L = 0 degenerates (the homogeneous problem then admits all
-constants, but the zero-mean row no longer follows from y^(n) = 0), so it is
-special-cased to a nontrivial-kernel verdict instead of being decided by the
-reduced system's determinant, on the homogeneous and the forced path alike.
+constants, but the zero-mean row no longer follows from y^(n) = 0), so
+:func:`_report` answers a nontrivial-kernel verdict for it instead of
+eliminating the reduced rows, on the homogeneous and the forced path alike.
+The instance is still reduced first, so it is validated like any other.
 
 The float margin is advisory: its matrix takes each entry from the integer
 rows by one correctly rounded int / int division, the same double a Fraction
@@ -272,9 +273,9 @@ def nullspace_vector(matrix: tuple[tuple[Fraction, ...], ...]) -> list[Fraction]
 def _validate_deviation(tau: StepFunction, T: Fraction) -> None:
     if tau.period != T:
         raise ValueError("deviation period mismatch")
-    for v in tau.values:
+    for i, v in enumerate(tau.values):
         if not 0 <= v <= T:
-            raise ValueError(f"deviation value {v} outside [0, T]")
+            raise ValueError(f"tau.values[{i}] = {v} lies outside [0, T]")
 
 
 def _over(x: Fraction, tp: int, tq: int) -> tuple[int, int]:
@@ -383,9 +384,9 @@ def reduce_system(
     if n < 1:
         raise ValueError("n must be >= 1")
     T, L, xi = to_rational(T), to_rational(L), to_rational(xi)
+    _validate_deviation(tau, T)
     if L < 0:
         raise ValueError("L must be >= 0")
-    _validate_deviation(tau, T)
     c = L * T**n / math.factorial(n + 1)
     xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
     samples, rows, scales = _step_kernel(n, T, tau, tau.breakpoints, StepFunction.constant(1, T), c, xi_factor)
@@ -408,11 +409,12 @@ def reduce_weighted(
     if n < 1:
         raise ValueError("n must be >= 1")
     T = to_rational(T)
+    _validate_deviation(tau, T)
     if p.period != T:
         raise ValueError("weight period mismatch")
-    if any(v < 0 for v in p.values):
-        raise ValueError("weight must be nonnegative")
-    _validate_deviation(tau, T)
+    for i, v in enumerate(p.values):
+        if v < 0:
+            raise ValueError(f"p.values[{i}] = {v} is negative")
     c = T**n / math.factorial(n + 1)
     cuts = tuple(sorted(set(p.breakpoints) | set(tau.breakpoints)))
     samples, rows, scales = _step_kernel(n, T, tau, cuts, p, c)
@@ -451,25 +453,21 @@ def _near_singular(sys: ReducedSystem, margin: float | None, matrix: np.ndarray 
     return bool(np.linalg.svd(scaled, compute_uv=False)[-1] < NEAR_SINGULAR_BAND * np.linalg.norm(scaled))
 
 
-def _degenerate_l0() -> SolveReport:
-    """L = 0: every constant solves y^(n) = 0, so the kernel is never trivial."""
-    return SolveReport(
-        status="nontrivial_kernel",
-        margin=0.0,
-        determinant=Fraction(0),
-        provenance={"route": "degenerate_L0", "kind": "lipschitz"},
-    )
-
-
 def _report(sys: ReducedSystem, rhs: Fraction | None, provenance: dict) -> SolveReport:
     """The verdict from one elimination of the reduced rows, with ``rhs`` the right-hand
     side of the constraint row on the forced path (every other row is homogeneous).
 
-    A zero determinant reports ``nontrivial_kernel`` with the kernel vector as
-    samples and constant. Otherwise a forced system is ``unique`` with its
-    solution, and a homogeneous one ``unique`` or ``near_singular`` by the
-    float margin (see :func:`_near_singular`).
+    A Lipschitz system with L = 0 is degenerate: every constant solves
+    y^(n) = 0 (and y^(n) = C has no periodic solution unless C = 0), so it
+    reports ``nontrivial_kernel`` with margin 0 and no vector, without
+    elimination. A zero determinant reports ``nontrivial_kernel`` with the
+    kernel vector as samples and constant. Otherwise a forced system is
+    ``unique`` with its solution, and a homogeneous one ``unique`` or
+    ``near_singular`` by the float margin (see :func:`_near_singular`).
     """
+    if sys.L == 0:
+        degenerate = {"route": "degenerate_L0", "kind": "lipschitz"}
+        return SolveReport(status="nontrivial_kernel", margin=0.0, determinant=Fraction(0), provenance=degenerate)
     det, solution, kernel = _eliminate(*_integer_system(sys, rhs), rhs is not None)
     margin, matrix = _margin(sys)
     if margin is None:
@@ -498,10 +496,8 @@ def uniqueness_margin(sys: ReducedSystem) -> SolveReport:
     regime next to the sharp threshold, also after the zero-mean row is
     divided by T (see :func:`_near_singular`); without a float margin the
     exact verdict alone decides. A Lipschitz system with L = 0 gets the degenerate
-    nontrivial-kernel verdict, as in :func:`solve_periodic`.
+    nontrivial-kernel verdict (see :func:`_report`).
     """
-    if sys.kind == "lipschitz" and sys.L == 0:
-        return _degenerate_l0()
     return _report(sys, None, {"route": "exact_reduction", "size": sys.size, "kind": sys.kind})
 
 
@@ -519,13 +515,11 @@ def solve_periodic(
     reconstruction recipe (see :func:`reconstruct_solution`). A singular
     system reports ``nontrivial_kernel`` with a kernel vector, as
     :func:`uniqueness_margin` does; the float margin never changes the status.
+    The instance is reduced, and so validated, before any verdict: L = 0
+    gets the degenerate verdict of :func:`_report` only for valid inputs.
     """
-    T, L, C = to_rational(T), to_rational(L), to_rational(C)
-    if L == 0:
-        # Degenerate: y^(n) = C has periodic solutions iff C = 0, then all constants.
-        return _degenerate_l0()
-    rhs = -C * T / L
-    sys = reduce_system(n, T, L, tau)
+    C, sys = to_rational(C), reduce_system(n, T, L, tau)
+    rhs = -C * sys.T / sys.L if sys.L else None
     return _report(sys, rhs, {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False})
 
 

@@ -7,12 +7,12 @@ bound T >= 1/(L K_n)^(1/n) cannot be improved.
 
 The construction is the n-fold zero-mean periodic antiderivative of the
 half-period square wave h, scaled by -L, so y^(n) = -L h and the orientation
-sigma is -1 by construction. A constant then centres the two sample values
-y(a), y(b) (a, b = T/4, 3T/4 for even n and 0, T/2 for odd n) at +-1, and
-the deviation branches are assigned from those exact values so that
-y(tau(t)) = sigma h(t). The verifier re-checks all identities in exact
-arithmetic. Both the tabulated deviation and the derived one are kept on the
-witness for comparison.
+sigma is -1 by construction. The deviation is the classical table
+(:func:`tabulated_deviation`); a constant centres y on its two values, and
+the builder checks exactly that y(tau.first) = sigma and y(tau.second) =
+-sigma, so that y(tau(t)) = sigma h(t). The verifier re-checks all
+identities in exact arithmetic, the sampling identity among them, which is
+what certifies the table.
 """
 
 from __future__ import annotations
@@ -162,9 +162,10 @@ def build_witness(n: int, T: RationalLike) -> Witness:
     """Construct the extremal witness at L = 1/(K_n T^n).
 
     y is -L times the n-fold periodic antiderivative of h, plus the constant
-    that centres the two sample values at +-1 (for even n this constant is 0);
-    the deviation branches are assigned so that y(tau(t)) = sigma * h(t) holds
-    identically, with sigma = -1.
+    that centres it on the two values of the tabulated deviation tau (for even
+    n this constant is 0). Raises AssertionError unless y(tau.first) = sigma
+    and y(tau.second) = -sigma, i.e. y(tau(t)) = sigma * h(t) with sigma = -1.
+    ``tabulated_tau`` is the same object as ``tau``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -175,30 +176,12 @@ def build_witness(n: int, T: RationalLike) -> Witness:
     L = 1 / (K * T**n)
     sigma = -1  # y^(n) = -L h
     y0 = periodic_antiderivatives(_square_wave(T).as_piecewise(), n) * (sigma * L)
-    if n % 2 == 0:
-        a, b = T / 4, 3 * T / 4
-    else:
-        a, b = Fraction(0), T / 2
-    y = y0.plus_constant(-(y0(a) + y0(b)) / 2)
-    va, vb = y(a), y(b)
-    if not (abs(va) == 1 and vb == -va):
-        raise AssertionError(f"sample values not +-1: y({a}) = {va}, y({b}) = {vb}")
-
-    # y(tau(t)) = sigma * h(t): the first branch points to the sample equal to sigma
-    if va == sigma:
-        tau = DeviationMap(period=T, first=a, second=b)
-    else:
-        tau = DeviationMap(period=T, first=b, second=a)
-    return Witness(
-        n=n,
-        T=T,
-        L_crit=L,
-        C=y(0),
-        sigma=sigma,
-        y=y,
-        tau=tau,
-        tabulated_tau=tabulated_deviation(n, T),
-    )
+    tau = tabulated_deviation(n, T)
+    y = y0.plus_constant(-(y0(tau.first) + y0(tau.second)) / 2)
+    va, vb = y(tau.first), y(tau.second)
+    if not (va == sigma and vb == -sigma):
+        raise AssertionError(f"y(tau) is not sigma h: y({tau.first}) = {va}, y({tau.second}) = {vb}")
+    return Witness(n=n, T=T, L_crit=L, C=y(0), sigma=sigma, y=y, tau=tau, tabulated_tau=tau)
 
 
 def verify_witness(w: Witness) -> VerificationReport:

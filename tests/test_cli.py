@@ -223,6 +223,34 @@ def test_solve_schema_violation_reports_field_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "kind, field, value, named",
+    [
+        ("lipschitz", "L", "-1", "L must be >= 0"),
+        ("weighted", "p", {"breakpoints": ["0", "1/2", "1"], "values": ["3", "-1/2"]}, "p.values[1] = -1/2"),
+        ("lipschitz", "tau", {"breakpoints": ["0", "1/2", "1"], "values": ["3/4", "7/4"]}, "tau.values[1] = 7/4"),
+    ],
+)
+def test_solve_range_errors_come_from_the_solver(tmp_path, capsys, kind, field, value, named):
+    # the range checks live in the solver only; at L = 0 a bad tau still exits 2
+    instance = {
+        "kind": kind,
+        "n": 2,
+        "T": "1",
+        "L": "0",
+        "C": "1",
+        "p": {"breakpoints": ["0", "1"], "values": ["1"]},
+        "tau": {"breakpoints": ["0", "1/2", "1"], "values": ["3/4", "1/4"]},
+        field: value,
+    }
+    path = tmp_path / "range.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and named in err
+
+
+@pytest.mark.parametrize(
     "field, item, expected",
     [
         ("tau", ("breakpoints", [0, "1", "2"]), "usage error at tau.breakpoints[0]: rationals must be strings\n"),

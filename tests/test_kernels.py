@@ -13,7 +13,6 @@ from favard.kernels import (
     green_apply,
     green_solution_polynomial,
     min_abs_integral,
-    phi_eval,
     phi_samples,
 )
 from favard.numbers import bernoulli_polynomial
@@ -67,6 +66,11 @@ def phi_poly(n):
     return bernoulli_polynomial(n) * F(-(2 ** (n - 1)), math.factorial(n))
 
 
+def phi_eval(n, u):
+    """Reference: exact phi_n(2 pi u) / pi^(n-1) for u in [0, 1), from ``phi_poly`` (not validated)."""
+    return phi_poly(n)(F(u))
+
+
 def phi_series_value(n, u, terms, chunk=200_000):
     """Series reference: float partial Fourier sum (1/pi) * sum(k^(-n) cos(2 pi k u - n pi/2), k <= terms)."""
     total = 0.0
@@ -91,13 +95,17 @@ class TestPhi:
     def test_phi1_is_linear_sawtooth(self):
         # phi_1(2 pi u) = 1/2 - u away from the jump
         for u in (F(1, 8), F(1, 3), F(2, 3), F(99, 100)):
-            assert phi_eval(1, u) == F(1, 2) - u
+            assert phi_eval(1, u) == kernels._phi_coefficient_poly(1)(u) == F(1, 2) - u
+
+    def test_shipped_polynomial_matches_reference(self):
+        for n in range(1, 13):
+            assert kernels._phi_coefficient_poly(n) == phi_poly(n)
+            assert [F(r["phi_n_coeff"]) for r in phi_samples(n, 12)] == [phi_eval(n, F(i, 12)) for i in range(12)]
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            phi_eval(1, F(3, 2))
-        with pytest.raises(ValueError):
-            phi_eval(0, F(1, 2))
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                phi_samples(n, 4)
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_samples_need_a_positive_count(self, count):
@@ -115,13 +123,13 @@ class TestPhi:
             bound = phi_series_tail_bound(n, terms) + 1e-9  # float-roundoff slack
             for _ in range(25):
                 u = F(rng.randint(0, 10**4 - 1), 10**4)
-                value = float(phi_eval(n, u)) * math.pi ** (n - 1)
+                value = float(kernels._phi_coefficient_poly(n)(u)) * math.pi ** (n - 1)
                 assert abs(value - phi_series_value(n, float(u), terms)) <= bound
 
     def test_closed_form_vs_series_n1(self):
         # slow 1/k decay: 10^6 terms at points away from the jump
         for u in (F(1, 8), F(1, 3), F(5, 8), F(13, 16)):
-            assert abs(float(phi_eval(1, u)) - phi_series_value(1, float(u), 10**6)) < 1e-6
+            assert abs(float(kernels._phi_coefficient_poly(1)(u)) - phi_series_value(1, float(u), 10**6)) < 1e-6
 
 
 class TestMinAbsIntegral:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -111,6 +112,16 @@ class TestBernoulliPolynomial:
         for n in range(31):
             p = bernoulli_polynomial(n)
             assert p.compose_linear(1, -1) == (-1) ** n * p
+
+    def test_built_once_and_matches_recurrence(self):
+        # B_0..B_40 from the recurrence sum(C(n+1, j) B_j, j = 0..n) = 0, built here independently
+        bern = []
+        for n in range(41):
+            bern.append(F(1) if n == 0 else -sum(comb(n + 1, j) * bern[j] for j in range(n)) / (n + 1))
+        for n in range(41):
+            p = bernoulli_polynomial(n)
+            assert p is bernoulli_polynomial(n)
+            assert p.coeffs == tuple(comb(n, k) * bern[n - k] for k in range(n + 1))
 
     def test_value_at_zero_is_number(self):
         bern = bernoulli_numbers(20)

@@ -211,6 +211,20 @@ class TestSolvePeriodic:
         tau = StepFunction.constant(F(0), F(1))
         report = solve_periodic(2, 1, 0, tau, 1)
         assert report.status == "nontrivial_kernel"
+        assert report.to_json_dict() == {
+            "status": "nontrivial_kernel",
+            "margin": 0.0,
+            "determinant": "0",
+            "provenance": {"route": "degenerate_L0", "kind": "lipschitz"},
+        }
+
+    def test_L_zero_still_validates(self):
+        # the instance is reduced before the degenerate verdict, so bad inputs raise
+        bad_tau = StepFunction((F(0), F(1, 2), F(1)), (F(3, 4), F(7, 4)), F(1))
+        with pytest.raises(ValueError, match=r"tau\.values\[1\] = 7/4"):
+            solve_periodic(2, 1, 0, bad_tau, 1)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            solve_periodic(0, 1, 0, StepFunction.constant(F(0), F(1)), 1)
 
     def test_L_zero_homogeneous_matches_forced_path(self):
         # every constant solves y^(n) = 0, so the homogeneous verdict is never "unique"

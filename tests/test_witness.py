@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from test_exact import piecewise_from_json
 
+from favard import witness
 from favard.constants import favard_closed_form
 from favard.exact import PiecewisePolynomial, Polynomial, StepFunction
 from favard.numbers import bernoulli_polynomial
@@ -83,9 +84,12 @@ class TestBuildWitness:
         assert {w.tau.first, w.tau.second} == {F(1, 4), F(3, 4)}
 
     def test_derived_tau_matches_tabulated(self):
-        for n in range(1, 11):
-            w = build_witness(n, F(1))
-            assert w.tau == w.tabulated_tau == tabulated_deviation(n, F(1))
+        # the builder takes tau from the table and checks y(tau.first) = sigma = -y(tau.second)
+        for n in range(1, 15):
+            for T in PERIODS + (F(97),):
+                w = build_witness(n, T)
+                assert w.tau == w.tabulated_tau == tabulated_deviation(n, T)
+                assert w.y(w.tau.first) == w.sigma == -w.y(w.tau.second)
 
     def test_orientation_flag(self):
         # y is -L_crit times the n-fold antiderivative of h, so sigma = -1 for every order
@@ -140,6 +144,25 @@ class TestVerifyWitness:
         assert [c.passed for c in report.checks] == [False, False, False, True]
         assert report.checks[0].discrepancy == 2 * eps
         assert report.checks[1].discrepancy == eps
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_swapped_deviation_fails_sampling(self, n):
+        # the sampling check is what certifies the tabulated deviation: swapped branches
+        # sample y at -sigma and sigma, each off by exactly 2
+        w = build_witness(n, F(5, 2))
+        swapped = dataclasses.replace(w.tau, first=w.tau.second, second=w.tau.first)
+        report = verify_witness(dataclasses.replace(w, tau=swapped))
+        assert [c.name for c in report.checks if not c.passed] == ["sampling_identity"]
+        assert report.first_failure.discrepancy == 2
+
+    def test_builder_rejects_a_wrong_table(self, monkeypatch):
+        def swapped(n, T):
+            tau = tabulated_deviation(n, T)
+            return dataclasses.replace(tau, first=tau.second, second=tau.first)
+
+        monkeypatch.setattr(witness, "tabulated_deviation", swapped)
+        with pytest.raises(AssertionError, match="not sigma h"):
+            build_witness(3, F(5, 2))
 
     def test_tampered_threshold_fails(self):
         w = build_witness(3, F(1))
