@@ -239,20 +239,27 @@ def _criterion_conclusion_table(seed: int) -> tuple[bool, str]:
     return True, "L_1..L_5 and P_1..P_5 reproduced; exactly L_3 (192 vs 132) and P_5 (24576/5 vs 24776/5) flagged"
 
 
+def _inequality_instance(rng: random.Random, n: int) -> tuple[Fraction, Fraction | None]:
+    """(sup|w|, max|x|) for one random zero-mean step w and its n-fold zero-mean periodic
+    antiderivative x; max|x| is None when w is 0.
+
+    w is a step, so sup|w| is its largest |value| at the left ends of its pieces; max|x| is
+    taken over the points k/64 and the breakpoints, which lie on the 1/32 grid.
+    """
+    w = random_zero_mean_step(rng)
+    sup_wn = w.max_abs_on_grid(1)
+    if sup_wn == 0:
+        return sup_wn, None
+    return sup_wn, periodic_antiderivatives(w, n).max_abs_on_grid(64)
+
+
 def _criterion_inequality_suite(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed + 4)
-    grid = [Fraction(i, 64) for i in range(64)]
     for n in range(1, 6):
         K = favard_closed_form(n)
         for i in range(500):
-            w = random_zero_mean_step(rng)
-            sup_wn = max(abs(p(Fraction(0))) for p in w.pieces)
-            if sup_wn == 0:
-                continue
-            x = periodic_antiderivatives(w, n)
-            points = list(grid) + [b for b in x.breakpoints[:-1]]
-            max_x = x.max_abs_in_unit(points)
-            if max_x > K * sup_wn:
+            sup_wn, max_x = _inequality_instance(rng, n)
+            if max_x is not None and max_x > K * sup_wn:
                 return False, f"n={n}, instance {i}: max|x| = {max_x} > K_n sup = {K * sup_wn}"
         witness = build_witness(n, Fraction(1))
         if extremal_ratio(witness) != K:

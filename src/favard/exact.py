@@ -18,12 +18,16 @@ cache is per instance and lazy, so polynomials that are only built
 (quotients, remainders) never pay for it, and it is not part of equality,
 hashing or repr.
 
-Piecewise polynomials do the same: breakpoints are cached as numerators N
-over their lcm L (u = a/b lies in piece bisect_right(N, a L // b) - 1), and
-``mean``, ``antiderivative`` and each order of
-``periodic_antiderivatives`` are one pass of ``_cumulative`` over the pieces'
-integer rows on one denominator, with Horner sums at the breakpoints A/L.
-Fractions are built for results only.
+Piecewise polynomials store nothing but integers and the period: the
+breakpoints as numerators N over their lcm L (u = a/b lies in piece
+bisect_right(N, a L // b) - 1), and the pieces as coefficient rows of one
+width over one denominator, in a canonical form, so equal functions have
+equal fields. Evaluation is a homogeneous Horner sum of a row; ``mean``,
+``antiderivative`` and each order of ``periodic_antiderivatives`` are one
+pass of ``_cumulative`` over the rows, with Horner sums at the breakpoints
+A/L; sums, products with a constant and derivatives act on the rows. The
+``Fraction`` breakpoints and ``Polynomial`` pieces are views built on first
+read, and Fractions are built for results only.
 
 Step functions in the period variable t are :class:`StepFunction`, the one
 step type: breakpoints 0 = c_0 < ... < c_K = T, one value per interval
@@ -44,7 +48,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -180,22 +184,30 @@ def _horner(nums: Sequence[int], a: int, b: int) -> tuple[int, int]:
     return acc, bpow
 
 
-def _cumulative(rows: list[list[int]], den: int, N: Sequence[int], L: int) -> tuple[list[list[int]], int, int]:
+def _cumulative(rows: Sequence[Sequence[int]], den: int, N: Sequence[int], L: int) -> tuple[list[list[int]], int, int]:
     """Integral from 0 of the pieces sum(rows[i][k] u^k) / den on [N[i]/L, N[i+1]/L), rows of
     one width w, as (out, D, total): out[i] / D is piece i, one wider, and total / D the value
-    at u = 1 (the mean), where D = den M L^w and M = lcm(1..w)."""
+    at u = 1 (the mean), where D = den M L^w and M = lcm(1..w).
+
+    With P[k] = rows[i][k] M / (k + 1) L^(w-1-k), D times the integral of piece i from 0 to
+    x / L is x times the plain Horner sum of P at x, and its coefficient of u^(k+1) is P[k] L^(k+1).
+    """
     w = len(rows[0])
     M = math.lcm(*range(1, w + 1))
-    scale = [M // k for k in range(1, w + 1)]
-    Lw = L**w
+    scale = [M // (k + 1) * L ** (w - 1 - k) for k in range(w)]
+    up = [L ** (k + 1) for k in range(w)]
     out = []
     run = 0
     for row, a, b in zip(rows, N, N[1:]):
-        P = [c * m for c, m in zip(row, scale)]  # P[k] is the coefficient of u^(k+1)
-        Pa = a * _horner(P, a, L)[0]
-        out.append([run - Pa] + [c * Lw for c in P])
-        run += b * _horner(P, b, L)[0] - Pa
-    return out, den * M * Lw, run
+        P = [c * s for c, s in zip(row, scale)]
+        Pa = Pb = 0
+        for c in reversed(P):
+            Pa = Pa * a + c
+            Pb = Pb * b + c
+        Pa *= a
+        out.append([run - Pa, *[c * u for c, u in zip(P, up)]])
+        run += b * Pb - Pa
+    return out, den * M * L**w, run
 
 
 @dataclass(frozen=True)
@@ -321,31 +333,77 @@ class Polynomial:
         return [format_rational(c) for c in self.coeffs]
 
 
-@dataclass(frozen=True)
+def _partition(
+    breakpoints: Sequence[RationalLike], count: int, period: RationalLike
+) -> tuple[tuple[int, ...], int, Fraction]:
+    """(knots, grid, period) for ``count`` pieces: the breakpoints as integer numerators over
+    their least common denominator, checked to run strictly upwards from 0 to 1."""
+    ratios = [to_rational(b).as_integer_ratio() for b in breakpoints]
+    period = to_rational(period)
+    grid = math.lcm(*[q for _, q in ratios])
+    knots = tuple([p * (grid // q) for p, q in ratios])
+    if len(knots) < 2 or knots[0] != 0 or knots[-1] != grid:
+        raise ValueError("breakpoints must start at 0 and end at 1")
+    if any([a >= b for a, b in zip(knots, knots[1:])]):
+        raise ValueError("breakpoints must be strictly increasing")
+    if count != len(knots) - 1:
+        raise ValueError("need exactly one piece per subinterval")
+    if period <= 0:
+        raise ValueError("period must be positive")
+    return knots, grid, period
+
+
+@dataclass(frozen=True, init=False)
 class PiecewisePolynomial:
     """T-periodic function given by exact polynomial pieces on a partition of [0, 1].
 
-    ``breakpoints`` is a strictly increasing tuple starting at 0 and ending at 1;
-    ``pieces[i]`` is the polynomial in the unit variable u valid on
-    [breakpoints[i], breakpoints[i+1]). Evaluation at t uses u = {t / period}.
+    The one stored form is integer: breakpoint i is knots[i] / grid, with grid
+    the least common denominator of the breakpoints, and piece i is
+    sum(rows[i][k] u^k) / den in the unit variable u, valid on
+    [knots[i] / grid, knots[i+1] / grid). The rows share one width, at least 1,
+    with a nonzero last column unless the function is 0; den > 0 and no prime
+    divides den and every entry. The form is canonical, so dataclass equality
+    and hashing are function equality. Evaluation at t uses u = {t / period}.
+
+    ``breakpoints`` (Fractions from 0 to 1) and ``pieces`` (one Polynomial per
+    interval) are views built on first read; the constructor takes them and
+    converts them once.
     """
 
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Polynomial, ...]
+    knots: tuple[int, ...]
+    grid: int
+    rows: tuple[tuple[int, ...], ...]
+    den: int
     period: Fraction
 
-    def __post_init__(self) -> None:
-        bps = tuple([to_rational(b) for b in self.breakpoints])
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "period", to_rational(self.period))
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(self.pieces) != len(bps) - 1:
-            raise ValueError("need exactly one piece per subinterval")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
+    def __init__(
+        self,
+        breakpoints: Sequence[RationalLike],
+        pieces: Sequence[Polynomial],
+        period: RationalLike,
+    ) -> None:
+        knots, grid, period = _partition(breakpoints, len(pieces), period)
+        forms = [p._integer_form for p in pieces]
+        den = math.lcm(*[D for _, D in forms])
+        width = max(1, *[len(nums) for nums, _ in forms])
+        rows = [[c * (den // D) for c in nums] + [0] * (width - len(nums)) for nums, D in forms]
+        self._fill(knots, grid, rows, den, period)
+
+    def _fill(self, knots: tuple[int, ...], grid: int, rows: list, den: int, period: Fraction) -> None:
+        """Store the canonical form of the pieces rows / den (rows of one width, den > 0):
+        trailing zero columns are dropped, keeping one, and the common gcd divided out."""
+        w = len(rows[0])
+        while w > 1 and not any([r[w - 1] for r in rows]):
+            w -= 1
+        g = math.gcd(den, *[c for r in rows for c in r[:w]])
+        rows = tuple([tuple([c // g for c in r[:w]]) for r in rows])
+        self.__dict__.update(knots=knots, grid=grid, rows=rows, den=den // g, period=period)
+
+    def _make(self, rows: list, den: int) -> "PiecewisePolynomial":
+        """The pieces rows / den on this partition and period."""
+        out = object.__new__(PiecewisePolynomial)
+        out._fill(self.knots, self.grid, rows, den, self.period)
+        return out
 
     @classmethod
     def step(
@@ -355,41 +413,70 @@ class PiecewisePolynomial:
         period: RationalLike = 1,
     ) -> "PiecewisePolynomial":
         """Step function: constant pieces on the given unit-interval partition."""
-        return cls(
-            tuple([to_rational(b) for b in breakpoints]),
-            tuple([Polynomial.const(v) for v in values]),
-            to_rational(period),
-        )
+        ratios = [to_rational(v).as_integer_ratio() for v in values]
+        knots, grid, period = _partition(breakpoints, len(ratios), period)
+        den = math.lcm(*[q for _, q in ratios])
+        out = object.__new__(cls)
+        out._fill(knots, grid, [[p * (den // q)] for p, q in ratios], den, period)
+        return out
 
     @cached_property
-    def _grid(self) -> tuple[tuple[int, ...], int]:
-        """Breakpoints as integer numerators N over their least common denominator L."""
-        L = math.lcm(*[b.denominator for b in self.breakpoints])
-        return tuple([b.numerator * (L // b.denominator) for b in self.breakpoints]), L
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(k, self.grid) for k in self.knots])
+
+    @cached_property
+    def pieces(self) -> tuple[Polynomial, ...]:
+        return tuple([Polynomial([Fraction(c, self.den) for c in row]) for row in self.rows])
 
     def piece_index(self, u: Fraction) -> int:
         """Index of the piece owning u in [0, 1), right-continuous at breakpoints."""
         a, b = u.as_integer_ratio()
         if not 0 <= a < b:
             raise ValueError("u must lie in [0, 1)")
-        N, L = self._grid
-        return bisect_right(N, a * L // b) - 1
+        return bisect_right(self.knots, a * self.grid // b) - 1
+
+    def _value(self, i: int, a: int, b: int) -> Fraction:
+        """Piece i at u = a / b."""
+        acc, bpow = _horner(self.rows[i], a, b)
+        return Fraction(acc, self.den * bpow)
 
     def value_in_unit(self, u: Fraction) -> Fraction:
-        return self.pieces[self.piece_index(u)](u)
+        return self._value(self.piece_index(u), *u.as_integer_ratio())
 
     def max_abs_in_unit(self, points: Iterable[Fraction]) -> Fraction:
         """Exact max |f(u)| over points in [0, 1) (0 for none), compared as integer
         Horner sums by cross-multiplication; one Fraction is built at the end."""
         best, best_den = 0, 1
         for u in points:
-            nums, D = self.pieces[self.piece_index(u)]._integer_form
-            if nums:
-                acc, bpow = _horner(nums, *u.as_integer_ratio())
-                acc, den = abs(acc), D * bpow
-                if acc * best_den > best * den:
-                    best, best_den = acc, den
-        return Fraction(best, best_den)
+            acc, bpow = _horner(self.rows[self.piece_index(u)], *u.as_integer_ratio())
+            if abs(acc) * best_den > best * bpow:
+                best, best_den = abs(acc), bpow
+        return Fraction(best, best_den * self.den)
+
+    def max_abs_on_grid(self, G: int) -> Fraction:
+        """Exact max |f(u)| over u = k / G (0 <= k < G) and the breakpoints below 1, each
+        point evaluated once.
+
+        On the grid of step 1/M, M = lcm(G, grid), every point is an integer a, and den
+        M^(w-1) times piece i at a / M is the Horner sum in a of rows[i][k] M^(w-1-k): all
+        points share that denominator, so the maximum is taken over integers.
+        """
+        w = len(self.rows[0])
+        M = math.lcm(G, self.grid)
+        ends = [k * (M // self.grid) for k in self.knots]
+        points = sorted(set(range(0, M, M // G)).union(ends[:-1]))
+        best = start = 0
+        for row, hi in zip(self.rows, ends[1:]):
+            scaled = [c * M ** (w - 1 - k) for k, c in enumerate(row)][::-1]
+            stop = bisect_left(points, hi, start)
+            for a in points[start:stop]:
+                acc = 0
+                for c in scaled:
+                    acc = acc * a + c
+                if acc > best or -acc > best:
+                    best = abs(acc)
+            start = stop
+        return Fraction(best, self.den * M ** (w - 1))
 
     def __call__(self, t: RationalLike) -> Fraction:
         u = frac_part(to_rational(t) / self.period)
@@ -397,38 +484,23 @@ class PiecewisePolynomial:
 
     def left_limit_in_unit(self, u: RationalLike) -> Fraction:
         """Limit from below at u in (0, 1]; at u = 0 use the limit at the period end."""
-        u = to_rational(u)
-        if u == 0:
-            u = Fraction(1)
-        a, b = u.as_integer_ratio()
+        a, b = to_rational(u).as_integer_ratio()
+        if a == 0:
+            a = b = 1
         if not 0 < a <= b:
             raise ValueError("u must lie in (0, 1]")
-        N, L = self._grid
-        # the last breakpoint strictly below u: N[i] b < a L, i.e. N[i] <= (a L - 1) // b
-        return self.pieces[bisect_right(N, (a * L - 1) // b) - 1](u)
+        # the last breakpoint strictly below u: knots[i] b < a grid, i.e. knots[i] <= (a grid - 1) // b
+        return self._value(bisect_right(self.knots, (a * self.grid - 1) // b) - 1, a, b)
 
     def derivative(self) -> "PiecewisePolynomial":
         """Piecewise derivative with respect to t (chain rule through u = t/T)."""
-        inv = 1 / self.period
-        return PiecewisePolynomial(
-            self.breakpoints,
-            tuple([p.derivative() * inv for p in self.pieces]),
-            self.period,
-        )
+        p, q = self.period.as_integer_ratio()
+        return self._make([[k * r[k] * q for k in range(1, len(r))] or [0] for r in self.rows], self.den * p)
 
     @cached_property
     def _integral(self) -> tuple[list[list[int]], int, int]:
-        """:func:`_cumulative` of the pieces, put over one denominator and one width."""
-        forms = [p._integer_form for p in self.pieces]
-        den = math.lcm(*[D for _, D in forms])
-        width = max(1, *[len(nums) for nums, _ in forms])
-        rows = [[c * (den // D) for c in nums] + [0] * (width - len(nums)) for nums, D in forms]
-        return _cumulative(rows, den, *self._grid)
-
-    def _from_rows(self, rows: list[list[int]], den: int) -> "PiecewisePolynomial":
-        """Pieces rows / den on this partition and period."""
-        pieces = tuple([Polynomial(tuple([Fraction(c, den) for c in row])) for row in rows])
-        return PiecewisePolynomial(self.breakpoints, pieces, self.period)
+        """:func:`_cumulative` of the rows."""
+        return _cumulative(self.rows, self.den, self.knots, self.grid)
 
     def mean(self) -> Fraction:
         """Average over one period: sum of piece integrals in u."""
@@ -445,24 +517,27 @@ class PiecewisePolynomial:
         if total:  # total is the mean over the period
             raise ValueError("periodic antiderivative requires zero mean")
         p, q = self.period.as_integer_ratio()
-        return self._from_rows([[p * c for c in row] for row in rows], den * q)
+        return self._make([[p * c for c in row] for row in rows], den * q)
+
+    def _shifted(self, p: int, q: int) -> "PiecewisePolynomial":
+        """This function plus p / q, q > 0: p / q times the common denominator joins column 0."""
+        den = math.lcm(self.den, q)
+        f, c = den // self.den, p * (den // q)
+        return self._make([[r[0] * f + c, *[x * f for x in r[1:]]] for r in self.rows], den)
 
     def plus_constant(self, c: RationalLike) -> "PiecewisePolynomial":
-        c = to_rational(c)
-        return PiecewisePolynomial(
-            self.breakpoints,
-            tuple([p + Polynomial.const(c) for p in self.pieces]),
-            self.period,
-        )
+        return self._shifted(*to_rational(c).as_integer_ratio())
 
     def zero_mean(self) -> "PiecewisePolynomial":
-        return self.plus_constant(-self.mean())
+        rows, den, total = self._integral
+        out = self._shifted(-total, den)
+        # the integral of f - total / den is the integral of f minus (total / den) u
+        out.__dict__["_integral"] = ([[r[0], r[1] - total, *r[2:]] for r in rows], den, 0)
+        return out
 
     def __mul__(self, other: RationalLike) -> "PiecewisePolynomial":
-        c = to_rational(other)
-        return PiecewisePolynomial(
-            self.breakpoints, tuple([p * c for p in self.pieces]), self.period
-        )
+        p, q = to_rational(other).as_integer_ratio()
+        return self._make([[p * c for c in r] for r in self.rows], self.den * q)
 
     __rmul__ = __mul__
 
@@ -520,21 +595,22 @@ def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolyno
     Starting from a zero-mean periodic function, each integration produces a
     periodic function whose mean is removed again, so the result is an exact
     admissible function: periodic derivatives up to order n - 1 and n-th
-    derivative equal to the input. Each order integrates every piece once: if P
-    is the integral from 0 of the current function and Q that of P, then P has
-    mean m = Q(1), T (P - m) is the next function and T (Q - m u) the next P.
+    derivative equal to the input. Each order integrates every piece once in
+    u: if P is the integral from 0 of the current function and Q that of P,
+    then P has mean m = Q(1), P - m is the next function and Q - m u the next
+    P. An integral in t is T times the one in u, so the result is T^n times
+    the last function.
     """
     if n < 1:
         return pw
     P, pden, total = pw._integral
     if total:
         raise ValueError("periodic antiderivative requires zero mean")
-    p, q = pw.period.as_integer_ratio()
     for _ in range(n):
-        Q, qden, m = _cumulative(P, pden, *pw._grid)
-        rows, s = P, qden // pden  # the next function is T (rows s - m) / qden
-        P = [[p * r[0], p * (r[1] - m)] + [p * c for c in r[2:]] for r in Q]
-        g = math.gcd(qden * q, *[c for r in P for c in r])
-        P, pden = [[c // g for c in r] for r in P], qden * q // g
-    return pw._from_rows([[p * (r[0] * s - m)] + [p * c * s for c in r[1:]] for r in rows], qden * q)
-
+        Q, qden, m = _cumulative(P, pden, pw.knots, pw.grid)
+        rows, s = P, qden // pden  # the next function is (rows s - m) / qden
+        P = [[r[0], r[1] - m, *r[2:]] for r in Q]
+        g = math.gcd(qden, *[c for r in P for c in r])
+        P, pden = [[c // g for c in r] for r in P], qden // g
+    p, q = (pw.period**n).as_integer_ratio()
+    return pw._make([[p * (r[0] * s - m), *[p * c * s for c in r[1:]]] for r in rows], qden * q)

@@ -21,13 +21,18 @@ __all__ = [
 ]
 
 
+def _random_cuts(rng: random.Random, max_interior: int, denom: int) -> list[int]:
+    """Sorted numerators over ``denom`` of 0, 1 and 1 to ``max_interior`` random cuts between."""
+    cuts = {0, denom}
+    for _ in range(rng.randint(1, max_interior)):
+        cuts.add(rng.randint(1, denom - 1))
+    return sorted(cuts)
+
+
 def random_partition(
     rng: random.Random, T: Fraction, max_interior: int = 6, denom: int = 64
 ) -> tuple[Fraction, ...]:
-    cuts = {Fraction(0), T}
-    for _ in range(rng.randint(1, max_interior)):
-        cuts.add(T * Fraction(rng.randint(1, denom - 1), denom))
-    return tuple(sorted(cuts))
+    return tuple([T * Fraction(k, denom) for k in _random_cuts(rng, max_interior, denom)])
 
 
 def random_deviation(rng: random.Random, T: Fraction) -> StepFunction:
@@ -48,6 +53,6 @@ def random_weight(rng: random.Random, T: Fraction, total: Fraction) -> StepFunct
 
 def random_zero_mean_step(rng: random.Random) -> PiecewisePolynomial:
     """Random zero-mean step function on [0, 1] (period 1) with values on the grid {k / 8}, exact."""
-    bps = random_partition(rng, Fraction(1), 5, denom=32)
-    vals = [Fraction(rng.randint(-16, 16), 8) for _ in bps[:-1]]
-    return PiecewisePolynomial.step(bps, vals).zero_mean()
+    cuts = _random_cuts(rng, 5, 32)
+    vals = [rng.randint(-16, 16) for _ in cuts[:-1]]
+    return PiecewisePolynomial.step([Fraction(k, 32) for k in cuts], [Fraction(v, 8) for v in vals]).zero_mean()

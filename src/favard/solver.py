@@ -273,8 +273,10 @@ def nullspace_vector(matrix: tuple[tuple[Fraction, ...], ...]) -> list[Fraction]
 def _validate_deviation(tau: StepFunction, T: Fraction) -> None:
     if tau.period != T:
         raise ValueError("deviation period mismatch")
+    tp, tq = T.as_integer_ratio()
     for i, v in enumerate(tau.values):
-        if not 0 <= v <= T:
+        p, q = v.as_integer_ratio()
+        if not 0 <= p * tq <= tp * q:
             raise ValueError(f"tau.values[{i}] = {v} lies outside [0, T]")
 
 
@@ -286,13 +288,13 @@ def _over(x: Fraction, tp: int, tq: int) -> tuple[int, int]:
     return p // g, q // g
 
 
-def _on_pieces(f: StepFunction, cuts: tuple[Fraction, ...]) -> list[Fraction]:
-    """The value of f on each piece [cuts[k], cuts[k+1]) of cuts, which contain f's breakpoints."""
+def _on_pieces(knots: list[int], values: list, N: list[int]) -> list:
+    """values[i] on each piece [N[k], N[k+1]) of N, integers that contain the breakpoints ``knots``."""
     out, i = [], 0
-    for lo in cuts[:-1]:
-        if lo == f.breakpoints[i + 1]:
+    for lo in N[:-1]:
+        if lo == knots[i + 1]:
             i += 1
-        out.append(f.values[i])
+        out.append(values[i])
     return out
 
 
@@ -300,7 +302,6 @@ def _step_kernel(
     n: int,
     T: Fraction,
     tau: StepFunction,
-    cuts: tuple[Fraction, ...],
     weight: StepFunction,
     c: Fraction,
     b: Fraction = Fraction(0),
@@ -309,8 +310,9 @@ def _step_kernel(
     [I - A | -1] over [m | 0], where A_ij = -c K_ij - b m_j and m_j is the weight
     integral over the preimage P_j of s_j.
 
-    K_ij sums w * (E_k - E_{k+1}) over the pieces [c_k, c_{k+1}) of ``cuts``
-    in P_j, with weight w and E_k = PB_{n+1}((s_i - c_k)/T): (n + 1)/T times
+    The cuts c_k are the breakpoints of tau and of the weight together. K_ij
+    sums w * (E_k - E_{k+1}) over the pieces [c_k, c_{k+1}) in P_j, with
+    weight w and E_k = PB_{n+1}((s_i - c_k)/T): (n + 1)/T times
     integral(w * PB_n((s_i - sigma)/T)), across wraps too, as PB_{n+1} is a
     continuous antiderivative. Each piece gets its column and weight once,
     each cut one evaluation per sample.
@@ -328,18 +330,23 @@ def _step_kernel(
     scale is that gcd over M.
     """
     tp, tq = T.as_integer_ratio()
-    grid = [_over(x, tp, tq) for x in cuts]
-    Gc = math.lcm(*[q for _, q in grid])
-    N = [p * (Gc // q) for p, q in grid]
-    samples = sorted(set(tau.values))
-    # integer pairs as keys: hashing a Fraction costs a modular inverse
-    col = {v.as_integer_ratio(): j for j, v in enumerate(samples)}
-    ratios = [w.as_integer_ratio() for w in _on_pieces(weight, cuts)]
+    grids = [[_over(x, tp, tq) for x in f.breakpoints] for f in (tau, weight)]
+    Gc = math.lcm(*[q for grid in grids for _, q in grid])
+    tau_knots, weight_knots = [[p * (Gc // q) for p, q in grid] for grid in grids]
+    N = sorted(set(tau_knots).union(weight_knots))
+    # integer pairs as keys and s/T on one denominator as the order: Fraction hashing
+    # costs a modular inverse and Fraction comparison two products
+    over = {v.as_integer_ratio(): _over(v, tp, tq) for v in tau.values}
+    S = math.lcm(*[q for _, q in over.values()])
+    keys = sorted(over, key=lambda k: over[k][0] * (S // over[k][1]))
+    col = {k: j for j, k in enumerate(keys)}
+    ratios = _on_pieces(weight_knots, [w.as_integer_ratio() for w in weight.values], N)
     W = math.lcm(*[q for _, q in ratios])
-    constraint = [0] * len(samples)
+    constraint = [0] * len(keys)
     pieces = []
-    for k, (v, (p, q)) in enumerate(zip(_on_pieces(tau, cuts), ratios)):
-        j, w = col[v.as_integer_ratio()], p * (W // q)
+    cols = _on_pieces(tau_knots, [col[v.as_integer_ratio()] for v in tau.values], N)
+    for k, (j, (p, q)) in enumerate(zip(cols, ratios)):
+        w = p * (W // q)
         if w:
             constraint[j] += w * (N[k + 1] - N[k])
             pieces.append((k, j, w))
@@ -347,12 +354,12 @@ def _step_kernel(
     cp, cq = c.numerator, c.denominator
     bp, bq = b.numerator * tp, b.denominator * tq * W * Gc
     out = []
-    for i, s in enumerate(samples):
-        a, e = _over(s, tp, tq)
+    for i, key in enumerate(keys):
+        a, e = over[key]
         G = math.lcm(Gc, e)
         a, m = a * (G // e), G // Gc
         E = [_horner(nums, (a - x * m) % G, G)[0] for x in N]
-        row = [0] * len(samples)
+        row = [0] * len(keys)
         for k, j, w in pieces:
             row[j] += w * (E[k] - E[k + 1])
         den = W * D * G ** (n + 1) * cq
@@ -363,7 +370,7 @@ def _step_kernel(
         out.append(_primitive([*ints, -M], 1, M))
     out.append(_primitive([*constraint, 0], tp, tq * W * Gc))
     rows, scales = zip(*out)
-    return tuple(samples), rows, scales
+    return tuple([Fraction(*k) for k in keys]), rows, scales
 
 
 def reduce_system(
@@ -389,7 +396,7 @@ def reduce_system(
         raise ValueError("L must be >= 0")
     c = L * T**n / math.factorial(n + 1)
     xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
-    samples, rows, scales = _step_kernel(n, T, tau, tau.breakpoints, StepFunction.constant(1, T), c, xi_factor)
+    samples, rows, scales = _step_kernel(n, T, tau, StepFunction.constant(1, T), c, xi_factor)
     return ReducedSystem(n, T, samples, rows, scales, "lipschitz", tau, L, xi)
 
 
@@ -413,11 +420,10 @@ def reduce_weighted(
     if p.period != T:
         raise ValueError("weight period mismatch")
     for i, v in enumerate(p.values):
-        if v < 0:
+        if v.numerator < 0:
             raise ValueError(f"p.values[{i}] = {v} is negative")
     c = T**n / math.factorial(n + 1)
-    cuts = tuple(sorted(set(p.breakpoints) | set(tau.breakpoints)))
-    samples, rows, scales = _step_kernel(n, T, tau, cuts, p, c)
+    samples, rows, scales = _step_kernel(n, T, tau, p, c)
     return ReducedSystem(n, T, samples, rows, scales, "weighted", tau)
 
 

@@ -1,69 +1,118 @@
 """Integer piecewise-polynomial routines against the Fraction code they replaced.
 
-The ``reference_*`` functions are the bodies ``PiecewisePolynomial.mean``,
-``antiderivative``, ``piece_index``, ``left_limit_in_unit`` and
-``sampling.periodic_antiderivatives`` had before those ran on integer
-coefficient rows over one denominator and integer breakpoint numerators:
-every step there is a ``Fraction`` operation, and ``periodic_antiderivatives``
-calls ``antiderivative`` and then ``mean`` at each order. Equality here is
-``==`` on canonical Fractions and on whole ``PiecewisePolynomial`` values.
+``PiecewisePolynomial`` stores one integer form (breakpoint numerators over
+their common denominator, coefficient rows over one denominator) and builds
+``breakpoints`` and ``pieces`` only as views. The ``reference_*`` functions
+are the bodies its operations had when it stored those views: every step is
+a ``Fraction`` or ``Polynomial`` operation on a :class:`Pieces` triple of
+breakpoints, pieces and period, and ``periodic_antiderivatives`` calls
+``antiderivative`` and then ``mean`` at each order. A result matches its
+reference when its views equal the reference triple and it equals, with the
+same hash, the function the public constructor builds from that triple.
 """
 
+import random
 from bisect import bisect_right
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favard.exact import PiecewisePolynomial, Polynomial
+from favard.acceptance import _inequality_instance
+from favard.exact import PiecewisePolynomial, Polynomial, format_rational
 from favard.sampling import periodic_antiderivatives
 
 
-def _spans(pw):
-    return zip(pw.pieces, pw.breakpoints, pw.breakpoints[1:])
+class Pieces(NamedTuple):
+    breakpoints: tuple
+    pieces: tuple
+    period: F
 
 
-def reference_mean(pw):
-    return sum((p.integrate(a, b) for p, a, b in _spans(pw)), F(0))
+def fraction_form(pw):
+    return Pieces(pw.breakpoints, pw.pieces, pw.period)
 
 
-def reference_antiderivative(pw):
+def assert_matches(pw, ref):
+    assert fraction_form(pw) == ref
+    built = PiecewisePolynomial(*ref)
+    assert pw == built and hash(pw) == hash(built)
+
+
+def _spans(f):
+    return zip(f.pieces, f.breakpoints, f.breakpoints[1:])
+
+
+def reference_mean(f):
+    return sum((p.integrate(a, b) for p, a, b in _spans(f)), F(0))
+
+
+def reference_antiderivative(f):
     out = []
     running = F(0)
-    for p, a, b in _spans(pw):
+    for p, a, b in _spans(f):
         P = p.antiderivative()
         Pa = P(a)
-        out.append((Polynomial.const(running - Pa) + P) * pw.period)
+        out.append((Polynomial.const(running - Pa) + P) * f.period)
         running += P(b) - Pa
     if running != 0:
         raise ValueError("periodic antiderivative requires zero mean")
-    return PiecewisePolynomial(pw.breakpoints, tuple(out), pw.period)
+    return Pieces(f.breakpoints, tuple(out), f.period)
 
 
-def reference_periodic_antiderivatives(pw, n):
+def reference_plus_constant(f, c):
+    return Pieces(f.breakpoints, tuple([p + Polynomial.const(c) for p in f.pieces]), f.period)
+
+
+def reference_zero_mean(f):
+    return reference_plus_constant(f, -reference_mean(f))
+
+
+def reference_mul(f, c):
+    return Pieces(f.breakpoints, tuple([p * c for p in f.pieces]), f.period)
+
+
+def reference_derivative(f):
+    inv = 1 / f.period
+    return Pieces(f.breakpoints, tuple([p.derivative() * inv for p in f.pieces]), f.period)
+
+
+def reference_periodic_antiderivatives(f, n):
     for _ in range(n):
-        pw = reference_antiderivative(pw)
-        pw = pw.plus_constant(-reference_mean(pw))
-    return pw
+        f = reference_zero_mean(reference_antiderivative(f))
+    return f
 
 
-def reference_piece_index(pw, u):
+def reference_piece_index(f, u):
     if not 0 <= u < 1:
         raise ValueError("u must lie in [0, 1)")
-    return bisect_right(pw.breakpoints, u) - 1
+    return bisect_right(f.breakpoints, u) - 1
 
 
-def reference_left_limit_in_unit(pw, u):
+def reference_value_in_unit(f, u):
+    return f.pieces[reference_piece_index(f, u)](u)
+
+
+def reference_left_limit_in_unit(f, u):
     u = F(u)
     if u == 0:
         u = F(1)
-    idx = bisect_right(pw.breakpoints, u) - 1
-    if idx == len(pw.pieces):  # u == 1
+    idx = bisect_right(f.breakpoints, u) - 1
+    if idx == len(f.pieces):  # u == 1
         idx -= 1
-    elif pw.breakpoints[idx] == u:
+    elif f.breakpoints[idx] == u:
         idx -= 1
-    return pw.pieces[idx](u)
+    return f.pieces[idx](u)
+
+
+def reference_to_json_dict(f):
+    return {
+        "breakpoints": [format_rational(b) for b in f.breakpoints],
+        "pieces": [p.to_strings() for p in f.pieces],
+        "period": format_rational(f.period),
+    }
 
 
 PERIODS = (F(1), F(5, 2), F(1, 3), F(7))
@@ -74,13 +123,17 @@ cut_points = st.builds(lambda k, d: F(k % (d - 1) + 1, d), st.integers(0, 95), s
 
 
 @st.composite
-def piecewise(draw, max_degree=4, max_pieces=5):
+def fraction_pieces(draw, max_degree=4, max_pieces=5):
     cuts = draw(st.lists(cut_points, max_size=max_pieces - 1, unique=True))
     pieces = [
         Polynomial(tuple(draw(st.lists(coefficients, max_size=max_degree + 1))))
         for _ in range(len(cuts) + 1)
     ]
-    return PiecewisePolynomial((F(0), *sorted(cuts), F(1)), tuple(pieces), draw(st.sampled_from(PERIODS)))
+    return Pieces((F(0), *sorted(cuts), F(1)), tuple(pieces), draw(st.sampled_from(PERIODS)))
+
+
+def piecewise(max_degree=4, max_pieces=5):
+    return fraction_pieces(max_degree, max_pieces).map(lambda f: PiecewisePolynomial(*f))
 
 
 def unit_points(pw):
@@ -99,7 +152,7 @@ def test_mean_matches_reference(pw):
 @given(piecewise())
 def test_antiderivative_matches_reference(pw):
     pw = pw.zero_mean()
-    assert pw.antiderivative() == reference_antiderivative(pw)
+    assert_matches(pw.antiderivative(), reference_antiderivative(pw))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -116,7 +169,7 @@ def test_antiderivative_rejects_nonzero_mean(pw):
 @given(piecewise(max_degree=4, max_pieces=4), st.integers(1, 6))
 def test_periodic_antiderivatives_match_reference(pw, n):
     pw = pw.zero_mean()
-    assert periodic_antiderivatives(pw, n) == reference_periodic_antiderivatives(pw, n)
+    assert_matches(periodic_antiderivatives(pw, n), reference_periodic_antiderivatives(pw, n))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -146,11 +199,103 @@ def test_max_abs_in_unit_matches_pointwise_max(pw, negate):
     assert pw.max_abs_in_unit(points) == max(abs(pw.value_in_unit(u)) for u in points)
     for u in points:
         assert pw.max_abs_in_unit([u]) == abs(pw.value_in_unit(u))
+    for G in (1, 7, 64):
+        grid = {F(k, G) for k in range(G)}.union(pw.breakpoints[:-1])
+        assert pw.max_abs_on_grid(G) == max(abs(reference_value_in_unit(pw, u)) for u in grid)
 
 
 def test_max_abs_in_unit_of_zero_pieces():
     pw = PiecewisePolynomial((0, F(1, 3), 1), (Polynomial.zero(), Polynomial.zero()), 1)
     assert pw.max_abs_in_unit([F(0), F(1, 3), F(1, 2)]) == 0
+    assert pw.max_abs_on_grid(64) == 0
     mixed = PiecewisePolynomial((0, F(1, 3), 1), (Polynomial.zero(), Polynomial.of(-3, 1)), 7)
     assert mixed.max_abs_in_unit([F(0), F(1, 6), F(1, 3), F(2, 3)]) == F(8, 3)
     assert mixed.max_abs_in_unit([F(0), F(1, 6)]) == 0
+    assert mixed.max_abs_on_grid(1) == F(8, 3)  # at the breakpoint 1/3
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fraction_pieces())
+def test_views_round_trip_the_constructor(f):
+    assert_matches(PiecewisePolynomial(*f), f)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fraction_pieces(), coefficients)
+def test_plus_constant_and_zero_mean_match_reference(f, c):
+    pw = PiecewisePolynomial(*f)
+    assert_matches(pw.plus_constant(c), reference_plus_constant(f, c))
+    assert_matches(pw.zero_mean(), reference_zero_mean(f))
+    assert pw.zero_mean().mean() == 0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fraction_pieces(), st.one_of(st.just(F(0)), coefficients))
+def test_mul_and_derivative_match_reference(f, c):
+    pw = PiecewisePolynomial(*f)
+    assert_matches(pw * c, reference_mul(f, c))
+    assert_matches(c * pw, reference_mul(f, c))
+    assert_matches(pw.derivative(), reference_derivative(f))
+    assert_matches(pw.derivative().derivative(), reference_derivative(reference_derivative(f)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fraction_pieces())
+def test_evaluation_and_json_match_reference(f):
+    pw = PiecewisePolynomial(*f)
+    for u in unit_points(f):
+        assert pw.value_in_unit(u) == reference_value_in_unit(f, u)
+        assert pw(u * f.period - 2 * f.period) == reference_value_in_unit(f, u)
+        assert pw.left_limit_in_unit(u) == reference_left_limit_in_unit(f, u)
+    assert pw.left_limit_in_unit(1) == reference_left_limit_in_unit(f, 1)
+    assert pw.to_json_dict() == reference_to_json_dict(f)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(fraction_pieces(), coefficients.filter(bool), coefficients)
+def test_one_function_built_two_ways(f, k, c):
+    """Operations that land on a function give the form, and hash, the constructor gives it."""
+    pw = PiecewisePolynomial(*f)
+    zero = PiecewisePolynomial(f.breakpoints, tuple([Polynomial.zero()] * len(f.pieces)), f.period)
+    pairs = [
+        (pw.plus_constant(c).plus_constant(-c), pw),
+        ((pw * k) * (1 / k), pw),
+        (pw.zero_mean().plus_constant(pw.mean()), pw),
+        (pw * 0, zero),
+        (zero.plus_constant(c), PiecewisePolynomial.step(f.breakpoints, [c] * len(f.pieces), f.period)),
+        (
+            (pw * k).plus_constant(c).derivative(),
+            PiecewisePolynomial(*reference_derivative(reference_plus_constant(reference_mul(f, k), c))),
+        ),
+    ]
+    for via_operations, via_constructor in pairs:
+        assert via_operations == via_constructor and hash(via_operations) == hash(via_constructor)
+    assert (pw.plus_constant(c) == pw) == (c == 0)
+
+
+def reference_random_zero_mean_step(rng):
+    cuts = {F(0), F(1)}
+    for _ in range(rng.randint(1, 5)):
+        cuts.add(F(rng.randint(1, 31), 32))
+    bps = tuple(sorted(cuts))
+    vals = [F(rng.randint(-16, 16), 8) for _ in bps[:-1]]
+    return reference_zero_mean(Pieces(bps, tuple([Polynomial.const(v) for v in vals]), F(1)))
+
+
+def reference_inequality_instance(rng, n):
+    """The body of the inequality-suite loop before it ran on integer rows, on Fraction pieces."""
+    w = reference_random_zero_mean_step(rng)
+    sup_wn = max(abs(p(F(0))) for p in w.pieces)
+    if sup_wn == 0:
+        return sup_wn, None
+    x = reference_periodic_antiderivatives(w, n)
+    points = [F(i, 64) for i in range(64)] + list(x.breakpoints[:-1])
+    return sup_wn, max(abs(reference_value_in_unit(x, u)) for u in points)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_inequality_instances_match_reference(seed):
+    rng, reference_rng = random.Random(seed + 4), random.Random(seed + 4)
+    for n in range(1, 6):
+        for _ in range(40):
+            assert _inequality_instance(rng, n) == reference_inequality_instance(reference_rng, n)
