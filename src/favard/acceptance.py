@@ -13,20 +13,16 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from math import comb
 
 from .bounds import conclusion_table
 from .constants import favard_closed_form, favard_series_numeric, favard_table
-from .exact import Polynomial, StepFunction
+from .exact import Polynomial, StepFunction, _horner
 from .kernels import green_apply, green_solution_polynomial, min_abs_integral
 from .numbers import bernoulli_polynomial
-from .sampling import (
-    periodic_antiderivatives,
-    random_deviation,
-    random_weight,
-    random_zero_mean_step,
-)
+from .sampling import random_deviation, random_step_numerators, random_weight
 from .solver import contraction_norm, reduce_system, solve_weighted
 from .witness import build_witness, extremal_ratio, verify_witness
 
@@ -239,18 +235,36 @@ def _criterion_conclusion_table(seed: int) -> tuple[bool, str]:
     return True, "L_1..L_5 and P_1..P_5 reproduced; exactly L_3 (192 vs 132) and P_5 (24576/5 vs 24776/5) flagged"
 
 
+@cache
+def _bernoulli_grid(n: int) -> tuple[tuple[int, ...], int]:
+    """B_{n+1} at r / 64, r = 0..63, as integer Horner sums E[r] listed twice, so that
+    E[(a - s) mod 64] for a = 0..63 is the slice from 64 - s, and the denominator
+    8 D 64^(n+1) (n+1)! of the inequality-suite x over them, D that of B_{n+1}."""
+    nums, D = bernoulli_polynomial(n + 1)._integer_form
+    E = tuple([_horner(nums, r, 64)[0] for r in range(64)])
+    return E + E, 8 * D * 64 ** (n + 1) * math.factorial(n + 1)
+
+
 def _inequality_instance(rng: random.Random, n: int) -> tuple[Fraction, Fraction | None]:
     """(sup|w|, max|x|) for one random zero-mean step w and its n-fold zero-mean periodic
     antiderivative x; max|x| is None when w is 0.
 
-    w is a step, so sup|w| is its largest |value| at the left ends of its pieces; max|x| is
-    taken over the points k/64 and the breakpoints, which lie on the 1/32 grid.
+    w is v_k / 8 less its mean on [b_k / 32, b_{k+1} / 32), so sup|w| is the largest
+    |32 v_k - sum_j v_j (b_{j+1} - b_j)| / 256. By the periodic Bernoulli kernel,
+    x(u) = -(1/(n+1)!) sum_k J_k PB_{n+1}(u - b_k / 32) / 8 with J_k = v_k - v_{k-1} the
+    cyclic jumps, in which a constant, and so the mean, telescopes to 0. max|x| is taken
+    over the points a / 64, which include the breakpoints: there each term is
+    J_k E[(a - 2 b_k) mod 64] over the one denominator of :func:`_bernoulli_grid`.
     """
-    w = random_zero_mean_step(rng)
-    sup_wn = w.max_abs_on_grid(1)
+    cuts, vals = random_step_numerators(rng)
+    total = sum([v * (hi - lo) for v, lo, hi in zip(vals, cuts, cuts[1:])])
+    sup_wn = Fraction(max([abs(32 * v - total) for v in vals]), 256)
     if sup_wn == 0:
         return sup_wn, None
-    return sup_wn, periodic_antiderivatives(w, n).max_abs_on_grid(64)
+    E, den = _bernoulli_grid(n)
+    jumps = [(b, v - u) for b, u, v in zip(cuts, vals[-1:] + vals, vals) if v != u]
+    terms = [[J * e for e in E[64 - 2 * b : 128 - 2 * b]] for b, J in jumps]
+    return sup_wn, Fraction(max(map(abs, map(sum, zip(*terms)))), den)
 
 
 def _criterion_inequality_suite(seed: int) -> tuple[bool, str]:

@@ -48,7 +48,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -442,41 +442,6 @@ class PiecewisePolynomial:
 
     def value_in_unit(self, u: Fraction) -> Fraction:
         return self._value(self.piece_index(u), *u.as_integer_ratio())
-
-    def max_abs_in_unit(self, points: Iterable[Fraction]) -> Fraction:
-        """Exact max |f(u)| over points in [0, 1) (0 for none), compared as integer
-        Horner sums by cross-multiplication; one Fraction is built at the end."""
-        best, best_den = 0, 1
-        for u in points:
-            acc, bpow = _horner(self.rows[self.piece_index(u)], *u.as_integer_ratio())
-            if abs(acc) * best_den > best * bpow:
-                best, best_den = abs(acc), bpow
-        return Fraction(best, best_den * self.den)
-
-    def max_abs_on_grid(self, G: int) -> Fraction:
-        """Exact max |f(u)| over u = k / G (0 <= k < G) and the breakpoints below 1, each
-        point evaluated once.
-
-        On the grid of step 1/M, M = lcm(G, grid), every point is an integer a, and den
-        M^(w-1) times piece i at a / M is the Horner sum in a of rows[i][k] M^(w-1-k): all
-        points share that denominator, so the maximum is taken over integers.
-        """
-        w = len(self.rows[0])
-        M = math.lcm(G, self.grid)
-        ends = [k * (M // self.grid) for k in self.knots]
-        points = sorted(set(range(0, M, M // G)).union(ends[:-1]))
-        best = start = 0
-        for row, hi in zip(self.rows, ends[1:]):
-            scaled = [c * M ** (w - 1 - k) for k, c in enumerate(row)][::-1]
-            stop = bisect_left(points, hi, start)
-            for a in points[start:stop]:
-                acc = 0
-                for c in scaled:
-                    acc = acc * a + c
-                if acc > best or -acc > best:
-                    best = abs(acc)
-            start = stop
-        return Fraction(best, self.den * M ** (w - 1))
 
     def __call__(self, t: RationalLike) -> Fraction:
         u = frac_part(to_rational(t) / self.period)

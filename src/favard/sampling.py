@@ -16,6 +16,7 @@ __all__ = [
     "random_partition",
     "random_deviation",
     "random_weight",
+    "random_step_numerators",
     "random_zero_mean_step",
     "periodic_antiderivatives",
 ]
@@ -51,8 +52,14 @@ def random_weight(rng: random.Random, T: Fraction, total: Fraction) -> StepFunct
     return StepFunction(bps, vals, T)
 
 
-def random_zero_mean_step(rng: random.Random) -> PiecewisePolynomial:
-    """Random zero-mean step function on [0, 1] (period 1) with values on the grid {k / 8}, exact."""
+def random_step_numerators(rng: random.Random) -> tuple[list[int], list[int]]:
+    """Random step on [0, 1]: its cuts as numerators over 32, from 0 to 32 with 1 to 5
+    between, and one value per piece as a numerator over 8 in [-16, 16]."""
     cuts = _random_cuts(rng, 5, 32)
-    vals = [rng.randint(-16, 16) for _ in cuts[:-1]]
+    return cuts, [rng.randint(-16, 16) for _ in cuts[:-1]]
+
+
+def random_zero_mean_step(rng: random.Random) -> PiecewisePolynomial:
+    """Random zero-mean step function on [0, 1] (period 1): :func:`random_step_numerators` less its mean."""
+    cuts, vals = random_step_numerators(rng)
     return PiecewisePolynomial.step([Fraction(k, 32) for k in cuts], [Fraction(v, 8) for v in vals]).zero_mean()

@@ -4,14 +4,17 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 failure report); the CLI ``suite`` subcommand prints the same matrix.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from favard.acceptance import CRITERIA, DEFAULT_SEED, _central_difference
-from favard.exact import Polynomial
+from favard.acceptance import CRITERIA, DEFAULT_SEED, _bernoulli_grid, _central_difference, _inequality_instance
+from favard.constants import favard_closed_form
+from favard.exact import PiecewisePolynomial, Polynomial
+from favard.sampling import periodic_antiderivatives
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[f"{c.index:02d}-{c.name}" for c in CRITERIA])
@@ -51,3 +54,40 @@ def test_central_difference_inexact_at_degree_n_plus_2():
         for _ in range(n):
             d = d.derivative()
         assert _central_difference(u, F(1, 3), F(1, 7), n) != d(F(1, 3))
+
+
+@st.composite
+def steps_on_32(draw):
+    """Cut numerators over 32 from 0 to 32 and integer values over 8, of any mean."""
+    cuts = [0, *sorted(draw(st.sets(st.integers(1, 31), max_size=6))), 32]
+    return cuts, draw(st.lists(st.integers(-40, 40), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(steps_on_32(), st.integers(1, 6))
+@example(([0, 8, 32], [16, 40]), 3)  # mean 34/8
+@example(([0, 31, 32], [-40, 40]), 6)
+@example(([0, 5, 32], [7, 7]), 2)  # a constant: w and x are 0
+def test_jump_form_matches_the_integrator(step, n):
+    # criterion 11 reads x = I^n w at a / 64 off the jumps of the values and one table of
+    # B_{n+1}; the integrator takes w less its mean, which has the same jumps
+    cuts, vals = step
+    w = PiecewisePolynomial.step([F(b, 32) for b in cuts], [F(v, 8) for v in vals]).zero_mean()
+    x = periodic_antiderivatives(w, n)
+    E, den = _bernoulli_grid(n)
+    for a in range(64):
+        jump_sum = sum([(v - u) * E[(a - 2 * b) % 64] for b, u, v in zip(cuts, vals[-1:] + vals, vals)])
+        assert x.value_in_unit(F(a, 64)) == F(-jump_sum, den)
+
+
+def test_inequality_suite_seed_1_attains_the_bound():
+    # criterion 11's stream at seed 1: at every order the worst ratio max|x| / (K_n sup|w|) is
+    # exactly 1, reached by these many instances. Each such x reaches its maximum at two points,
+    # so a dropped point shows in test_inequality_instances_match_reference, not here
+    rng = random.Random(1 + 4)
+    worst = []
+    for n in range(1, 6):
+        K = favard_closed_form(n)
+        ratios = [m / (K * s) for s, m in [_inequality_instance(rng, n) for _ in range(500)] if m is not None]
+        worst.append((max(ratios), ratios.count(max(ratios))))
+    assert worst == [(1, 4), (1, 4), (1, 4), (1, 5), (1, 5)]
