@@ -74,8 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import (
     PiecewisePolynomial,
@@ -87,6 +86,9 @@ from .exact import (
     to_rational,
 )
 from .numbers import bernoulli_polynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ReducedSystem",
@@ -435,7 +437,10 @@ def _margin(sys: ReducedSystem) -> tuple[float | None, np.ndarray | None]:
 
     Each entry p x / q is one correctly rounded int / int division, the double
     ``float`` gives for the same rational as a Fraction, overflowing alike.
+    numpy is imported here, on the first solve, not with the package.
     """
+    import numpy as np
+
     try:
         ratios = [s.as_integer_ratio() for s in sys.scales]
         matrix = np.array([[p * x / q for x in row] for row, (p, q) in zip(sys.rows, ratios)], dtype=np.float64)
@@ -448,6 +453,8 @@ def _near_singular(sys: ReducedSystem, margin: float | None, matrix: np.ndarray 
     """Margin below NEAR_SINGULAR_BAND relative to the Frobenius norm, both as built and
     with the zero-mean row, which alone scales with T, divided by T (one more
     SVD, only for flagged systems)."""
+    import numpy as np
+
     if margin is None or margin >= NEAR_SINGULAR_BAND * float(np.linalg.norm(matrix)):
         return False
     scaled = matrix.copy()

@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -691,3 +694,18 @@ def test_any_arguments_exit_cleanly(case):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
+
+
+def test_numpy_loads_only_on_solve_paths():
+    # numpy serves only the solver's float margin; importing the CLI and a kernel call leave it unloaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys, favard.cli\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "code = favard.cli.main(['kernel', '--n', '6', '--min-abs'])\n"
+        "print(code, loaded, 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert "xi* = 31/1935360 * pi^5" in proc.stdout
+    assert proc.stderr.split() == ["0", "False", "False"]

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from test_roots_reference import poly_divmod, poly_gcd
 
 from favard.exact import Polynomial
 from favard.numbers import bernoulli_polynomial
@@ -8,10 +9,9 @@ from favard.roots import (
     count_roots,
     isolate_roots,
     level_split,
-    poly_divmod,
-    poly_gcd,
     sign_segments,
     square_free,
+    sturm_sequence,
 )
 
 
@@ -27,15 +27,26 @@ def test_gcd_and_square_free():
     double = Polynomial.of(F(-1, 2), 1) * Polynomial.of(F(-1, 2), 1) * Polynomial.of(1, 1)
     g = poly_gcd(double, double.derivative())
     assert g == Polynomial.of(F(-1, 2), 1)
-    sf = square_free(double)
-    assert sf(F(1, 2)) == 0 and sf(-1) == 0
-    assert sf.degree == 2
+    # (u - 1/2)(u + 1) = (2u^2 + u - 1) / 2, as primitive integer coefficients
+    assert square_free(double) == [-1, 1, 2]
+    assert square_free(-double) == [1, -1, -2]
 
 
 def test_count_roots_sturm():
     p = Polynomial.of(0, -1, 0, 1)  # u^3 - u: roots -1, 0, 1
     assert count_roots(p, F(-2), F(2)) == 3
     assert count_roots(p, F(1, 2), F(2)) == 1
+    seq = sturm_sequence(square_free(p))
+    assert seq == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
+    assert count_roots(p, -1, 1, seq) == 2  # (-1, 1] holds 0 and 1
+
+
+def test_count_roots_rejects_reversed_interval():
+    p = Polynomial.of(F(-1, 4), 0, 1)  # u^2 - 1/4
+    assert count_roots(p, F(0), F(1)) == 1
+    assert count_roots(p, F(1), F(1)) == 0
+    with pytest.raises(ValueError, match="need a <= b"):
+        count_roots(p, F(1), F(0))
 
 
 def test_isolate_rational_and_irrational():

@@ -13,6 +13,12 @@ part: it divides the rational roots out and builds a second Sturm sequence
 for what is left. ``reference_measure_below`` and ``reference_abs_integral``
 are the two functions ``roots.level_split`` replaced, each with its own sign
 partition on that route.
+
+``poly_divmod``, ``poly_gcd``, ``reference_square_free``,
+``reference_sturm_sequence`` and ``reference_count_roots`` are the Fraction
+route ``roots`` took before it built its sequences by primitive
+pseudo-remainders over Z: Euclid's algorithm over Q, with signs read from
+Fraction polynomials. The references above run on them alone.
 """
 
 import math
@@ -26,7 +32,68 @@ from hypothesis import strategies as st
 from favard import roots
 from favard.exact import Polynomial
 from favard.kernels import min_abs_integral
-from favard.roots import isolate_roots, level_split, poly_divmod, rational_roots
+from favard.roots import isolate_roots, level_split, rational_roots
+
+
+def poly_divmod(a, b):
+    """(quotient, remainder) of Polynomials over Q."""
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    quo = [F(0)] * max(len(rem) - len(b.coeffs) + 1, 0)
+    bc = b.coeffs
+    while len(rem) >= len(bc):
+        factor = rem[-1] / bc[-1]
+        shift = len(rem) - len(bc)
+        quo[shift] = factor
+        for i, c in enumerate(bc):
+            rem[shift + i] -= factor * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return Polynomial(tuple(quo)), Polynomial(tuple(rem))
+
+
+def poly_gcd(a, b):
+    """Monic gcd by the Euclidean algorithm."""
+    while not b.is_zero:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    if a.is_zero:
+        return a
+    return a * (1 / a.leading_coefficient)
+
+
+def reference_square_free(p):
+    """Square-free part p / gcd(p, p') over Q."""
+    if p.degree <= 1:
+        return p
+    g = poly_gcd(p, p.derivative())
+    if g.degree <= 0:
+        return p
+    q, r = poly_divmod(p, g)
+    assert r.is_zero
+    return q
+
+
+def reference_sturm_sequence(p):
+    """p, p' and the negated Euclidean remainders over Q."""
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero:
+        _, r = poly_divmod(seq[-2], seq[-1])
+        seq.append(-r)
+    seq.pop()
+    return seq
+
+
+def reference_count_roots(seq, a, b):
+    """Distinct real roots in (a, b] of the polynomial whose Sturm sequence is seq."""
+
+    def variations(x):
+        signs = [s for s in (q.sign(x) for q in seq) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b)
 
 
 def reference_rational_roots(p, a, b):
@@ -70,12 +137,12 @@ def reference_isolate_roots(p, a, b, width):
         return []
     found = reference_rational_roots(p, a, b)
     out = [(r, r) for r in found]
-    q = roots.square_free(p)
+    q = reference_square_free(p)
     for r in found:
         q, _ = poly_divmod(q, Polynomial.of(-r, 1))
     if q.degree >= 1:
-        seq = roots.sturm_sequence(q)
-        stack = [(a, b, roots.count_roots(q, a, b, seq))]
+        seq = reference_sturm_sequence(q)
+        stack = [(a, b, reference_count_roots(seq, a, b))]
         while stack:
             lo, hi, cnt = stack.pop()
             if cnt == 0:
@@ -84,8 +151,8 @@ def reference_isolate_roots(p, a, b, width):
                 out.append((lo, hi))
                 continue
             mid = (lo + hi) / 2
-            stack.append((lo, mid, roots.count_roots(q, lo, mid, seq)))
-            stack.append((mid, hi, roots.count_roots(q, mid, hi, seq)))
+            stack.append((lo, mid, reference_count_roots(seq, lo, mid)))
+            stack.append((mid, hi, reference_count_roots(seq, mid, hi)))
     return sorted(out)
 
 
@@ -167,6 +234,8 @@ def rational_polynomials(draw):
 
 
 WIDTHS = (F(1, 10**13), F(1, 1000), F(1, 3))
+# powers of two from 1 down to 2^-60, beside the fixed widths
+widths = st.one_of(st.sampled_from(WIDTHS), st.integers(0, 60).map(lambda k: F(1, 2**k)))
 
 
 def points(roots_):
@@ -177,18 +246,30 @@ def points(roots_):
 
 @st.composite
 def intervals(draw, roots_):
-    """[a, b] with roots at an end, at 0, at a bisection midpoint, negative, or a == b."""
+    """[a, b] with roots at an end, at 0, at a dyadic bisection midpoint, negative, or a == b."""
     kind = draw(st.sampled_from(("ends", "midpoint", "point")))
     if kind == "midpoint":  # r at (a + b) / 2, or a quarter of the way from either end
-        r = draw(st.sampled_from(roots_ or [F(0)]))
+        r = draw(st.sampled_from(roots_ or [F(0)]))  # at the 1st, 2nd, 3rd or 4th midpoint
         h = draw(st.fractions(min_value=F(1, 2**14), max_value=2**6, max_denominator=2**14))
-        left, right = draw(st.sampled_from(((1, 1), (1, 3), (3, 1))))
+        left, right = draw(st.sampled_from(((1, 1), (1, 3), (3, 1), (1, 7), (5, 3), (15, 1))))
         return r - left * h, r + right * h
     a = draw(points(roots_))
     if kind == "point":
         return a, a
     b = draw(points(roots_))
     return min(a, b), max(a, b)
+
+
+def assert_positive_multiples(p):
+    """The square-free part and each Sturm member over Z are positive multiples of those over Q."""
+    s = roots.square_free(p)
+    seq = roots.sturm_sequence(s)
+    expect = reference_sturm_sequence(reference_square_free(p))
+    assert len(seq) == len(expect)
+    for ints, member in zip([s] + seq, [reference_square_free(p)] + expect):
+        ratio = member.leading_coefficient / ints[-1]
+        assert ratio > 0
+        assert Polynomial(ints) * ratio == member
 
 
 def pairs(encs):
@@ -208,8 +289,33 @@ class TestRationalRootsAgainstTrialDivision:
     def test_isolate_roots_enclosures(self, data):
         p, roots_ = data.draw(rational_polynomials())
         a, b = data.draw(intervals(roots_))
-        width = data.draw(st.sampled_from(WIDTHS))
+        width = data.draw(widths)
         assert pairs(isolate_roots(p, a, b, width)) == reference_isolate_roots(p, a, b, width)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_integer_sturm_members_are_positive_multiples(self, data):
+        p, _ = data.draw(rational_polynomials())
+        assert_positive_multiples(p)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Polynomial.of(-6, 0, 5, 0, -1),  # -(u^2 - 2)(u^2 - 3): remainders skip a degree
+            Polynomial.of(1, 0, 0, 0, 0, -3),  # -3u^5 + 1: one remainder, a constant
+            Polynomial.of(F(1, 4), 0, -1) * Polynomial.of(F(1, 4), 0, -1) * Polynomial.of(0, -1),
+        ],
+    )
+    def test_integer_sturm_members_with_negative_leads(self, p):
+        assert_positive_multiples(p)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_count_roots_matches_the_fraction_sequence(self, data):
+        p, roots_ = data.draw(rational_polynomials())
+        a, b = data.draw(intervals(roots_))
+        expect = reference_count_roots(reference_sturm_sequence(reference_square_free(p)), a, b)
+        assert roots.count_roots(p, a, b) == expect
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(st.data())
@@ -269,16 +375,38 @@ def count_outer_calls(monkeypatch, names):
     return calls
 
 
+def count_lengths(monkeypatch, lengths):
+    """Patch ``roots.sturm_sequence`` to count the lengths of the polynomials it is given."""
+    build = roots.sturm_sequence
+    monkeypatch.setattr(roots, "sturm_sequence", lambda s: lengths.update([len(s)]) or build(s))
+
+
 class TestOneIsolationPerPolynomial:
     def test_isolate_roots_builds_one_sturm_sequence_and_divides_nothing_out(self, monkeypatch):
         # (u - 1/3)^2 (u + 5) (u^2 - 2): a double and a simple rational root, two irrational ones
         third = Polynomial.of(F(-1, 3), 1)
         p = third * third * Polynomial.of(5, 1) * QUADRATICS[0]
-        calls = count_outer_calls(monkeypatch, ["square_free", "sturm_sequence", "poly_divmod"])
+        # the builder of the square-free part and its sequence makes every remainder and
+        # quotient: none is made outside it, so no root is divided out
+        names = ["_square_free_sequence", "square_free", "sturm_sequence", "_prem", "_quotient"]
+        calls = count_outer_calls(monkeypatch, names)
+        inner = Counter()
+        count_lengths(monkeypatch, inner)
         encs = roots.isolate_roots(p, F(-6), F(2))
         assert [e.low for e in encs if e.exact] == [F(-5), F(1, 3)]
         assert sum(not e.exact for e in encs) == 2
-        assert calls == {"square_free": 1, "sturm_sequence": 1}
+        assert calls == {"_square_free_sequence": 1}
+        # p cleared to integers (degree 5) ends its sequence in the gcd u - 1/3;
+        # the one Sturm sequence is that of the square-free part (degree 4)
+        assert inner == {6: 1, 5: 1}
+
+    def test_square_free_input_builds_one_sequence(self, monkeypatch):
+        p = Polynomial.of(F(-1, 3), 1) * Polynomial.of(5, 1) * QUADRATICS[0]
+        inner = Counter()
+        count_lengths(monkeypatch, inner)
+        encs = roots.isolate_roots(p, F(-6), F(2))
+        assert [e.low for e in encs if e.exact] == [F(-5), F(1, 3)]
+        assert inner == {5: 1}
 
     @pytest.mark.parametrize("n", [1, 4, 7])
     def test_min_abs_integral_isolates_once(self, monkeypatch, n):
