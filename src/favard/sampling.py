@@ -10,14 +10,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exact import PiecewisePolynomial, StepFunction, periodic_antiderivatives
+from .exact import StepFunction, periodic_antiderivatives
 
 __all__ = [
     "random_partition",
     "random_deviation",
     "random_weight",
     "random_step_numerators",
-    "random_zero_mean_step",
     "periodic_antiderivatives",
 ]
 
@@ -57,9 +56,3 @@ def random_step_numerators(rng: random.Random) -> tuple[list[int], list[int]]:
     between, and one value per piece as a numerator over 8 in [-16, 16]."""
     cuts = _random_cuts(rng, 5, 32)
     return cuts, [rng.randint(-16, 16) for _ in cuts[:-1]]
-
-
-def random_zero_mean_step(rng: random.Random) -> PiecewisePolynomial:
-    """Random zero-mean step function on [0, 1] (period 1): :func:`random_step_numerators` less its mean."""
-    cuts, vals = random_step_numerators(rng)
-    return PiecewisePolynomial.step([Fraction(k, 32) for k in cuts], [Fraction(v, 8) for v in vals]).zero_mean()

@@ -44,13 +44,14 @@ ones elimination used to clear from the rational matrix, and the exact
 contraction norm sums them directly.
 
 Every verdict comes from one rank-revealing integer Bareiss elimination of
-those rows, augmented on the forced path by the right-hand side, which only
-the constraint row has and which is cleared together with it: full rank
-gives the determinant (the product of the row scales times the last pivot)
-and, by fraction-free back substitution, the exact solution; rank below the
-size gives determinant 0 and the kernel vector whose first free variable is
-1 and other free variables 0, the nontrivial periodic solution reported at
-the threshold.
+those rows: full rank gives the determinant (the product of the row scales
+times the last pivot); rank below the size gives determinant 0 and, by
+fraction-free back substitution, the kernel vector whose first free variable
+is 1 and other free variables 0, the nontrivial periodic solution reported at
+the threshold. No right-hand side is ever eliminated: for L > 0 the constant
+y = -C/L solves the forced problem for every deviation, since
+y^(n) = 0 = L (-C/L) + C, so when the determinant is nonzero it is the unique
+solution, every sample and C_1 equal to -C/L.
 
 Edge case: L = 0 degenerates (the homogeneous problem then admits all
 constants, but the zero-mean row no longer follows from y^(n) = 0), so
@@ -135,7 +136,7 @@ class ReducedSystem:
         return len(self.sample_points) + 1
 
     def determinant(self) -> Fraction:
-        return _eliminate(*_integer_system(self), False)[0]
+        return _eliminate(*_integer_system(self))[0]
 
 
 @dataclass(frozen=True)
@@ -171,44 +172,29 @@ def _primitive(row: list[int], p: int, q: int) -> tuple[tuple[int, ...], Fractio
     return tuple([x // g for x in row]), Fraction(p * g, q)
 
 
-def _integer_system(sys: ReducedSystem, rhs: Fraction | None = None) -> tuple[list[list[int]], Fraction]:
-    """Fresh integer rows of [M | 0 ... 0 rhs], or of M when ``rhs`` is None, and the
-    product of their scales.
-
-    Every row but the last is homogeneous. The forced constraint row
-    scales[-1] rows[-1] . x = rhs is cleared together with its right-hand side into
-    one primitive integer row. The product is reduced once, not after every factor.
-    """
-    rows, scales = [list(row) for row in sys.rows], list(sys.scales)
-    if rhs is not None:
-        for row in rows[:-1]:
-            row.append(0)
-        (p, q), (rp, rq) = scales[-1].as_integer_ratio(), rhs.as_integer_ratio()
-        last, scales[-1] = _primitive([*[p * rq * x for x in rows[-1]], rp * q], 1, q * rq)
-        rows[-1] = list(last)
+def _integer_system(sys: ReducedSystem) -> tuple[list[list[int]], Fraction]:
+    """Fresh integer rows of the system and the product of their scales, reduced once,
+    not after every factor."""
+    rows, scales = [list(row) for row in sys.rows], sys.scales
     return rows, Fraction(math.prod([s.numerator for s in scales]), math.prod([s.denominator for s in scales]))
 
 
-def _eliminate(
-    rows: list[list[int]], scale: Fraction, augmented: bool
-) -> tuple[Fraction, list[Fraction] | None, list[Fraction] | None]:
-    """(determinant, solution, kernel vector) of the square system whose row i is
-    s_i times ``rows[i]``, from one Bareiss pass over the integer rows (changed in place).
+def _eliminate(rows: list[list[int]], scale: Fraction) -> tuple[Fraction, list[Fraction] | None]:
+    """(determinant, kernel vector) of the square matrix whose row i is s_i times
+    ``rows[i]``, from one Bareiss pass over the integer rows (changed in place).
 
-    ``scale`` is the product of the row scales s_i; with ``augmented`` the
-    last entry of each row is its right-hand side. The rows are eliminated
+    ``scale`` is the product of the row scales s_i. The rows are eliminated
     with exact integer divisions (Bareiss 1968); a column with no pivot is
-    skipped, so the pass ends in row echelon form and reveals the rank. The
-    last pivot D is the leading minor of the row-permuted integer matrix on
-    the pivot columns, so D x is integral by Cramer's rule and back
-    substitution stays in integers until x = y / D. Row scales change neither
-    the solution nor the kernel. Full rank gives the determinant and, when
-    augmented, the solution; otherwise the determinant is 0 and the kernel
-    vector has its first free variable 1, the other free variables 0 (the
-    vector Gauss-Jordan reduction reads off).
+    skipped, so the pass ends in row echelon form and reveals the rank. Full
+    rank gives the determinant and no vector. Otherwise the determinant is 0
+    and the kernel vector has its first free variable 1, the other free
+    variables 0 (the vector Gauss-Jordan reduction reads off): with the free
+    variable set to the last pivot D, the leading minor of the row-permuted
+    integer matrix on the pivot columns, the pivot variables are integral by
+    Cramer's rule, so back substitution stays in integers until x = y / D.
+    Row scales do not change the kernel.
     """
     m = len(rows)
-    width = m + augmented
     sign = 1
     prev = 1
     pivots: list[int] = []
@@ -224,40 +210,33 @@ def _eliminate(
         pk = top[col]
         for row in rows[r + 1 :]:
             f = row[col]
-            for j in range(col + 1, width):
+            for j in range(col + 1, m):
                 row[j] = (row[j] * pk - f * top[j]) // prev
             row[col] = 0
         prev = pk
         pivots.append(col)
     free = next((c for c in range(m) if c not in pivots), None)
-    if free is None and not augmented:
-        return sign * prev * scale, None, None
-    y = [0] * m
-    if free is not None:
-        y[free] = prev
-    for row, col in reversed(list(zip(rows, pivots))):
-        b = 0 if free is not None else prev * row[m]
-        y[col] = (b - sum(row[j] * y[j] for j in range(col + 1, m))) // row[col]
-    x = [Fraction(v, prev) for v in y]
     if free is None:
-        return sign * prev * scale, x, None
-    return Fraction(0), None, x
+        return sign * prev * scale, None
+    y = [0] * m
+    y[free] = prev
+    for row, col in reversed(list(zip(rows, pivots))):
+        y[col] = -sum(row[j] * y[j] for j in range(col + 1, m)) // row[col]
+    return Fraction(0), [Fraction(v, prev) for v in y]
 
 
 def _bareiss(
     matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]",
-    rhs: list[Fraction] | None = None,
-) -> tuple[Fraction, list[Fraction] | None, list[Fraction] | None]:
-    """(determinant, solution, kernel vector) of a rational square system: each row of
-    [M | rhs] is cleared to integers by its own denominator, then :func:`_eliminate` runs."""
+) -> tuple[Fraction, list[Fraction] | None]:
+    """(determinant, kernel vector) of a rational square matrix: each row is cleared to
+    integers by its own denominator, then :func:`_eliminate` runs."""
     den = 1
     rows: list[list[int]] = []
-    for i, row in enumerate(matrix):
-        entries = list(row) if rhs is None else [*row, rhs[i]]
-        d = math.lcm(*[x.denominator for x in entries])
+    for row in matrix:
+        d = math.lcm(*[x.denominator for x in row])
         den *= d
-        rows.append([x.numerator * (d // x.denominator) for x in entries])
-    return _eliminate(rows, Fraction(1, den), rhs is not None)
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+    return _eliminate(rows, Fraction(1, den))
 
 
 def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]") -> Fraction:
@@ -269,7 +248,7 @@ def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, .
 
 def nullspace_vector(matrix: tuple[tuple[Fraction, ...], ...]) -> list[Fraction] | None:
     """The kernel vector of a singular square matrix (first free variable 1), or None; see :func:`_bareiss`."""
-    return _bareiss(matrix)[2]
+    return _bareiss(matrix)[1]
 
 
 def _validate_deviation(tau: StepFunction, T: Fraction) -> None:
@@ -466,31 +445,32 @@ def _near_singular(sys: ReducedSystem, margin: float | None, matrix: np.ndarray 
     return bool(np.linalg.svd(scaled, compute_uv=False)[-1] < NEAR_SINGULAR_BAND * np.linalg.norm(scaled))
 
 
-def _report(sys: ReducedSystem, rhs: Fraction | None, provenance: dict) -> SolveReport:
-    """The verdict from one elimination of the reduced rows, with ``rhs`` the right-hand
-    side of the constraint row on the forced path (every other row is homogeneous).
+def _report(sys: ReducedSystem, constant: Fraction | None, provenance: dict) -> SolveReport:
+    """The verdict from one elimination of the reduced rows, with ``constant`` the
+    solution -C/L on the forced path and None on the homogeneous one.
 
     A Lipschitz system with L = 0 is degenerate: every constant solves
     y^(n) = 0 (and y^(n) = C has no periodic solution unless C = 0), so it
     reports ``nontrivial_kernel`` with margin 0 and no vector, without
     elimination. A zero determinant reports ``nontrivial_kernel`` with the
     kernel vector as samples and constant. Otherwise a forced system is
-    ``unique`` with its solution, and a homogeneous one ``unique`` or
-    ``near_singular`` by the float margin (see :func:`_near_singular`).
+    ``unique`` with every sample and the constant equal to ``constant``, and
+    a homogeneous one ``unique`` or ``near_singular`` by the float margin
+    (see :func:`_near_singular`).
     """
     if sys.L == 0:
         degenerate = {"route": "degenerate_L0", "kind": "lipschitz"}
         return SolveReport(status="nontrivial_kernel", margin=0.0, determinant=Fraction(0), provenance=degenerate)
-    det, solution, kernel = _eliminate(*_integer_system(sys, rhs), rhs is not None)
+    det, kernel = _eliminate(*_integer_system(sys))
     margin, matrix = _margin(sys)
     if margin is None:
         provenance["margin_unavailable"] = MARGIN_OVERFLOW
     if det == 0:
         status, vec = "nontrivial_kernel", kernel
-    elif rhs is None and _near_singular(sys, margin, matrix):
+    elif constant is None and _near_singular(sys, margin, matrix):
         status, vec = "near_singular", None
     else:
-        status, vec = "unique", solution
+        status, vec = "unique", None if constant is None else [constant] * sys.size
     return SolveReport(
         status=status,
         margin=margin,
@@ -523,17 +503,18 @@ def solve_periodic(
 ) -> SolveReport:
     """Exact solve of y^(n) = L y(tau(.)) + C with periodic boundary conditions.
 
-    When the reduced system is nonsingular the unique periodic solution is
-    returned through its samples y(s_j) and the constant C_1 of the
-    reconstruction recipe (see :func:`reconstruct_solution`). A singular
-    system reports ``nontrivial_kernel`` with a kernel vector, as
+    The exact determinant of the homogeneous system decides. When it is
+    nonzero the unique periodic solution is the constant -C/L, returned as its
+    samples y(s_j) and the constant C_1 of the reconstruction recipe (see
+    :func:`reconstruct_solution`), all equal to -C/L. A singular system
+    reports ``nontrivial_kernel`` with a kernel vector, as
     :func:`uniqueness_margin` does; the float margin never changes the status.
     The instance is reduced, and so validated, before any verdict: L = 0
     gets the degenerate verdict of :func:`_report` only for valid inputs.
     """
     C, sys = to_rational(C), reduce_system(n, T, L, tau)
-    rhs = -C * sys.T / sys.L if sys.L else None
-    return _report(sys, rhs, {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False})
+    constant = -C / sys.L if sys.L else None
+    return _report(sys, constant, {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False})
 
 
 def solve_weighted(

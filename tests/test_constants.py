@@ -13,7 +13,8 @@ from favard.constants import (
     favard_series_numeric,
     favard_table,
 )
-from favard.sampling import periodic_antiderivatives, random_zero_mean_step
+from favard.exact import PiecewisePolynomial
+from favard.sampling import periodic_antiderivatives, random_step_numerators
 
 KNOWN = {
     1: F(1, 4),
@@ -132,7 +133,8 @@ def test_derivative_inequality_random_suite():
     for n in range(1, 6):
         K = favard_closed_form(n)
         for _ in range(50):
-            w = random_zero_mean_step(rng)
+            cuts, vals = random_step_numerators(rng)
+            w = PiecewisePolynomial.step([F(k, 32) for k in cuts], [F(v, 8) for v in vals]).zero_mean()
             sup_w = max(abs(p(F(0))) for p in w.pieces)
             if sup_w == 0:
                 continue

@@ -21,7 +21,7 @@ from favard.solver import (
     solve_weighted,
     uniqueness_margin,
 )
-from favard.witness import build_witness
+from favard.witness import build_witness, tabulated_deviation
 
 
 def witness_tau(n, T=F(1)):
@@ -185,6 +185,20 @@ class TestSolvePeriodic:
         report = solve_periodic(3, 1, 12, tau, F(5, 7))
         assert report.status == "unique"
         assert all(v == F(-5, 7) / 12 for v in report.solution_samples)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_forced_stays_unique_where_homogeneous_is_near_singular(self, n):
+        # just below the threshold the homogeneous verdict is near_singular (margin about
+        # 1e-12); the forced solve reports the constant -C/L whatever the float margin
+        tau = tabulated_deviation(n, 1).as_step()
+        L = (1 - F(1, 10**12)) / favard_closed_form(n)
+        homogeneous = uniqueness_margin(reduce_system(n, 1, L, tau))
+        assert homogeneous.status == "near_singular"
+        report = solve_periodic(n, 1, L, tau, 1)
+        assert report.status == "unique"
+        assert (report.determinant, report.margin) == (homogeneous.determinant, homogeneous.margin)
+        assert report.solution_samples == (-1 / L,) * len(report.solution_samples)
+        assert report.constant == -1 / L
 
     def test_reconstruction_fixed_point(self):
         # y built by periodic antiderivatives, for any sample values v and constant,

@@ -2,7 +2,12 @@
 
 ``gauss_jordan`` is the Fraction Gauss-Jordan solve the forced Lipschitz path
 used before the single integer Bareiss elimination; it also returns the
-determinant as the signed product of its pivots. ``gauss_jordan_kernel`` is
+determinant as the signed product of its pivots. ``reference_bareiss`` is
+that integer elimination of the system augmented by its right-hand side,
+with fraction-free back substitution, and ``reference_solve_periodic`` the
+forced solve that ran it with -C T / L in the constraint row before the
+solver reported the constant solution -C/L from the homogeneous
+determinant. ``gauss_jordan_kernel`` is
 the Fraction Gauss-Jordan kernel vector singular systems used before the
 elimination became rank-revealing. ``reference_reduce_system``,
 ``reference_reduce_weighted`` and ``reference_reconstruct`` are the
@@ -22,11 +27,15 @@ import math
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from favard.constants import favard_closed_form
 from favard.numbers import bernoulli_polynomial, eval_periodic
 from favard.solver import (
+    MARGIN_OVERFLOW,
+    SolveReport,
     StepFunction,
     _bareiss,
     _eliminate,
@@ -38,7 +47,9 @@ from favard.solver import (
     reconstruct_solution,
     reduce_system,
     reduce_weighted,
+    solve_periodic,
 )
+from favard.witness import build_witness
 
 
 def gauss_jordan(matrix, rhs):
@@ -95,6 +106,70 @@ def gauss_jordan_kernel(matrix):
     for r, c in pivots:
         vec[c] = -a[r][fc]
     return vec
+
+
+def reference_bareiss(matrix, rhs):
+    """(determinant, solution, kernel vector) of a rational square system [M | rhs].
+
+    Each row of [M | rhs] is cleared to integers by its own denominator and the
+    right-hand side is eliminated with it by Bareiss' exact integer divisions;
+    a column with no pivot is skipped. Full rank gives the determinant and, by
+    fraction-free back substitution from the last pivot D (D x is integral by
+    Cramer's rule), the solution. Otherwise the determinant is 0, ``rhs`` is
+    ignored and the kernel vector has its first free variable 1, the other
+    free variables 0.
+    """
+    m = len(matrix)
+    den = 1
+    rows = []
+    for row, b in zip(matrix, rhs):
+        entries = [*row, b]
+        d = math.lcm(*[x.denominator for x in entries])
+        den *= d
+        rows.append([x.numerator * (d // x.denominator) for x in entries])
+    sign, prev, pivots = 1, 1, []
+    for col in range(m):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top, pk = rows[r], rows[r][col]
+        for row in rows[r + 1 :]:
+            f = row[col]
+            for j in range(col + 1, m + 1):
+                row[j] = (row[j] * pk - f * top[j]) // prev
+            row[col] = 0
+        prev = pk
+        pivots.append(col)
+    free = next((c for c in range(m) if c not in pivots), None)
+    y = [0] * m
+    if free is not None:
+        y[free] = prev
+    for row, col in reversed(list(zip(rows, pivots))):
+        b = 0 if free is not None else prev * row[m]
+        y[col] = (b - sum(row[j] * y[j] for j in range(col + 1, m))) // row[col]
+    x = [F(v, prev) for v in y]
+    if free is None:
+        return sign * prev * F(1, den), x, None
+    return F(0), None, x
+
+
+def reference_solve_periodic(n, T, L, tau, C):
+    """The forced solve of y^(n) = L y(tau) + C, L > 0, by the augmented elimination: the
+    constraint row has right-hand side -C T / L, every other row 0; a singular system
+    reports its kernel vector and the float margin never changes the status."""
+    sys = reduce_system(n, T, L, tau)
+    rhs = [F(0)] * (sys.size - 1) + [-C * F(T) / L]
+    det, solution, kernel = reference_bareiss(fraction_matrix(sys), rhs)
+    margin, _ = _margin(sys)
+    provenance = {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False}
+    if margin is None:
+        provenance["margin_unavailable"] = MARGIN_OVERFLOW
+    status, vec = ("unique", solution) if det else ("nontrivial_kernel", kernel)
+    return SolveReport(status, margin, det, tuple(vec[:-1]), vec[-1], provenance)
 
 
 def preimages(tau):
@@ -185,11 +260,6 @@ def reference_clear(row):
     return tuple([x // g for x in ints])
 
 
-def reference_scale(row):
-    """The positive rational s with row = s * reference_clear(row); 1 for a zero row."""
-    return next((x / c for x, c in zip(row, reference_clear(row)) if c), F(1))
-
-
 def reference_reconstruct(n, T, L, tau, samples, constant, t):
     Bn1 = bernoulli_polynomial(n + 1)
     by_value = dict(zip(sorted(preimages(tau)), samples))
@@ -256,30 +326,32 @@ class TestBareissAgainstGaussJordan:
         a, rhs = system
         ref_det, ref_solution = gauss_jordan(a, rhs)
         ref_kernel = gauss_jordan_kernel(a)
-        det, solution, kernel = _bareiss(a, rhs)
+        det, solution, kernel = reference_bareiss(a, rhs)
         assert det == ref_det
         assert solution == ref_solution
         assert kernel == ref_kernel
         assert (solution is None) == (det == 0)
         assert fraction_determinant(a) == ref_det
-        assert _bareiss(a) == (ref_det, None, ref_kernel)
+        assert _bareiss(a) == (ref_det, ref_kernel)
 
     def test_swaps_and_singular_cases(self):
         # zero pivots at columns 0 and 1 force swaps; only the anti-diagonal term survives
         a = [[F(0), F(0), F(3)], [F(0), F(1, 2), F(7)], [F(5, 3), F(1), F(0)]]
         rhs = [F(1, 7), F(0), F(-2, 9)]
-        assert _bareiss(a, rhs) == (*gauss_jordan(a, rhs), None)
-        assert _bareiss(a, rhs)[0] == -F(3) * F(1, 2) * F(5, 3)
+        assert reference_bareiss(a, rhs) == (*gauss_jordan(a, rhs), None)
+        assert _bareiss(a) == (-F(3) * F(1, 2) * F(5, 3), None)
         singular = [[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]
-        assert _bareiss(singular, [F(1), F(2)]) == (F(0), None, [F(-2, 3), F(1)])
-        assert _bareiss([], []) == (F(1), [], None)
+        assert reference_bareiss(singular, [F(1), F(2)]) == (F(0), None, [F(-2, 3), F(1)])
+        assert _bareiss(singular) == (F(0), [F(-2, 3), F(1)])
+        assert reference_bareiss([], []) == (F(1), [], None)
+        assert _bareiss([]) == (F(1), None)
         # rank 1 with a zero leading column: pivot at column 1, free columns 0 and 2
         a = [[F(0), F(2), F(4)], [F(0), F(-1), F(-2)], [F(0), F(0), F(0)]]
-        assert _bareiss(a) == (F(0), None, [F(1), F(0), F(0)])
+        assert _bareiss(a) == (F(0), [F(1), F(0), F(0)])
         a = [[F(0), F(0), F(3)], [F(0), F(1, 2), F(0)], [F(0), F(1), F(6)]]
-        assert _bareiss(a, rhs) == (F(0), None, [F(1), F(0), F(0)])
+        assert reference_bareiss(a, rhs) == (F(0), None, [F(1), F(0), F(0)])
         a = [[F(2), F(4), F(1)], [F(1), F(2), F(0)], [F(3), F(6), F(1)]]
-        assert _bareiss(a) == (F(0), None, [F(-2), F(1), F(0)]) == (F(0), None, gauss_jordan_kernel(a))
+        assert _bareiss(a) == (F(0), [F(-2), F(1), F(0)]) == (F(0), gauss_jordan_kernel(a))
 
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(rank_deficient_systems())
@@ -288,7 +360,10 @@ class TestBareissAgainstGaussJordan:
         m = len(a)
         ref_det, ref_solution = gauss_jordan(a, [F(0)] * m if rhs is None else rhs)
         ref_kernel = gauss_jordan_kernel(a)
-        det, solution, kernel = _bareiss(a, rhs)
+        if rhs is None:
+            (det, kernel), solution = _bareiss(a), None
+        else:
+            det, solution, kernel = reference_bareiss(a, rhs)
         assert det == ref_det
         assert solution == (None if rhs is None else ref_solution)
         assert kernel == ref_kernel
@@ -410,14 +485,15 @@ class TestIntegerRows:
             assert margin == float(np.linalg.svd(np.array(expected), compute_uv=False)[-1])
         rows, scale = _integer_system(sys)
         assert scale == math.prod(sys.scales)
-        assert _eliminate(rows, scale, False) == _bareiss(matrix)
-        # the forced path: only the constraint row has a right-hand side
-        rhs = -C * T / L
-        rows, scale = _integer_system(sys, rhs)
-        augmented = [[*row, F(0)] for row in matrix[:-1]] + [[*matrix[-1], rhs]]
-        assert [tuple(row) for row in rows] == [reference_clear(row) for row in augmented]
-        assert scale == math.prod([reference_scale(row) for row in augmented])
-        assert _eliminate(rows, scale, True) == _bareiss(matrix, [F(0)] * (sys.size - 1) + [rhs])
+        det, kernel = _eliminate(rows, scale)
+        assert (det, kernel) == _bareiss(matrix)
+        # the forced system, with right-hand side -C T / L in the constraint row only, has the
+        # homogeneous determinant and kernel vector; with xi = 0 its solution is the constant -C/L
+        rhs = [F(0)] * (sys.size - 1) + [-C * T / L]
+        forced_det, solution, forced_kernel = reference_bareiss(matrix, rhs)
+        assert (forced_det, forced_kernel) == (det, kernel)
+        if det and not weighted and xi == 0:
+            assert solution == [-C / L] * sys.size
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(step_instances(EXTREME_PERIODS), st.booleans())
@@ -438,3 +514,33 @@ def test_preimages_merge_equal_values():
     pre = preimages(s)
     assert set(pre) == {F(1), F(2)}
     assert pre[F(1)] == [(F(0), F(1, 4)), (F(1, 2), F(1))]
+
+
+# ------------------------------------------------------------ forced solve
+
+
+class TestForcedSolveAgainstAugmentedElimination:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(step_instances(EXTREME_PERIODS), entries)
+    def test_constant_solution_matches_the_augmented_route(self, instance, C):
+        n, T, L, _, tau, _ = instance
+        report = solve_periodic(n, T, L, tau, C)
+        assert report == reference_solve_periodic(n, T, L, tau, C)
+        if report.determinant:
+            # M x = b exactly, with x the constant -C/L and b zero but in the constraint row
+            sys = reduce_system(n, T, L, tau)
+            x = [-C / L] * sys.size
+            b = [F(0)] * (sys.size - 1) + [-C * T / L]
+            assert [sum([a * v for a, v in zip(row, x)], F(0)) for row in fraction_matrix(sys)] == b
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kernel_vector_matches_the_augmented_route(self, n):
+        # at the threshold the witness deviation makes the system singular: the forced solve
+        # reports the homogeneous kernel vector, whatever C
+        for T in (F(1), F(5, 2)):
+            L = 1 / (favard_closed_form(n) * T**n)
+            tau = build_witness(n, T).tau.as_step()
+            for C in (F(0), F(1, 3), F(-7)):
+                report = solve_periodic(n, T, L, tau, C)
+                assert report.status == "nontrivial_kernel"
+                assert report == reference_solve_periodic(n, T, L, tau, C)
