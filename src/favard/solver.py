@@ -43,15 +43,26 @@ no matrix of Fractions is ever built. Those rows are no larger than the
 ones elimination used to clear from the rational matrix, and the exact
 contraction norm sums them directly.
 
-Every verdict comes from one rank-revealing integer Bareiss elimination of
-those rows: full rank gives the determinant (the product of the row scales
-times the last pivot); rank below the size gives determinant 0 and, by
-fraction-free back substitution, the kernel vector whose first free variable
-is 1 and other free variables 0, the nontrivial periodic solution reported at
-the threshold. No right-hand side is ever eliminated: for L > 0 the constant
+Every verdict comes from one rank-revealing integer elimination of those
+rows over the reduced Schur complement (see :func:`_eliminate`): the rows
+below the pivots hold the complement as integers over one denominator d, and
+the leading minor P of the row-permuted matrix, Bareiss' (1968) pivot, is
+tracked beside them. By Sylvester's identity every entry of the next
+complement is an integer minor over the next leading minor P', so after a
+pivot p the forced divisor q / gcd(q, P'), with q = d p, divides every new
+numerator exactly, and a large common factor the block shares with its
+denominator is divided out as well. On the reduced rows Bareiss' minors
+carry such a factor, hundreds of bits at J = 64, which this pass never
+multiplies. Full rank gives the determinant (the product of the row scales
+times the last leading minor); rank below the size gives determinant 0 and,
+by fraction-free back substitution, the kernel vector whose first free
+variable is 1 and other free variables 0, the nontrivial periodic solution
+reported at the threshold. Each pivot row is a rational multiple of
+Bareiss' row, so the exact integer quotients of back substitution are
+Bareiss' own. No right-hand side is ever eliminated: for L > 0 the constant
 y = -C/L solves the forced problem for every deviation, since
-y^(n) = 0 = L (-C/L) + C, so when the determinant is nonzero it is the unique
-solution, every sample and C_1 equal to -C/L.
+y^(n) = 0 = L (-C/L) + C, so when the determinant is nonzero it is the
+unique solution, every sample and C_1 equal to -C/L.
 
 Edge case: L = 0 degenerates (the homogeneous problem then admits all
 constants, but the zero-mean row no longer follows from y^(n) = 0), so
@@ -181,22 +192,39 @@ def _integer_system(sys: ReducedSystem) -> tuple[list[list[int]], Fraction]:
 
 def _eliminate(rows: list[list[int]], scale: Fraction) -> tuple[Fraction, list[Fraction] | None]:
     """(determinant, kernel vector) of the square matrix whose row i is s_i times
-    ``rows[i]``, from one Bareiss pass over the integer rows (changed in place).
+    ``rows[i]``, from one elimination pass over the integer rows (changed in place).
 
-    ``scale`` is the product of the row scales s_i. The rows are eliminated
-    with exact integer divisions (Bareiss 1968); a column with no pivot is
-    skipped, so the pass ends in row echelon form and reveals the rank. Full
-    rank gives the determinant and no vector. Otherwise the determinant is 0
-    and the kernel vector has its first free variable 1, the other free
-    variables 0 (the vector Gauss-Jordan reduction reads off): with the free
-    variable set to the last pivot D, the leading minor of the row-permuted
-    integer matrix on the pivot columns, the pivot variables are integral by
-    Cramer's rule, so back substitution stays in integers until x = y / D.
-    Row scales do not change the kernel.
+    ``scale`` is the product of the row scales s_i. After k pivots the rows
+    below them hold the Schur complement S of the leading k x k minor P of the
+    row-permuted matrix as integers X over one denominator d, S = X / d, and
+    the pass tracks u = P / d, an integer, as d divides P. A column with no
+    pivot is skipped, so the pass ends in row echelon form and reveals the
+    rank. A pivot p = X_r,col gives the next complement Z / q with
+    Z = p X_ij - X_i,col X_r,j and q = d p, and the next leading minor is
+    P' = P p / d = u p. By Sylvester's identity every entry of the next
+    complement is M / P' with M an integer minor (the entry Bareiss' pass
+    would hold), so Z = M q / P' and the forced divisor g = q / gcd(q, P') =
+    d / gcd(d, u), up to sign, divides every entry of Z exactly: the block
+    becomes Z / g over the denominator p gcd(d, u). Without further division
+    u stays 1 and g is the previous pivot, Bareiss' (1968) pass step for step.
+    When the block has at least 16 rows and gcd(d, first entry, last entry)
+    exceeds 64 bits, that gcd is taken on with the block row by row, and if
+    it stays above 64 bits it is divided out of the block and of d and
+    multiplied into u (a smaller factor, or fewer rows left to eliminate,
+    does not repay the search). Full rank gives the determinant P = u d and
+    no vector. Otherwise the determinant is 0 and the kernel
+    vector has its first free variable 1, the other free variables 0 (the
+    vector Gauss-Jordan reduction reads off): with the free variable set to
+    P, the leading minor on the pivot columns, the pivot variables are
+    integral by Cramer's rule, and each pivot row is a rational multiple of
+    Bareiss' pivot row, so each exact quotient of back substitution is the
+    same integer and it stays in integers until x = y / P. Row scales do not
+    change the kernel.
     """
     m = len(rows)
     sign = 1
-    prev = 1
+    den = 1
+    ratio = 1
     pivots: list[int] = []
     for col in range(m):
         r = len(pivots)
@@ -208,28 +236,45 @@ def _eliminate(rows: list[list[int]], scale: Fraction) -> tuple[Fraction, list[F
             sign = -sign
         top = rows[r]
         pk = top[col]
-        for row in rows[r + 1 :]:
+        e = math.gcd(den, ratio)
+        g, ratio, den = den // e, ratio // e, pk * e
+        below = rows[r + 1 :]
+        for row in below:
             f = row[col]
             for j in range(col + 1, m):
-                row[j] = (row[j] * pk - f * top[j]) // prev
+                row[j] = (row[j] * pk - f * top[j]) // g
             row[col] = 0
-        prev = pk
         pivots.append(col)
+        if len(below) >= 16 and col + 1 < m:
+            c = math.gcd(den, below[0][col + 1], below[-1][-1])
+            for row in below:
+                if c.bit_length() <= 64:
+                    break
+                c = math.gcd(c, *row[col + 1 :])
+            else:
+                for row in below:
+                    row[col + 1 :] = [x // c for x in row[col + 1 :]]
+                den //= c
+                ratio *= c
+    minor = ratio * den
     free = next((c for c in range(m) if c not in pivots), None)
     if free is None:
-        return sign * prev * scale, None
+        return sign * minor * scale, None
     y = [0] * m
-    y[free] = prev
+    y[free] = minor
     for row, col in reversed(list(zip(rows, pivots))):
         y[col] = -sum(row[j] * y[j] for j in range(col + 1, m)) // row[col]
-    return Fraction(0), [Fraction(v, prev) for v in y]
+    return Fraction(0), [Fraction(v, minor) for v in y]
 
 
 def _bareiss(
     matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]",
 ) -> tuple[Fraction, list[Fraction] | None]:
     """(determinant, kernel vector) of a rational square matrix: each row is cleared to
-    integers by its own denominator, then :func:`_eliminate` runs."""
+    integers by its own denominator, then :func:`_eliminate` runs. A matrix that is
+    not square raises ValueError."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix must be square")
     den = 1
     rows: list[list[int]] = []
     for row in matrix:
@@ -240,9 +285,7 @@ def _bareiss(
 
 
 def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]") -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination; see :func:`_bareiss`."""
-    if any(len(row) != len(matrix) for row in matrix):
-        raise ValueError("matrix must be square")
+    """Exact determinant by one integer elimination; see :func:`_bareiss`."""
     return _bareiss(matrix)[0]
 
 

@@ -64,6 +64,13 @@ class TestDeterminant:
         m = [[F(1), F(2)], [F(2), F(4)]]
         assert fraction_determinant(m) == 0
 
+    def test_non_square_matrices_are_rejected(self):
+        # a 1 x 2 matrix has the kernel (-2, 1), but neither wrapper answers for a non-square one
+        for matrix in (((F(1), F(2)),), ((F(1),), (F(2),))):
+            for f in (fraction_determinant, nullspace_vector):
+                with pytest.raises(ValueError, match="matrix must be square"):
+                    f(matrix)
+
     def test_nullspace_vector_is_exact_kernel(self):
         sys = reduce_system(2, 1, F(32), witness_tau(2))
         matrix = fraction_matrix(sys)

@@ -7,7 +7,9 @@ that integer elimination of the system augmented by its right-hand side,
 with fraction-free back substitution, and ``reference_solve_periodic`` the
 forced solve that ran it with -C T / L in the constraint row before the
 solver reported the constant solution -C/L from the homogeneous
-determinant. ``gauss_jordan_kernel`` is
+determinant; with a zero right-hand side it is also the plain Bareiss pass,
+dividing by the previous pivot at every step, that ``_eliminate`` ran before
+it eliminated over the reduced Schur complement. ``gauss_jordan_kernel`` is
 the Fraction Gauss-Jordan kernel vector singular systems used before the
 elimination became rank-revealing. ``reference_reduce_system``,
 ``reference_reduce_weighted`` and ``reference_reconstruct`` are the
@@ -24,6 +26,7 @@ integer rows themselves.
 """
 
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -372,6 +375,69 @@ class TestBareissAgainstGaussJordan:
         if kernel is not None:
             assert any(kernel)
             assert all(sum(x * v for x, v in zip(row, kernel)) == 0 for row in a)
+
+
+def low_rank(draw, m, r):
+    """An m x m integer matrix U V of rank at most r, entries of U and V in [-3, 3]."""
+    u = [draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r)) for _ in range(m)]
+    v = [draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)) for _ in range(r)]
+    return [[sum(u[i][k] * v[k][j] for k in range(r)) for j in range(m)] for i in range(m)]
+
+
+@st.composite
+def planted_systems(draw):
+    """Rows G^e e_i - sum_s G^s R_s, the shape of the reduced rows, with G = 17 * 2^k and R_s
+    of rank s + 1 (s < e): a minor takes at most s + 1 rows from level s, so the minors carry
+    growing powers of G and, from about the sixth pivot of 22 on, the Schur block shares a
+    factor of more than 64 bits with its denominator, which the elimination divides out.
+    Sometimes one row is a combination of two others, a column is zero, or the leading
+    entry is zero."""
+    m = draw(st.integers(22, 24))
+    G = 17 * 2 ** draw(st.integers(4, 12))
+    e = draw(st.integers(3, 5))
+    levels = [low_rank(draw, m, s + 1) for s in range(e)]
+    a = [[G**e * (i == j) - sum(G**s * R[i][j] for s, R in enumerate(levels)) for j in range(m)] for i in range(m)]
+    if draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(m)))[:3]
+        c, d = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        a[i] = [c * x + d * y for x, y in zip(a[j], a[k])]
+    if draw(st.booleans()):
+        col = draw(st.integers(0, m - 1))
+        for row in a:
+            row[col] = 0
+    if draw(st.booleans()):
+        a[0][0] = 0
+    return [[F(x) for x in row] for row in a]
+
+
+class TestEliminationWithSharedFactors:
+    """Matrices whose Schur blocks carry a common factor of more than 64 bits with their
+    denominator, so the elimination divides it out; the other tests' entries never get there."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(planted_systems())
+    def test_planted_factor_against_references(self, a):
+        m = len(a)
+        expected = (gauss_jordan(a, [F(0)] * m)[0], gauss_jordan_kernel(a))
+        assert _bareiss(a) == reference_bareiss(a, [F(0)] * m)[::2] == expected
+
+    def test_large_reduced_system(self):
+        # y^(4) = L y(tau) at J = 64, built as the benchmark's large instance: tau takes 64
+        # distinct values T k / 128 on 64..67 pieces cut on a grid of T / 272, L = rho / (K_4 T^4)
+        rng = random.Random(1)
+        T = F(rng.randint(1, 9), rng.randint(1, 4))
+        J = 64
+        pieces = J + rng.randint(0, 3)
+        cuts = sorted(rng.sample(range(1, 4 * (J + 4)), pieces - 1))
+        bps = [F(0)] + [T * F(c, 4 * (J + 4)) for c in cuts] + [T]
+        distinct = [T * F(k, 2 * J) for k in rng.sample(range(2 * J + 1), J)]
+        values = distinct + [rng.choice(distinct) for _ in range(pieces - J)]
+        rng.shuffle(values)
+        L = F(rng.randint(4, 15), 16) / (favard_closed_form(4) * T**4)
+        sys = reduce_system(4, T, L, StepFunction(tuple(bps), tuple(values), T))
+        det, kernel = _eliminate(*_integer_system(sys))
+        assert det == reference_bareiss(fraction_matrix(sys), [F(0)] * sys.size)[0] != 0
+        assert kernel is None
 
 
 # ------------------------------------------------------------ reductions
