@@ -153,7 +153,7 @@ def _cmd_solve(args: argparse.Namespace) -> Result:
     with open(args.instance) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise SchemaError("<file>", f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise SchemaError("<file>", "the instance must be a JSON object")

@@ -31,9 +31,9 @@ read, and Fractions are built for results only.
 
 Step functions in the period variable t are :class:`StepFunction`, the one
 step type: breakpoints 0 = c_0 < ... < c_K = T, one value per interval
-[c_{k-1}, c_k), right-continuous, wrapping with period T like every other
-evaluator here. ``as_piecewise`` rescales the breakpoints by 1/T and hands
-the constant pieces to ``PiecewisePolynomial.step``.
+[c_{k-1}, c_k), right-continuous, wrapping with period T. Its constructor
+builds, in integers, its one computed form: the step ``PiecewisePolynomial``
+on the unit partition c_k / T. ``_partition`` is the one check of a partition.
 
 Tuples are built from list comprehensions, not generators: CPython grows a
 ``tuple(<generator>)`` by resizing, which fills the tuple free lists of
@@ -334,23 +334,34 @@ class Polynomial:
 
 
 def _partition(
-    breakpoints: Sequence[RationalLike], count: int, period: RationalLike
+    breakpoints: Sequence[RationalLike], count: int, period: RationalLike, over_period: bool = False
 ) -> tuple[tuple[int, ...], int, Fraction]:
-    """(knots, grid, period) for ``count`` pieces: the breakpoints as integer numerators over
-    their least common denominator, checked to run strictly upwards from 0 to 1."""
+    """(knots, grid, period) for ``count`` pieces: the breakpoints, checked to run strictly up
+    from 0 to the end (1, or the period if ``over_period``, when a period <= 0 fails there),
+    over the end as integer numerators over their least common denominator, in integers."""
     ratios = [to_rational(b).as_integer_ratio() for b in breakpoints]
     period = to_rational(period)
-    grid = math.lcm(*[q for _, q in ratios])
-    knots = tuple([p * (grid // q) for p, q in ratios])
-    if len(knots) < 2 or knots[0] != 0 or knots[-1] != grid:
-        raise ValueError("breakpoints must start at 0 and end at 1")
-    if any([a >= b for a, b in zip(knots, knots[1:])]):
+    ep, eq = period.as_integer_ratio() if over_period else (1, 1)
+    Q = math.lcm(*[q for _, q in ratios])
+    P = [p * (Q // q) for p, q in ratios]
+    if len(P) < 2 or P[0] != 0 or P[-1] * eq != ep * Q:
+        raise ValueError(f"breakpoints must run from 0 to {'T' if over_period else 1}")
+    if any([a >= b for a, b in zip(P, P[1:])]):
         raise ValueError("breakpoints must be strictly increasing")
-    if count != len(knots) - 1:
-        raise ValueError("need exactly one piece per subinterval")
+    if count != len(P) - 1:
+        raise ValueError("need one piece per interval")
     if period <= 0:
         raise ValueError("period must be positive")
-    return knots, grid, period
+    g = math.gcd(*P)  # breakpoint k over the end is P[k] / P[-1]
+    return tuple([a // g for a in P]), P[-1] // g, period
+
+
+def _step(breakpoints: Sequence, values: Sequence, period: RationalLike, over_period: bool) -> "PiecewisePolynomial":
+    """The step function of the given values as constant pieces; see :func:`_partition`."""
+    ratios = [to_rational(v).as_integer_ratio() for v in values]
+    knots, grid, period = _partition(breakpoints, len(ratios), period, over_period)
+    den = math.lcm(*[q for _, q in ratios])
+    return object.__new__(PiecewisePolynomial)._fill(knots, grid, [[p * (den // q)] for p, q in ratios], den, period)
 
 
 @dataclass(frozen=True, init=False)
@@ -389,7 +400,7 @@ class PiecewisePolynomial:
         rows = [[c * (den // D) for c in nums] + [0] * (width - len(nums)) for nums, D in forms]
         self._fill(knots, grid, rows, den, period)
 
-    def _fill(self, knots: tuple[int, ...], grid: int, rows: list, den: int, period: Fraction) -> None:
+    def _fill(self, knots: tuple[int, ...], grid: int, rows: list, den: int, period: Fraction) -> "PiecewisePolynomial":
         """Store the canonical form of the pieces rows / den (rows of one width, den > 0):
         trailing zero columns are dropped, keeping one, and the common gcd divided out."""
         w = len(rows[0])
@@ -398,12 +409,11 @@ class PiecewisePolynomial:
         g = math.gcd(den, *[c for r in rows for c in r[:w]])
         rows = tuple([tuple([c // g for c in r[:w]]) for r in rows])
         self.__dict__.update(knots=knots, grid=grid, rows=rows, den=den // g, period=period)
+        return self
 
     def _make(self, rows: list, den: int) -> "PiecewisePolynomial":
         """The pieces rows / den on this partition and period."""
-        out = object.__new__(PiecewisePolynomial)
-        out._fill(self.knots, self.grid, rows, den, self.period)
-        return out
+        return object.__new__(PiecewisePolynomial)._fill(self.knots, self.grid, rows, den, self.period)
 
     @classmethod
     def step(
@@ -413,12 +423,7 @@ class PiecewisePolynomial:
         period: RationalLike = 1,
     ) -> "PiecewisePolynomial":
         """Step function: constant pieces on the given unit-interval partition."""
-        ratios = [to_rational(v).as_integer_ratio() for v in values]
-        knots, grid, period = _partition(breakpoints, len(ratios), period)
-        den = math.lcm(*[q for _, q in ratios])
-        out = object.__new__(cls)
-        out._fill(knots, grid, [[p * (den // q)] for p, q in ratios], den, period)
-        return out
+        return _step(breakpoints, values, period, False)
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -517,7 +522,9 @@ class PiecewisePolynomial:
 @dataclass(frozen=True)
 class StepFunction:
     """T-periodic step function: rational breakpoints 0 = c_0 < ... < c_K = T,
-    one rational value per interval [c_{k-1}, c_k), right-continuous."""
+    one rational value per interval [c_{k-1}, c_k), right-continuous. Evaluation,
+    ``integral`` and ``as_piecewise`` read the integer form the constructor builds
+    once; fields, equality and hashing are the Fractions'."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
@@ -526,32 +533,22 @@ class StepFunction:
     def __post_init__(self) -> None:
         bps = tuple([to_rational(b) for b in self.breakpoints])
         vals = tuple([to_rational(v) for v in self.values])
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "period", to_rational(self.period))
-        if len(bps) < 2 or bps[0] != 0 or bps[-1] != self.period:
-            raise ValueError("breakpoints must run from 0 to T")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(vals) != len(bps) - 1:
-            raise ValueError("need one value per interval")
+        period = to_rational(self.period)
+        self.__dict__.update(breakpoints=bps, values=vals, period=period, _form=_step(bps, vals, period, True))
 
     @classmethod
     def constant(cls, value: RationalLike, period: RationalLike) -> "StepFunction":
-        period = to_rational(period)
-        return cls((Fraction(0), period), (to_rational(value),), period)
+        return cls((0, period), (value,), period)
 
     def __call__(self, t: RationalLike) -> Fraction:
-        u = frac_part(to_rational(t) / self.period) * self.period
-        return self.values[bisect_right(self.breakpoints, u) - 1]
+        return self._form(t)
 
     def as_piecewise(self) -> PiecewisePolynomial:
         """The same function as constant pieces on the unit partition c_k / T."""
-        return PiecewisePolynomial.step([b / self.period for b in self.breakpoints], self.values, self.period)
+        return self._form
 
     def integral(self) -> Fraction:
-        bps = self.breakpoints
-        return sum((v * (hi - lo) for lo, hi, v in zip(bps, bps[1:], self.values)), Fraction(0))
+        return self._form.mean() * self.period
 
 
 def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:

@@ -240,7 +240,9 @@ def _rational_roots(s: list[int], seq: list[list[int]], a: Fraction, b: Fraction
 
 @dataclass(frozen=True)
 class RootEnclosure:
-    """Rational interval [low, high] containing exactly one distinct real root."""
+    """Rational interval [low, high] from :func:`isolate_roots`: a rational root (low == high),
+    or an irrational root inside (low, high), the only irrational one in [low, high]; rational
+    roots, each reported exactly on its own, may lie in it too, at an endpoint or inside."""
 
     low: Fraction
     high: Fraction
@@ -260,9 +262,12 @@ def isolate_roots(
     b: Fraction,
     width: Fraction = DEFAULT_WIDTH,
 ) -> list[RootEnclosure]:
-    """All distinct real roots of p in [a, b]: exact where rational, else enclosed.
+    """All distinct real roots of p in [a, b] in order: exact where rational, else enclosed.
 
-    Enclosure widths do not exceed ``width``, which must be positive. Raises
+    Each rational root has an exact enclosure and each irrational root one inexact
+    enclosure (see :class:`RootEnclosure`), which can also hold rational roots, as
+    those are subtracted first. Inexact enclosures share at most an endpoint, and
+    their widths do not exceed ``width``, which must be positive. Raises
     on the zero polynomial (callers special-case identically-zero pieces).
     One square-free part and one Sturm sequence serve both searches: the
     irrational roots in (lo, hi] are the Sturm count there minus the
@@ -292,12 +297,13 @@ def sign_segments(
     b: Fraction,
     width: Fraction = DEFAULT_WIDTH,
 ) -> tuple[list[tuple[Fraction, Fraction, int]], list[RootEnclosure]]:
-    """Partition [a, b] into maximal segments where p has constant sign.
+    """Split [a, b] at the root enclosures into segments where p has constant sign.
 
-    Returns (segments, enclosures); each segment is (lo, hi, sign) with sign
-    sampled at the rational midpoint, and enclosures cover the (possibly
-    irrational) roots separating them. For exact rational roots the enclosure
-    is degenerate and contributes no length.
+    Returns (segments, enclosures) with the enclosures of :func:`isolate_roots`;
+    each segment is (lo, hi, sign), a gap between the enclosures, with no root
+    of p inside it and the sign sampled at its rational midpoint. Enclosures
+    may overlap, as an inexact one can hold a rational root that also has its
+    own exact enclosure; an exact one contributes no length.
     """
     encs = isolate_roots(p, a, b, width)
     segments: list[tuple[Fraction, Fraction, int]] = []

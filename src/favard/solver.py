@@ -31,11 +31,12 @@ walk the pieces of the partition once, giving each its column and weight, and
 evaluate PB_{n+1} once per (sample, breakpoint); each entry is a sum of
 differences of those values.
 
-From the kernel to the end of elimination everything is integer. Each
-sample's row is evaluated on its own grid 1/G (the lcm of the breakpoint
-denominators over T and that sample's own), so the PB_{n+1} values are integer
-Horner sums over one common denominator per row and the weights share one
-denominator. In the same pass over the samples each row takes the factor
+From the kernel to the end of elimination everything is integer. The
+reductions read each step's one stored form (``StepFunction.as_piecewise``:
+breakpoints over T as integers on a grid, values over one denominator), and
+evaluate each sample's row on its own grid 1/G (the lcm of the step grids and
+that sample's own), so the PB_{n+1} values are integer Horner sums over one
+common denominator per row. In the same pass over the samples each row takes the factor
 L T^n / (n+1)!, the identity, the -1 column and the xi term, is cleared once
 and divided by the gcd of its entries: the system exists only as primitive
 integer rows with a Fraction scale each (see :class:`ReducedSystem`), and
@@ -298,18 +299,10 @@ def _validate_deviation(tau: StepFunction, T: Fraction) -> None:
     if tau.period != T:
         raise ValueError("deviation period mismatch")
     tp, tq = T.as_integer_ratio()
-    for i, v in enumerate(tau.values):
-        p, q = v.as_integer_ratio()
-        if not 0 <= p * tq <= tp * q:
-            raise ValueError(f"tau.values[{i}] = {v} lies outside [0, T]")
-
-
-def _over(x: Fraction, tp: int, tq: int) -> tuple[int, int]:
-    """x / T, with T = tp / tq, as a reduced pair (numerator, denominator)."""
-    p, q = x.as_integer_ratio()
-    p, q = p * tq, q * tp
-    g = math.gcd(p, q)
-    return p // g, q // g
+    form = tau.as_piecewise()
+    for i, (v,) in enumerate(form.rows):
+        if not 0 <= v * tq <= tp * form.den:
+            raise ValueError(f"tau.values[{i}] = {tau.values[i]} lies outside [0, T]")
 
 
 def _on_pieces(knots: list[int], values: list, N: list[int]) -> list:
@@ -325,14 +318,14 @@ def _on_pieces(knots: list[int], values: list, N: list[int]) -> list:
 def _step_kernel(
     n: int,
     T: Fraction,
-    tau: StepFunction,
-    weight: StepFunction,
+    tau: PiecewisePolynomial,
+    weight: PiecewisePolynomial,
     c: Fraction,
     b: Fraction = Fraction(0),
 ) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
     """Samples s_j (the sorted deviation values) and the primitive rows and scales of
     [I - A | -1] over [m | 0], where A_ij = -c K_ij - b m_j and m_j is the weight
-    integral over the preimage P_j of s_j.
+    integral over the preimage P_j of s_j, from the stored forms of tau and the weight.
 
     The cuts c_k are the breakpoints of tau and of the weight together. K_ij
     sums w * (E_k - E_{k+1}) over the pieces [c_k, c_{k+1}) in P_j, with
@@ -341,36 +334,30 @@ def _step_kernel(
     continuous antiderivative. Each piece gets its column and weight once,
     each cut one evaluation per sample.
 
-    All of it is integer arithmetic. The weights share one denominator W. For
-    each sample, s/T and every c_k/T lie on one grid of step 1/G, with G the lcm
-    of the cut denominators and that sample's own: a grid per row, so the
+    All of it is integer arithmetic: c_k/T are knots on grids with lcm G_c, the
+    weights numerators over W and the samples over one denominator, so they sort
+    as integers. For each sample, s/T and every c_k/T lie on one grid of step
+    1/G, with G the lcm of G_c and that sample's own: a grid per row, so the
     denominators of different samples never multiply. With s/T = a/G and
-    c_k/T = b_k/G, (s - c_k)/T mod 1 = ((a - b_k) mod G)/G and E_k is the homogeneous Horner
-    sum of B_{n+1}'s integer numerators there, over D G^(n+1) with D their
-    common denominator. So K_i is an integer row over W D G^(n+1), and
-    m_j = T constraint[j] / cden with cden = W G_c, G_c the cuts' lcm. Row i
-    times M = lcm(W D G^(n+1) c.denominator, bq), with b T / cden = bp / bq, is
+    c_k/T = b_k/G, (s - c_k)/T mod 1 = ((a - b_k) mod G)/G and E_k is the
+    homogeneous Horner sum of B_{n+1}'s integer numerators there, over
+    D G^(n+1) with D their common denominator. So K_i is an integer row over
+    W D G^(n+1), and m_j = T constraint[j] / cden with cden = W G_c. Row i times
+    M = lcm(W D G^(n+1) c.denominator, bq), with b T / cden = bp / bq, is
     integral; dividing by the gcd of its entries makes it primitive, and its
     scale is that gcd over M.
     """
     tp, tq = T.as_integer_ratio()
-    grids = [[_over(x, tp, tq) for x in f.breakpoints] for f in (tau, weight)]
-    Gc = math.lcm(*[q for grid in grids for _, q in grid])
-    tau_knots, weight_knots = [[p * (Gc // q) for p, q in grid] for grid in grids]
+    Gc = math.lcm(tau.grid, weight.grid)
+    tau_knots, weight_knots = [[k * (Gc // f.grid) for k in f.knots] for f in (tau, weight)]
     N = sorted(set(tau_knots).union(weight_knots))
-    # integer pairs as keys and s/T on one denominator as the order: Fraction hashing
-    # costs a modular inverse and Fraction comparison two products
-    over = {v.as_integer_ratio(): _over(v, tp, tq) for v in tau.values}
-    S = math.lcm(*[q for _, q in over.values()])
-    keys = sorted(over, key=lambda k: over[k][0] * (S // over[k][1]))
-    col = {k: j for j, k in enumerate(keys)}
-    ratios = _on_pieces(weight_knots, [w.as_integer_ratio() for w in weight.values], N)
-    W = math.lcm(*[q for _, q in ratios])
+    keys = sorted({r[0] for r in tau.rows})
+    col = {v: j for j, v in enumerate(keys)}
+    W = weight.den
     constraint = [0] * len(keys)
     pieces = []
-    cols = _on_pieces(tau_knots, [col[v.as_integer_ratio()] for v in tau.values], N)
-    for k, (j, (p, q)) in enumerate(zip(cols, ratios)):
-        w = p * (W // q)
+    cols = _on_pieces(tau_knots, [col[r[0]] for r in tau.rows], N)
+    for k, (j, w) in enumerate(zip(cols, _on_pieces(weight_knots, [r[0] for r in weight.rows], N))):
         if w:
             constraint[j] += w * (N[k + 1] - N[k])
             pieces.append((k, j, w))
@@ -378,8 +365,11 @@ def _step_kernel(
     cp, cq = c.numerator, c.denominator
     bp, bq = b.numerator * tp, b.denominator * tq * W * Gc
     out = []
-    for i, key in enumerate(keys):
-        a, e = over[key]
+    for i, v in enumerate(keys):
+        # s/T = v tq / (den tp) in lowest terms a / e
+        a, e = v * tq, tau.den * tp
+        h = math.gcd(a, e)
+        a, e = a // h, e // h
         G = math.lcm(Gc, e)
         a, m = a * (G // e), G // Gc
         E = [_horner(nums, (a - x * m) % G, G)[0] for x in N]
@@ -394,7 +384,11 @@ def _step_kernel(
         out.append(_primitive([*ints, -M], 1, M))
     out.append(_primitive([*constraint, 0], tp, tq * W * Gc))
     rows, scales = zip(*out)
-    return tuple([Fraction(*k) for k in keys]), rows, scales
+    return tuple([Fraction(v, tau.den) for v in keys]), rows, scales
+
+
+# the weight of the Lipschitz reduction: 1 on the whole period
+_UNIT = PiecewisePolynomial.step((0, 1), (1,))
 
 
 def reduce_system(
@@ -420,7 +414,7 @@ def reduce_system(
         raise ValueError("L must be >= 0")
     c = L * T**n / math.factorial(n + 1)
     xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
-    samples, rows, scales = _step_kernel(n, T, tau, StepFunction.constant(1, T), c, xi_factor)
+    samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), _UNIT, c, xi_factor)
     return ReducedSystem(n, T, samples, rows, scales, "lipschitz", tau, L, xi)
 
 
@@ -443,11 +437,12 @@ def reduce_weighted(
     _validate_deviation(tau, T)
     if p.period != T:
         raise ValueError("weight period mismatch")
-    for i, v in enumerate(p.values):
-        if v.numerator < 0:
-            raise ValueError(f"p.values[{i}] = {v} is negative")
+    weight = p.as_piecewise()
+    for i, (v,) in enumerate(weight.rows):
+        if v < 0:
+            raise ValueError(f"p.values[{i}] = {p.values[i]} is negative")
     c = T**n / math.factorial(n + 1)
-    samples, rows, scales = _step_kernel(n, T, tau, p, c)
+    samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), weight, c)
     return ReducedSystem(n, T, samples, rows, scales, "weighted", tau)
 
 

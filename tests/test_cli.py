@@ -280,6 +280,45 @@ def test_solve_step_schema_paths(tmp_path, capsys, field, item, expected):
     assert err == expected
 
 
+@pytest.mark.parametrize(
+    "T, breakpoints, expected",
+    [
+        ("2", ["0", "1", "3/2"], "breakpoints must run from 0 to T"),
+        ("2", ["1/2", "1", "2"], "breakpoints must run from 0 to T"),
+        ("2", ["0", "3/2", "1", "2"], "breakpoints must be strictly increasing"),
+        ("2", ["0", "1", "1", "2"], "breakpoints must be strictly increasing"),
+        # a period T <= 0 has no partition 0 < ... < T: it fails a breakpoint check, never a division by T
+        ("0", ["0", "1"], "breakpoints must run from 0 to T"),
+        ("0", ["0", "0"], "breakpoints must be strictly increasing"),
+        ("-1", ["0", "1"], "breakpoints must run from 0 to T"),
+        ("-2", ["0", "-1", "-2"], "breakpoints must be strictly increasing"),
+    ],
+)
+def test_solve_partition_errors(tmp_path, capsys, T, breakpoints, expected):
+    instance = {
+        "kind": "lipschitz",
+        "n": 2,
+        "T": T,
+        "L": "1",
+        "tau": {"breakpoints": breakpoints, "values": ["0"] * (len(breakpoints) - 1)},
+    }
+    path = tmp_path / "partition.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error at tau: {expected}\n"
+
+
+def test_solve_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error at <file>: invalid JSON: ") and err.count("\n") == 1
+
+
 def test_solve_missing_field_path(tmp_path, capsys):
     path = tmp_path / "missing.json"
     path.write_text(json.dumps({"kind": "lipschitz", "n": 2, "T": "1", "L": "32"}))

@@ -63,6 +63,23 @@ def test_isolate_rational_and_irrational():
     assert hi - lo <= F(1, 10**8)
 
 
+def test_irrational_enclosures_can_hold_a_rational_root():
+    # (u - 1/2)((u - 1/2)^2 - 2 10^-30): 1/2 exactly, and 1/2 -+ sqrt(2) 10^-15 in enclosures
+    # that reach 1/2, since the rational roots are divided out before the irrational ones
+    h = Polynomial.of(F(-1, 2), 1)
+    p = h * (h * h - Polynomial.const(F(2, 10**30)))
+    step = F(1, 2**44)
+    encs = isolate_roots(p, F(0), F(1))
+    half = F(1, 2)
+    assert [(e.low, e.high) for e in encs] == [(half - step, half), (half, half), (half, half + step)]
+    for e in (encs[0], encs[2]):
+        # one irrational root in (low, high], the roots of p there less the one of h, and 1/2 too
+        assert count_roots(p, e.low, e.high) - count_roots(h, e.low, e.high) == 1
+        assert e.low <= half <= e.high
+    segments, _ = sign_segments(p, F(0), F(1))
+    assert segments == [(F(0), half - step, -1), (half + step, F(1), 1)]
+
+
 def test_isolate_no_roots():
     p = Polynomial.of(1, 0, 1)
     assert isolate_roots(p, F(-1), F(1)) == []
