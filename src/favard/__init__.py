@@ -11,46 +11,26 @@ The package answers, with proofs-by-computation at desk scale:
 * and how unique solvability of the reduced periodic problems flips exactly
   at the threshold (finite exact reductions for step-valued deviations and
   weights).
+
+The names in ``__all__`` load on first access (PEP 562): ``favard.Witness``
+and ``from favard import Witness`` work as usual, but a bare ``import favard``
+imports no submodule, so each command pays only for the modules it uses.
 """
 
-from .bounds import BoundResult, ConclusionRow, conclusion_table, min_period_bound, weight_threshold
-from .constants import (
-    FavardTable,
-    SeriesApprox,
-    favard_closed_form,
-    favard_generating,
-    favard_recurrence,
-    favard_series_numeric,
-    favard_table,
-)
-from .exact import PiecewisePolynomial, Polynomial, StepFunction, format_rational
-from .kernels import (
-    MedianSplit,
-    green_apply,
-    green_solution_polynomial,
-    min_abs_integral,
-)
-from .numbers import (
-    bernoulli_numbers,
-    bernoulli_polynomial,
-    euler_numbers,
-)
-from .solver import (
-    ReducedSystem,
-    SolveReport,
-    reduce_system,
-    reduce_weighted,
-    solve_periodic,
-    solve_weighted,
-    uniqueness_margin,
-)
-from .witness import (
-    DeviationMap,
-    VerificationReport,
-    Witness,
-    build_witness,
-    verify_witness,
-)
+import importlib
+
+# the submodule that defines each public name; it is imported when one of its names is first read
+_MODULES = {
+    "bounds": "BoundResult ConclusionRow conclusion_table min_period_bound weight_threshold",
+    "constants": "FavardTable SeriesApprox favard_closed_form favard_generating favard_recurrence"
+    " favard_series_numeric favard_table",
+    "exact": "PiecewisePolynomial Polynomial StepFunction format_rational",
+    "kernels": "MedianSplit green_apply green_solution_polynomial min_abs_integral",
+    "numbers": "bernoulli_numbers bernoulli_polynomial euler_numbers",
+    "solver": "ReducedSystem SolveReport reduce_system reduce_weighted solve_periodic solve_weighted uniqueness_margin",
+    "witness": "DeviationMap VerificationReport Witness build_witness verify_witness",
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
@@ -92,3 +72,14 @@ __all__ = [
     "weight_threshold",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # not cached in the package, so a name rebound in its submodule (as perfbench's tracer does) is read anew
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOME))

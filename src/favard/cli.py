@@ -5,28 +5,24 @@ always labeled as approximations. Identical arguments and seed produce
 byte-identical output. Exit status: 0 on success, 1 on verification failure,
 2 on usage or schema errors.
 
-Each ``_cmd_*`` handler computes and returns its result without writing
-anything; ``dispatch`` renders it in the requested ``--format`` and writes it
-to stdout or ``--output``.
+The module top imports only ``exact`` and ``constants`` (for the ``--route``
+choices); every other module is imported by the ``_cmd_*`` handler that uses
+it, so a command loads only what it runs. Each handler computes and returns
+its result without writing anything; ``dispatch`` renders it in the requested
+``--format`` and writes it to stdout or ``--output``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import sys
 from fractions import Fraction
 
-from .acceptance import DEFAULT_SEED, run_all
-from .bounds import conclusion_table, min_period_bound, weight_threshold
 from .constants import ROUTES, favard_table
 from .exact import StepFunction, format_rational, to_rational
-from .kernels import min_abs_integral, phi_samples
-from .solver import solve_periodic, solve_weighted, uniqueness_margin, reduce_system
-from .witness import build_witness, verify_witness
 
 __all__ = ["main", "dispatch"]
 
@@ -52,6 +48,7 @@ def _parse_rational_arg(text: str, name: str) -> Fraction:
 
 
 def _to_csv(payload: list[dict] | dict) -> str:
+    import csv
     rows = [payload] if isinstance(payload, dict) else payload
     if not rows:
         return ""
@@ -74,6 +71,7 @@ def _cmd_constants(args: argparse.Namespace) -> Result:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> Result:
+    from .kernels import min_abs_integral, phi_samples
     if args.samples < 1:
         raise SchemaError("--samples", "must be >= 1")
     if not args.min_abs:
@@ -97,6 +95,7 @@ def _cmd_kernel(args: argparse.Namespace) -> Result:
 
 
 def _cmd_witness(args: argparse.Namespace) -> Result:
+    from .witness import build_witness, verify_witness
     T = _parse_rational_arg(args.T, "--T")
     if args.emit_samples < 0:
         raise SchemaError("--emit-samples", "must be >= 0 (0 emits no samples)")
@@ -150,6 +149,7 @@ def _parse_step(data, path: str, period: Fraction) -> StepFunction:
 
 
 def _cmd_solve(args: argparse.Namespace) -> Result:
+    from .solver import reduce_system, solve_periodic, solve_weighted, uniqueness_margin
     with open(args.instance) as fh:
         try:
             data = json.load(fh)
@@ -179,6 +179,7 @@ def _cmd_solve(args: argparse.Namespace) -> Result:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> Result:
+    from .bounds import min_period_bound, weight_threshold
     if args.weight:
         res = weight_threshold(args.n, _parse_rational_arg(args.T, "--T"))
         op = ">" if res.strict else ">="
@@ -197,6 +198,7 @@ def _cmd_bounds(args: argparse.Namespace) -> Result:
 
 
 def _cmd_table(args: argparse.Namespace) -> Result:
+    from .bounds import conclusion_table
     rows = [r.to_json_dict() for r in conclusion_table(args.n_max)]
     lines = []
     for r in rows:
@@ -209,13 +211,14 @@ def _cmd_table(args: argparse.Namespace) -> Result:
 
 
 def _cmd_suite(args: argparse.Namespace) -> Result:
+    from .acceptance import DEFAULT_SEED, run_all
     indices = None
     if args.criteria is not None:
         try:
             indices = [int(x) for x in args.criteria.split(",")]
         except ValueError:
             raise SchemaError("--criteria", "expected a comma-separated list of integers")
-    results = run_all(seed=args.seed, indices=indices)
+    results = run_all(seed=DEFAULT_SEED if args.seed is None else args.seed, indices=indices)
     # no wall-clock fields in the payload: identical arguments and seed give identical JSON bytes
     payload = [
         {"index": r.index, "name": r.name, "passed": r.passed and r.within_time, "detail": r.detail} for r in results
@@ -278,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output_options(p, _cmd_table, all_formats)
 
     p = sub.add_parser("suite", help="run the acceptance criteria and print the pass/fail matrix")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--criteria", default=None, help="comma-separated criterion indices (default: all)")
     output_options(p, _cmd_suite)
 

@@ -336,11 +336,13 @@ class Polynomial:
 def _partition(
     breakpoints: Sequence[RationalLike], count: int, period: RationalLike, over_period: bool = False
 ) -> tuple[tuple[int, ...], int, Fraction]:
-    """(knots, grid, period) for ``count`` pieces: the breakpoints, checked to run strictly up
-    from 0 to the end (1, or the period if ``over_period``, when a period <= 0 fails there),
+    """(knots, grid, period) for ``count`` pieces: the period, checked positive first, and the
+    breakpoints, checked to run strictly up from 0 to the end (1, or the period if ``over_period``),
     over the end as integer numerators over their least common denominator, in integers."""
-    ratios = [to_rational(b).as_integer_ratio() for b in breakpoints]
     period = to_rational(period)
+    if period <= 0:
+        raise ValueError("period must be positive")
+    ratios = [to_rational(b).as_integer_ratio() for b in breakpoints]
     ep, eq = period.as_integer_ratio() if over_period else (1, 1)
     Q = math.lcm(*[q for _, q in ratios])
     P = [p * (Q // q) for p, q in ratios]
@@ -350,8 +352,6 @@ def _partition(
         raise ValueError("breakpoints must be strictly increasing")
     if count != len(P) - 1:
         raise ValueError("need one piece per interval")
-    if period <= 0:
-        raise ValueError("period must be positive")
     g = math.gcd(*P)  # breakpoint k over the end is P[k] / P[-1]
     return tuple([a // g for a in P]), P[-1] // g, period
 

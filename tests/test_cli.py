@@ -287,11 +287,11 @@ def test_solve_step_schema_paths(tmp_path, capsys, field, item, expected):
         ("2", ["1/2", "1", "2"], "breakpoints must run from 0 to T"),
         ("2", ["0", "3/2", "1", "2"], "breakpoints must be strictly increasing"),
         ("2", ["0", "1", "1", "2"], "breakpoints must be strictly increasing"),
-        # a period T <= 0 has no partition 0 < ... < T: it fails a breakpoint check, never a division by T
-        ("0", ["0", "1"], "breakpoints must run from 0 to T"),
-        ("0", ["0", "0"], "breakpoints must be strictly increasing"),
-        ("-1", ["0", "1"], "breakpoints must run from 0 to T"),
-        ("-2", ["0", "-1", "-2"], "breakpoints must be strictly increasing"),
+        # a period T <= 0 is checked before the breakpoints, whatever they are, and never divides
+        ("0", ["0", "1"], "period must be positive"),
+        ("0", ["0", "0"], "period must be positive"),
+        ("-1", ["0", "1"], "period must be positive"),
+        ("-2", ["0", "-1", "-2"], "period must be positive"),
     ],
 )
 def test_solve_partition_errors(tmp_path, capsys, T, breakpoints, expected):
@@ -735,16 +735,37 @@ def test_any_arguments_exit_cleanly(case):
         assert out.getvalue() == ""
 
 
-def test_numpy_loads_only_on_solve_paths():
-    # numpy serves only the solver's float margin; importing the CLI and a kernel call leave it unloaded
+# one run of each subcommand; suite criterion 9 is one that solves instances, so it loads numpy
+LOAD_RUNS = {
+    "bounds": ["bounds", "--n", "3", "--L", "1"],
+    "constants": ["constants", "--n-max", "6"],
+    "kernel": ["kernel", "--n", "6", "--min-abs"],
+    "solve": ["solve", str(Path(__file__).parent / "golden" / "instances" / "solve_lipschitz.json")],
+    "suite": ["suite", "--criteria", "9"],
+    "table": ["table", "--n-max", "5"],
+    "witness": ["witness", "--n", "3", "--T", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LOAD_RUNS))
+def test_each_command_loads_only_its_modules(command):
+    # a fresh interpreter: importing the CLI loads no handler's module, and each command loads its own
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
-        "import sys, favard.cli\n"
-        "loaded = 'numpy' in sys.modules\n"
-        "code = favard.cli.main(['kernel', '--n', '6', '--min-abs'])\n"
-        "print(code, loaded, 'numpy' in sys.modules, file=sys.stderr)\n"
+        "import json, sys, favard.cli\n"
+        "at_import = sorted(sys.modules)\n"
+        f"code = favard.cli.main({LOAD_RUNS[command]!r})\n"
+        "print(json.dumps([code, at_import, sorted(sys.modules)]), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert "xi* = 31/1935360 * pi^5" in proc.stdout
-    assert proc.stderr.split() == ["0", "False", "False"]
+    code, at_import, after = json.loads(proc.stderr)
+    assert code == 0
+    lazy = ["acceptance", "bounds", "kernels", "roots", "sampling", "solver", "witness"]
+    assert not ({f"favard.{m}" for m in lazy} | {"numpy"}) & set(at_import)
+    for name in ("favard.acceptance", "favard.sampling"):
+        assert (name in after) == (command == "suite"), name
+    for name in ("favard.solver", "numpy"):
+        assert (name in after) == (command in ("solve", "suite")), name
+    if command in ("bounds", "table"):
+        assert not {"favard.kernels", "favard.roots"} & set(after)

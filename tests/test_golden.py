@@ -2,8 +2,10 @@
 
 Each ``tests/golden/<name>.out`` holds the exact stdout of one command, except
 ``kernel_min_abs_n1_40.out``, which holds the ``kernel --min-abs`` JSON of
-the orders 1..40 one after another. A change that alters any of these bytes
-changes the CLI contract and must re-record the file on purpose.
+the orders 1..40 one after another; ``help.out`` and ``help_<command>.out``
+hold the ``--help`` text of ``favard`` and of each subcommand at 80 columns.
+A change that alters any of these bytes changes the CLI contract and must
+re-record the file on purpose.
 """
 
 from pathlib import Path
@@ -75,3 +77,16 @@ def test_kernel_min_abs_orders_1_to_40_match_golden(capsys):
     out = capsys.readouterr().out
     assert codes == [0] * len(MIN_ABS_ORDERS)
     assert out == (GOLDEN / "kernel_min_abs_n1_40.out").read_text()
+
+
+HELP = ["", "bounds", "constants", "kernel", "solve", "suite", "table", "witness"]
+
+
+@pytest.mark.parametrize("command", HELP)
+def test_help_matches_golden(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    name = f"help_{command}" if command else "help"
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
