@@ -245,12 +245,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
     @cached_property
     def _integer_form(self) -> tuple[tuple[int, ...], int]:
         """Integer numerators over the least common denominator D of the coefficients."""

@@ -1,8 +1,8 @@
 """Exact real-root location for rational polynomials on an interval.
 
-Strategy: build the square-free part and its Sturm sequence once, extract
-every rational root exactly, then isolate the remaining real roots by
-bisection. Both are built in integers by primitive pseudo-remainders
+Strategy: build the square-free part and its Sturm sequence once, then find
+every root in one bisection, exactly where it is rational and enclosed
+otherwise. Both are built in integers by primitive pseudo-remainders
 (Collins 1967; Brown & Traub 1971): each remainder is taken of the dividend
 times a positive integer, a product of the divisor's |leading coefficient|
 over gcds, and divided by its content. Every member is therefore a positive
@@ -12,39 +12,37 @@ p needs no other. The members stay integer coefficient lists; the sign of
 one at a rational point is the sign of its homogeneous integer Horner sum
 (``exact._horner``), and no Fraction is built.
 
-Rational roots need no integer factoring: once the square-free part is a
-primitive integer polynomial with leading coefficient l, every rational root
-has a denominator dividing l, so distinct candidates lie at least 1/l^2
-apart, and a Sturm enclosure narrower than that holds at most one,
-``Fraction.limit_denominator(|l|)`` of its midpoint, which one exact
-evaluation confirms or rejects. The work is polynomial in the bit size of
-the coefficients.
+Bisection computes the Sturm variation count of each endpoint once and
+splits (a, b] until each cell (lo, hi] holds one root of the square-free
+part s. That root is simple, so while s(hi) != 0 it lies in (lo, mid] iff
+s(mid) == 0 or sign s(mid) == sign s(hi): one sign of s per step refines
+the cell through the same dyadic midpoints, and a zero at a midpoint is
+the root, exactly.
 
-Bisection computes the Sturm variation count of each endpoint once. A Sturm
-count of the half-open interval (lo, hi] stays correct when lo or hi is a
-root, so the irrational roots in (lo, hi] are that count minus the rational
-roots already found there; no root is divided out. Once (lo, hi] holds one
-root of the square-free part s and none of the rational roots found, that
-root is simple and s(hi) != 0, so it lies in (lo, mid] iff s(mid) == 0 or
-sign s(mid) == sign s(hi): one sign of s per step refines the interval
-through the same dyadic midpoints to the same stop rule. Consumers therefore
-receive exact roots whenever they exist and arbitrarily narrow rational
-enclosures otherwise, which keeps downstream measures and integrals exact or
-rigorously bounded. ``level_split`` reads both the measure below a level and
-the integral of the distance to it from one sign partition.
+Rational roots need no integer factoring: s is a primitive integer
+polynomial with leading coefficient l, so every rational root has a
+denominator dividing l, distinct candidates lie at least 1/l^2 apart, and
+the first cell on a root's path narrower than that holds at most one,
+``Fraction.limit_denominator(|l|)`` of its midpoint, which one exact sign
+test confirms or rejects. The work is polynomial in the bit size of the
+coefficients. An irrational root's enclosure is the first cell on the same
+path no wider than the requested width, before or after that test, so each
+root is bisected once. Consumers therefore receive exact roots whenever
+they exist and arbitrarily narrow, disjoint rational enclosures otherwise,
+which keeps downstream measures and integrals exact or rigorously bounded.
+``level_split`` reads both the measure below a level and the integral of
+the distance to it from one sign partition.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import Polynomial, _horner, to_rational
 
 __all__ = [
-    "square_free",
     "sturm_sequence",
     "count_roots",
     "rational_roots",
@@ -131,12 +129,6 @@ def _square_free_sequence(p: Polynomial) -> tuple[list[int], list[list[int]]]:
     return s, seq
 
 
-def square_free(p: Polynomial) -> list[int]:
-    """Square-free part p / gcd(p, p') as primitive integer coefficients, lowest degree
-    first: a positive multiple of the quotient over Q."""
-    return _square_free_sequence(p)[0]
-
-
 def _sign(c: list[int], x: Fraction) -> int:
     acc, _ = _horner(c, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
@@ -153,51 +145,58 @@ def _variations(seq: list[list[int]], x: Fraction) -> tuple[int, int]:
     return sum(t != u for t, u in zip(nonzero, nonzero[1:])), signs[0]
 
 
-def count_roots(p: Polynomial, a: Fraction, b: Fraction, seq: list[list[int]] | None = None) -> int:
-    """Number of distinct real roots of p in the half-open interval (a, b]; ``seq``,
-    if given, is the Sturm sequence of p's square-free part."""
+def count_roots(p: Polynomial, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots of p in the half-open interval (a, b]."""
     if p.is_zero:
         raise ValueError("zero polynomial has no isolated roots")
     a, b = to_rational(a), to_rational(b)
     if a > b:
         raise ValueError("need a <= b")
-    if seq is None:
-        _, seq = _square_free_sequence(p)
+    _, seq = _square_free_sequence(p)
     return _variations(seq, a)[0] - _variations(seq, b)[0]
 
 
-def _bisect(s: list[int], seq: list[list[int]], a: Fraction, b: Fraction, found, done):
-    """Intervals (lo, hi] of (a, b], each holding one root of s not in the sorted ``found``,
-    bisected until done(lo, hi, sign s(hi)); yields (lo, hi, sign s(hi)).
+def _bisect(s: list[int], seq: list[list[int]], a: Fraction, b: Fraction, width: Fraction):
+    """(low, high) for each root of the primitive square-free s in [a, b], left to right:
+    low == high at a rational root, else the first cell (low, high] on the root's dyadic
+    path that holds it alone and is no wider than ``width``.
 
-    The roots in (lo, hi] are its Sturm count less the members of found there. An
-    interval holding one root of s and none of found is refined by the sign of s
-    alone (module docstring); that needs s(hi) != 0 unless done, which holds when
-    found has every rational root of s in (a, b] or done stops at s(hi) == 0.
+    Sturm counts split (a, b] until a cell holds one root; the sign of s alone then
+    refines it (module docstring), and the cell that first gets narrower than 1/l^2
+    tests its one rational candidate.
     """
-    va, _ = _variations(seq, a)
+    lead = abs(s[-1])
+    separation = Fraction(1, lead * lead)
+    va, sa = _variations(seq, a)
     vb, sb = _variations(seq, b)
+    if sa == 0:
+        yield a, a
     stack = [(a, b, va, vb, sb)]
     while stack:
         lo, hi, vlo, vhi, sh = stack.pop()
-        inside = bisect_right(found, hi) - bisect_right(found, lo)
-        cnt = vlo - vhi - inside
-        if cnt == 1 and not inside:
-            while not done(lo, hi, sh):
-                mid = (lo + hi) / 2
-                sm = _sign(s, mid)
-                if sm == 0 or sm == sh:
-                    hi, sh = mid, sm
-                else:
-                    lo = mid
-            yield lo, hi, sh
-        elif cnt == 1 and done(lo, hi, sh):
-            yield lo, hi, sh
-        elif cnt:
+        if vlo - vhi > 1:
             mid = (lo + hi) / 2
             vm, sm = _variations(seq, mid)
-            stack.append((lo, mid, vlo, vm, sm))
-            stack.append((mid, hi, vm, vhi, sh))
+            stack += [(mid, hi, vm, vhi, sh), (lo, mid, vlo, vm, sm)]
+        elif vlo - vhi == 1:
+            cell, tested = None, False
+            while sh and not (tested and cell):
+                if cell is None and hi - lo <= width:
+                    cell = lo, hi
+                elif not tested and hi - lo < separation:
+                    tested = True
+                    r = ((lo + hi) / 2).limit_denominator(lead)
+                    # when the root here is irrational, r may be another root of s outside (lo, hi)
+                    if lo < r < hi and _sign(s, r) == 0:
+                        cell = r, r
+                else:
+                    mid = (lo + hi) / 2
+                    sm = _sign(s, mid)
+                    if sm == 0 or sm == sh:
+                        hi, sh = mid, sm
+                    else:
+                        lo = mid
+            yield cell if sh else (hi, hi)
 
 
 def rational_roots(p: Polynomial, a: Fraction, b: Fraction) -> list[Fraction]:
@@ -210,39 +209,24 @@ def rational_roots(p: Polynomial, a: Fraction, b: Fraction) -> list[Fraction]:
     splits [a, b] until each interval (lo, hi] holds one root of S: a root at
     hi is found exactly, and otherwise the interval is narrowed below width
     1/l^2, where ``mid.limit_denominator(|l|)`` is the only fraction that can
-    be the root; one exact sign test decides it. The point a, outside every
-    (lo, hi], is tested on its own.
+    be the root; one exact sign test decides it. This is the search of
+    :func:`isolate_roots`, with no irrational root refined past that test.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     a, b = to_rational(a), to_rational(b)
-    s, seq = _square_free_sequence(p)
-    if len(s) < 2 or a > b:
+    if a > b:
         return []
-    return _rational_roots(s, seq, a, b)
-
-
-def _rational_roots(s: list[int], seq: list[list[int]], a: Fraction, b: Fraction) -> list[Fraction]:
-    """:func:`rational_roots` given a primitive square-free s of degree >= 1, its Sturm sequence and a <= b."""
-    lead = abs(s[-1])
-    separation = Fraction(1, lead * lead)
-    found = [a] if _sign(s, a) == 0 else []
-    for lo, hi, sh in _bisect(s, seq, a, b, (), lambda lo, hi, sh: sh == 0 or hi - lo < separation):
-        if sh == 0:
-            found.append(hi)
-            continue
-        r = ((lo + hi) / 2).limit_denominator(lead)
-        # when the root here is irrational, r may be another root of S outside (lo, hi)
-        if lo < r < hi and _sign(s, r) == 0:
-            found.append(r)
-    return sorted(found)
+    s, seq = _square_free_sequence(p)
+    # every cell is no wider than b - a, so each irrational root stops at its rationality test
+    return [low for low, high in _bisect(s, seq, a, b, b - a) if low == high]
 
 
 @dataclass(frozen=True)
 class RootEnclosure:
-    """Rational interval [low, high] from :func:`isolate_roots`: a rational root (low == high),
-    or an irrational root inside (low, high), the only irrational one in [low, high]; rational
-    roots, each reported exactly on its own, may lie in it too, at an endpoint or inside."""
+    """Rational interval from :func:`isolate_roots`: a rational root (low == high), or the
+    half-open (low, high] holding one irrational root and no other root; low may be a
+    rational root, reported exactly on its own."""
 
     low: Fraction
     high: Fraction
@@ -265,13 +249,11 @@ def isolate_roots(
     """All distinct real roots of p in [a, b] in order: exact where rational, else enclosed.
 
     Each rational root has an exact enclosure and each irrational root one inexact
-    enclosure (see :class:`RootEnclosure`), which can also hold rational roots, as
-    those are subtracted first. Inexact enclosures share at most an endpoint, and
-    their widths do not exceed ``width``, which must be positive. Raises
-    on the zero polynomial (callers special-case identically-zero pieces).
-    One square-free part and one Sturm sequence serve both searches: the
-    irrational roots in (lo, hi] are the Sturm count there minus the
-    rational roots found in (lo, hi].
+    enclosure (see :class:`RootEnclosure`) no wider than ``width``, which must be
+    positive. Enclosures are sorted and share at most an endpoint. One Sturm
+    bisection finds both kinds: each root is refined once, deciding its rationality
+    on the way down. Raises on the zero polynomial (callers special-case
+    identically-zero pieces).
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -280,15 +262,8 @@ def isolate_roots(
     a, b = to_rational(a), to_rational(b)
     if a > b:
         raise ValueError("need a <= b")
-    if p.degree == 0:
-        return []
     s, seq = _square_free_sequence(p)
-    found = _rational_roots(s, seq, a, b)
-    out = [RootEnclosure(r, r) for r in found]
-    if len(s) - 1 > len(found):
-        done = lambda lo, hi, sh: hi - lo <= width
-        out += [RootEnclosure(lo, hi) for lo, hi, _ in _bisect(s, seq, a, b, found, done)]
-    return sorted(out, key=lambda e: (e.low, e.high))
+    return [RootEnclosure(low, high) for low, high in _bisect(s, seq, a, b, width)]
 
 
 def sign_segments(
@@ -302,8 +277,7 @@ def sign_segments(
     Returns (segments, enclosures) with the enclosures of :func:`isolate_roots`;
     each segment is (lo, hi, sign), a gap between the enclosures, with no root
     of p inside it and the sign sampled at its rational midpoint. Enclosures
-    may overlap, as an inexact one can hold a rational root that also has its
-    own exact enclosure; an exact one contributes no length.
+    do not overlap; an exact one contributes no length.
     """
     encs = isolate_roots(p, a, b, width)
     segments: list[tuple[Fraction, Fraction, int]] = []
@@ -311,7 +285,7 @@ def sign_segments(
     for enc in encs:
         if enc.low > cursor:
             segments.append((cursor, enc.low, p.sign((cursor + enc.low) / 2)))
-        cursor = max(cursor, enc.high)
+        cursor = enc.high
     if cursor < b:
         segments.append((cursor, b, p.sign((cursor + b) / 2)))
     return segments, encs

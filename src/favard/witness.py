@@ -205,7 +205,7 @@ def verify_witness(w: Witness) -> VerificationReport:
         d = d.derivative()
 
     target = w.h.as_piecewise() * (w.sigma * w.L_crit)
-    ok = (d.knots, d.grid, d.rows, d.den) == (target.knots, target.grid, target.rows, target.den)
+    ok = d == target
     disc = None
     if not ok:
         disc = Fraction(0)

@@ -6,11 +6,11 @@ from test_roots_reference import poly_divmod, poly_gcd
 from favard.exact import Polynomial
 from favard.numbers import bernoulli_polynomial
 from favard.roots import (
+    _square_free_sequence,
     count_roots,
     isolate_roots,
     level_split,
     sign_segments,
-    square_free,
     sturm_sequence,
 )
 
@@ -28,17 +28,17 @@ def test_gcd_and_square_free():
     g = poly_gcd(double, double.derivative())
     assert g == Polynomial.of(F(-1, 2), 1)
     # (u - 1/2)(u + 1) = (2u^2 + u - 1) / 2, as primitive integer coefficients
-    assert square_free(double) == [-1, 1, 2]
-    assert square_free(-double) == [1, -1, -2]
+    assert _square_free_sequence(double)[0] == [-1, 1, 2]
+    assert _square_free_sequence(-double)[0] == [1, -1, -2]
 
 
 def test_count_roots_sturm():
     p = Polynomial.of(0, -1, 0, 1)  # u^3 - u: roots -1, 0, 1
     assert count_roots(p, F(-2), F(2)) == 3
     assert count_roots(p, F(1, 2), F(2)) == 1
-    seq = sturm_sequence(square_free(p))
+    seq = sturm_sequence(_square_free_sequence(p)[0])
     assert seq == [[0, -1, 0, 1], [-1, 0, 3], [0, 1], [1]]
-    assert count_roots(p, -1, 1, seq) == 2  # (-1, 1] holds 0 and 1
+    assert count_roots(p, -1, 1) == 2  # (-1, 1] holds 0 and 1
 
 
 def test_count_roots_rejects_reversed_interval():
@@ -65,19 +65,22 @@ def test_isolate_rational_and_irrational():
 
 def test_irrational_enclosures_can_hold_a_rational_root():
     # (u - 1/2)((u - 1/2)^2 - 2 10^-30): 1/2 exactly, and 1/2 -+ sqrt(2) 10^-15 in enclosures
-    # that reach 1/2, since the rational roots are divided out before the irrational ones
+    # that hold no other root: the width-level cell (1/2 - 2^-44, 1/2] also holds 1/2, so the
+    # left root gets the dyadic sub-cell that holds it alone; 1/2 is outside (1/2, 1/2 + 2^-44]
     h = Polynomial.of(F(-1, 2), 1)
     p = h * (h * h - Polynomial.const(F(2, 10**30)))
     step = F(1, 2**44)
     encs = isolate_roots(p, F(0), F(1))
     half = F(1, 2)
-    assert [(e.low, e.high) for e in encs] == [(half - step, half), (half, half), (half, half + step)]
-    for e in (encs[0], encs[2]):
-        # one irrational root in (low, high], the roots of p there less the one of h, and 1/2 too
-        assert count_roots(p, e.low, e.high) - count_roots(h, e.low, e.high) == 1
-        assert e.low <= half <= e.high
+    left = (half - F(1, 2**49), half - F(1, 2**50))
+    assert [(e.low, e.high) for e in encs] == [left, (half, half), (half, half + step)]
+    old = [(half - step, half), (half, half + step)]  # when the rational roots were subtracted first
+    for e, (low, high) in zip((encs[0], encs[2]), old):
+        assert count_roots(p, e.low, e.high) == 1
+        assert low <= e.low < e.high <= high
+        assert not e.low < half <= e.high
     segments, _ = sign_segments(p, F(0), F(1))
-    assert segments == [(F(0), half - step, -1), (half + step, F(1), 1)]
+    assert segments == [(F(0), left[0], -1), (left[1], half, 1), (half + step, F(1), 1)]
 
 
 def test_isolate_no_roots():

@@ -7,12 +7,13 @@ trailing and leading coefficients by trial division and tests each
 ``±num/den``. It is exact but super-polynomial in the coefficients' bit
 size, so the inputs here keep those coefficients to a few dozen bits.
 
-``reference_isolate_roots`` is the route ``roots.isolate_roots`` took before
-it counted the irrational roots on the one Sturm sequence of the square-free
-part: it divides the rational roots out and builds a second Sturm sequence
-for what is left. ``reference_measure_below`` and ``reference_abs_integral``
-are the two functions ``roots.level_split`` replaced, each with its own sign
-partition on that route.
+``reference_isolate_roots`` splits on the Sturm count of the whole
+square-free part over Q until each cell holds one root and is no wider than
+the width, and keeps the cells whose root is not a trial-division rational
+root: each irrational root gets the first dyadic cell that holds it alone,
+as in the one search of ``roots.isolate_roots``. ``reference_measure_below``
+and ``reference_abs_integral`` are the two functions ``roots.level_split``
+replaced, each with its own sign partition on those enclosures.
 
 ``poly_divmod``, ``poly_gcd``, ``reference_square_free``,
 ``reference_sturm_sequence`` and ``reference_count_roots`` are the Fraction
@@ -61,7 +62,7 @@ def poly_gcd(a, b):
         a, b = b, r
     if a.is_zero:
         return a
-    return a * (1 / a.leading_coefficient)
+    return a * (1 / a.coeffs[-1])
 
 
 def reference_square_free(p):
@@ -131,28 +132,26 @@ def reference_rational_roots(p, a, b):
 
 
 def reference_isolate_roots(p, a, b, width):
-    """(low, high) of each root of p in [a, b]: the trial-division roots, divided out of
-    the square-free part, then Sturm bisection of the quotient on its own sequence."""
+    """(low, high) of each root of p in [a, b]: the trial-division roots, then the cells of
+    Sturm bisection on the whole square-free part that hold one root, no rational one,
+    and are no wider than width."""
     if p.degree == 0:
         return []
     found = reference_rational_roots(p, a, b)
     out = [(r, r) for r in found]
-    q = reference_square_free(p)
-    for r in found:
-        q, _ = poly_divmod(q, Polynomial.of(-r, 1))
-    if q.degree >= 1:
-        seq = reference_sturm_sequence(q)
-        stack = [(a, b, reference_count_roots(seq, a, b))]
-        while stack:
-            lo, hi, cnt = stack.pop()
-            if cnt == 0:
-                continue
-            if cnt == 1 and hi - lo <= width:
+    seq = reference_sturm_sequence(reference_square_free(p))
+    stack = [(a, b, reference_count_roots(seq, a, b))]
+    while stack:
+        lo, hi, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1 and hi - lo <= width:
+            if not any(lo < r <= hi for r in found):
                 out.append((lo, hi))
-                continue
-            mid = (lo + hi) / 2
-            stack.append((lo, mid, reference_count_roots(seq, lo, mid)))
-            stack.append((mid, hi, reference_count_roots(seq, mid, hi)))
+            continue
+        mid = (lo + hi) / 2
+        stack.append((lo, mid, reference_count_roots(seq, lo, mid)))
+        stack.append((mid, hi, reference_count_roots(seq, mid, hi)))
     return sorted(out)
 
 
@@ -164,7 +163,7 @@ def reference_sign_segments(q, a, b, width):
     for low, high in encs:
         if low > cursor:
             segments.append((cursor, low, q.sign((cursor + low) / 2)))
-        cursor = max(cursor, high)
+        cursor = high
     if cursor < b:
         segments.append((cursor, b, q.sign((cursor + b) / 2)))
     return segments, encs
@@ -262,12 +261,12 @@ def intervals(draw, roots_):
 
 def assert_positive_multiples(p):
     """The square-free part and each Sturm member over Z are positive multiples of those over Q."""
-    s = roots.square_free(p)
+    s = roots._square_free_sequence(p)[0]
     seq = roots.sturm_sequence(s)
     expect = reference_sturm_sequence(reference_square_free(p))
     assert len(seq) == len(expect)
     for ints, member in zip([s] + seq, [reference_square_free(p)] + expect):
-        ratio = member.leading_coefficient / ints[-1]
+        ratio = member.coeffs[-1] / ints[-1]
         assert ratio > 0
         assert Polynomial(ints) * ratio == member
 
@@ -326,6 +325,20 @@ class TestRationalRootsAgainstTrialDivision:
         width = data.draw(st.sampled_from(WIDTHS))
         expect = reference_measure_below(p, a, b, level, width) + reference_abs_integral(p, a, b, level, width)
         assert level_split(p, a, b, level, width) == expect
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_enclosures_are_disjoint_isolating_and_agree_with_rational_roots(self, data):
+        p, roots_ = data.draw(rational_polynomials())
+        a, b = data.draw(intervals(roots_))
+        width = data.draw(widths)
+        encs = isolate_roots(p, a, b, width)
+        assert all(e.high <= f.low for e, f in zip(encs, encs[1:]))
+        for e in encs:
+            if not e.exact:
+                assert roots.count_roots(p, e.low, e.high) == 1
+                assert e.width <= width
+        assert rational_roots(p, a, b) == [e.low for e in encs if e.exact]
 
     @pytest.mark.parametrize("r", [F(99, 70), F(577, 408), F(-1393, 985)])
     def test_rational_root_next_to_an_irrational_one(self, r):
@@ -388,7 +401,7 @@ class TestOneIsolationPerPolynomial:
         p = third * third * Polynomial.of(5, 1) * QUADRATICS[0]
         # the builder of the square-free part and its sequence makes every remainder and
         # quotient: none is made outside it, so no root is divided out
-        names = ["_square_free_sequence", "square_free", "sturm_sequence", "_prem", "_quotient"]
+        names = ["_square_free_sequence", "sturm_sequence", "_prem", "_quotient"]
         calls = count_outer_calls(monkeypatch, names)
         inner = Counter()
         count_lengths(monkeypatch, inner)
@@ -399,6 +412,14 @@ class TestOneIsolationPerPolynomial:
         # p cleared to integers (degree 5) ends its sequence in the gcd u - 1/3;
         # the one Sturm sequence is that of the square-free part (degree 4)
         assert inner == {6: 1, 5: 1}
+
+    def test_isolate_roots_refines_each_root_once(self, monkeypatch):
+        # 3^20 u^2 - 2: one irrational root in [0, 1]; the rationality test (below 1/l^2 = 3^-40,
+        # 64 halvings) and the enclosure (width 10^-13, 44 halvings) lie on one path of sign tests
+        calls = count_outer_calls(monkeypatch, ["_sign"])
+        encs = roots.isolate_roots(Polynomial.of(-2, 0, 3**20), F(0), F(1))
+        assert pairs(encs) == [(F(52666235, 2**41), F(421329881, 2**44))]
+        assert calls["_sign"] <= 70  # one sign test per halving, and at most one for the candidate
 
     def test_square_free_input_builds_one_sequence(self, monkeypatch):
         p = Polynomial.of(F(-1, 3), 1) * Polynomial.of(5, 1) * QUADRATICS[0]
