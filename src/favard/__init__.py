@@ -12,9 +12,11 @@ The package answers, with proofs-by-computation at desk scale:
   at the threshold (finite exact reductions for step-valued deviations and
   weights).
 
-The names in ``__all__`` load on first access (PEP 562): ``favard.Witness``
-and ``from favard import Witness`` work as usual, but a bare ``import favard``
-imports no submodule, so each command pays only for the modules it uses.
+``__all__`` is read off the table ``_MODULES``, which lists each public name
+once with the submodule that defines it, plus ``__version__``. The names load
+on first access (PEP 562): ``favard.Witness`` and ``from favard import
+Witness`` work as usual, but a bare ``import favard`` imports no submodule,
+so each command pays only for the modules it uses.
 """
 
 import importlib
@@ -34,44 +36,7 @@ _HOME = {name: module for module, names in _MODULES.items() for name in names.sp
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundResult",
-    "ConclusionRow",
-    "DeviationMap",
-    "FavardTable",
-    "MedianSplit",
-    "PiecewisePolynomial",
-    "Polynomial",
-    "ReducedSystem",
-    "SeriesApprox",
-    "SolveReport",
-    "StepFunction",
-    "VerificationReport",
-    "Witness",
-    "bernoulli_numbers",
-    "bernoulli_polynomial",
-    "build_witness",
-    "conclusion_table",
-    "euler_numbers",
-    "favard_closed_form",
-    "favard_generating",
-    "favard_recurrence",
-    "favard_series_numeric",
-    "favard_table",
-    "format_rational",
-    "green_apply",
-    "green_solution_polynomial",
-    "min_abs_integral",
-    "min_period_bound",
-    "reduce_system",
-    "reduce_weighted",
-    "solve_periodic",
-    "solve_weighted",
-    "uniqueness_margin",
-    "verify_witness",
-    "weight_threshold",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str):

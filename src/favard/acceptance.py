@@ -137,7 +137,7 @@ def _criterion_contraction(seed: int) -> tuple[bool, str]:
     rng = random.Random(seed + 1)
     periods = (Fraction(1), Fraction(5, 2), Fraction(1, 3))
     xi_by_n: dict[int, Fraction] = {}
-    worst_slack = -1.0
+    worst_slack = Fraction(-1)  # below every slack: norm >= 0 and rho < 1
     for _ in range(50):
         n = rng.randint(1, 4)
         T = periods[rng.randrange(3)]
@@ -151,8 +151,8 @@ def _criterion_contraction(seed: int) -> tuple[bool, str]:
         norm = contraction_norm(sys)
         if norm > rho:
             return False, f"n={n}, T={T}, rho={rho}: operator norm {float(norm)} exceeds {float(rho)}"
-        worst_slack = max(worst_slack, float(norm) - float(rho))
-    return True, f"50 instances: discretized operator norm <= L K_n T^n + 1e-6 (worst slack {worst_slack:.1e})"
+        worst_slack = max(worst_slack, norm - rho)
+    return True, f"50 instances: discretized operator norm <= L K_n T^n + 1e-6 (worst slack {float(worst_slack):.1e})"
 
 
 def _central_difference(u: Polynomial, t: Fraction, h: Fraction, n: int) -> Fraction:

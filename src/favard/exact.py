@@ -350,14 +350,6 @@ def _partition(
     return tuple([a // g for a in P]), P[-1] // g, period
 
 
-def _step(breakpoints: Sequence, values: Sequence, period: RationalLike, over_period: bool) -> "PiecewisePolynomial":
-    """The step function of the given values as constant pieces; see :func:`_partition`."""
-    ratios = [to_rational(v).as_integer_ratio() for v in values]
-    knots, grid, period = _partition(breakpoints, len(ratios), period, over_period)
-    den = math.lcm(*[q for _, q in ratios])
-    return object.__new__(PiecewisePolynomial)._fill(knots, grid, [[p * (den // q)] for p, q in ratios], den, period)
-
-
 @dataclass(frozen=True, init=False)
 class PiecewisePolynomial:
     """T-periodic function given by exact polynomial pieces on a partition of [0, 1].
@@ -408,16 +400,6 @@ class PiecewisePolynomial:
     def _make(self, rows: list, den: int) -> "PiecewisePolynomial":
         """The pieces rows / den on this partition and period."""
         return object.__new__(PiecewisePolynomial)._fill(self.knots, self.grid, rows, den, self.period)
-
-    @classmethod
-    def step(
-        cls,
-        breakpoints: Sequence[RationalLike],
-        values: Sequence[RationalLike],
-        period: RationalLike = 1,
-    ) -> "PiecewisePolynomial":
-        """Step function: constant pieces on the given unit-interval partition."""
-        return _step(breakpoints, values, period, False)
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -527,8 +509,12 @@ class StepFunction:
     def __post_init__(self) -> None:
         bps = tuple([to_rational(b) for b in self.breakpoints])
         vals = tuple([to_rational(v) for v in self.values])
-        period = to_rational(self.period)
-        self.__dict__.update(breakpoints=bps, values=vals, period=period, _form=_step(bps, vals, period, True))
+        ratios = [v.as_integer_ratio() for v in vals]
+        knots, grid, period = _partition(bps, len(ratios), self.period, over_period=True)
+        den = math.lcm(*[q for _, q in ratios])
+        rows = [[p * (den // q)] for p, q in ratios]
+        form = object.__new__(PiecewisePolynomial)._fill(knots, grid, rows, den, period)
+        self.__dict__.update(breakpoints=bps, values=vals, period=period, _form=form)
 
     @classmethod
     def constant(cls, value: RationalLike, period: RationalLike) -> "StepFunction":

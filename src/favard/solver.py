@@ -141,7 +141,6 @@ class ReducedSystem:
     kind: str  # "lipschitz" | "weighted"
     tau: "StepFunction | None" = None
     L: Fraction | None = None
-    xi: Fraction = Fraction(0)
 
     @property
     def size(self) -> int:
@@ -388,7 +387,7 @@ def _step_kernel(
 
 
 # the weight of the Lipschitz reduction: 1 on the whole period
-_UNIT = PiecewisePolynomial.step((0, 1), (1,))
+_UNIT = StepFunction.constant(1, 1).as_piecewise()
 
 
 def reduce_system(
@@ -415,7 +414,7 @@ def reduce_system(
     c = L * T**n / math.factorial(n + 1)
     xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
     samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), _UNIT, c, xi_factor)
-    return ReducedSystem(n, T, samples, rows, scales, "lipschitz", tau, L, xi)
+    return ReducedSystem(n, T, samples, rows, scales, "lipschitz", tau, L)
 
 
 def reduce_weighted(

@@ -105,7 +105,6 @@ class Witness:
     sigma: int
     y: PiecewisePolynomial
     tau: DeviationMap
-    tabulated_tau: DeviationMap
 
     @property
     def h(self) -> StepFunction:
@@ -120,7 +119,7 @@ class Witness:
             "C": format_rational(self.C),
             "sigma": self.sigma,
             "tau": self.tau.to_json_dict(),
-            "tabulated_tau": self.tabulated_tau.to_json_dict(),
+            "tabulated_tau": self.tau.to_json_dict(),  # the deviation is the tabulated one; both keys stay
             "y": self.y.to_json_dict(),
         }
 
@@ -165,7 +164,6 @@ def build_witness(n: int, T: RationalLike) -> Witness:
     that centres it on the two values of the tabulated deviation tau (for even
     n this constant is 0). Raises AssertionError unless y(tau.first) = sigma
     and y(tau.second) = -sigma, i.e. y(tau(t)) = sigma * h(t) with sigma = -1.
-    ``tabulated_tau`` is the same object as ``tau``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -181,7 +179,7 @@ def build_witness(n: int, T: RationalLike) -> Witness:
     va, vb = y(tau.first), y(tau.second)
     if not (va == sigma and vb == -sigma):
         raise AssertionError(f"y(tau) is not sigma h: y({tau.first}) = {va}, y({tau.second}) = {vb}")
-    return Witness(n=n, T=T, L_crit=L, C=y(0), sigma=sigma, y=y, tau=tau, tabulated_tau=tau)
+    return Witness(n=n, T=T, L_crit=L, C=y(0), sigma=sigma, y=y, tau=tau)
 
 
 def verify_witness(w: Witness) -> VerificationReport:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from favard.acceptance import CRITERIA, DEFAULT_SEED, _bernoulli_grid, _central_difference, _inequality_instance
 from favard.constants import favard_closed_form
-from favard.exact import PiecewisePolynomial, Polynomial
+from favard.exact import Polynomial, StepFunction
 from favard.sampling import periodic_antiderivatives
 
 
@@ -72,7 +72,7 @@ def test_jump_form_matches_the_integrator(step, n):
     # criterion 11 reads x = I^n w at a / 64 off the jumps of the values and one table of
     # B_{n+1}; the integrator takes w less its mean, which has the same jumps
     cuts, vals = step
-    w = PiecewisePolynomial.step([F(b, 32) for b in cuts], [F(v, 8) for v in vals]).zero_mean()
+    w = StepFunction([F(b, 32) for b in cuts], [F(v, 8) for v in vals], 1).as_piecewise().zero_mean()
     x = periodic_antiderivatives(w, n)
     E, den = _bernoulli_grid(n)
     for a in range(64):

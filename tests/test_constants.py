@@ -13,7 +13,7 @@ from favard.constants import (
     favard_series_numeric,
     favard_table,
 )
-from favard.exact import PiecewisePolynomial
+from favard.exact import StepFunction
 from favard.sampling import periodic_antiderivatives, random_step_numerators
 
 KNOWN = {
@@ -134,7 +134,7 @@ def test_derivative_inequality_random_suite():
         K = favard_closed_form(n)
         for _ in range(50):
             cuts, vals = random_step_numerators(rng)
-            w = PiecewisePolynomial.step([F(k, 32) for k in cuts], [F(v, 8) for v in vals]).zero_mean()
+            w = StepFunction([F(k, 32) for k in cuts], [F(v, 8) for v in vals], 1).as_piecewise().zero_mean()
             sup_w = max(abs(p(F(0))) for p in w.pieces)
             if sup_w == 0:
                 continue

@@ -205,7 +205,7 @@ class TestPolynomial:
 
 class TestPiecewisePolynomial:
     def make_step(self):
-        return PiecewisePolynomial.step((0, F(1, 2), 1), (1, -1), 1)
+        return StepFunction((0, F(1, 2), 1), (1, -1), 1).as_piecewise()
 
     def test_right_continuity_at_breakpoints(self):
         h = self.make_step()
@@ -243,7 +243,7 @@ class TestPiecewisePolynomial:
         assert F1(F(1, 2)) == F(1, 2)
 
     def test_antiderivative_requires_zero_mean(self):
-        pw = PiecewisePolynomial.step((0, 1), (1,), 1)
+        pw = StepFunction.constant(1, 1).as_piecewise()
         with pytest.raises(ValueError):
             pw.antiderivative()
         tilted = PiecewisePolynomial(
@@ -276,17 +276,18 @@ class TestPiecewisePolynomial:
         assert F1.derivative().pieces == pw.pieces
 
     def test_scaled_period(self):
-        h = PiecewisePolynomial.step((0, F(1, 2), 1), (1, -1), F(5, 2))
+        h = StepFunction((0, F(5, 4), F(5, 2)), (1, -1), F(5, 2)).as_piecewise()
         assert h(F(5, 4)) == -1  # u = 1/2
         assert h.antiderivative()(F(5, 4)) == F(5, 4)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PiecewisePolynomial.step((0, F(1, 2)), (1,), 1)
-        with pytest.raises(ValueError):
-            PiecewisePolynomial.step((0, F(1, 2), F(1, 2), 1), (1, 2, 3), 1)
-        with pytest.raises(ValueError):
-            PiecewisePolynomial.step((0, 1), (1,), 0)
+        one, two, three = (Polynomial.const(v) for v in (1, 2, 3))
+        with pytest.raises(ValueError, match="breakpoints must run from 0 to 1"):
+            PiecewisePolynomial((0, F(1, 2)), (one,), 1)
+        with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+            PiecewisePolynomial((0, F(1, 2), F(1, 2), 1), (one, two, three), 1)
+        with pytest.raises(ValueError, match="period must be positive"):
+            PiecewisePolynomial((0, 1), (one,), 0)
 
     def test_json_round_trip(self):
         pw = PiecewisePolynomial(
@@ -319,5 +320,7 @@ class TestStepFunction:
 
     def test_as_piecewise_partition(self):
         s = StepFunction((F(0), F(5, 6), F(5, 2)), (F(1), F(-3)), F(5, 2))
-        assert s.as_piecewise() == PiecewisePolynomial.step((0, F(1, 3), 1), (1, -3), F(5, 2))
+        # the general constructor shares no step code with StepFunction
+        pieces = (Polynomial.const(1), Polynomial.const(-3))
+        assert s.as_piecewise() == PiecewisePolynomial((0, F(1, 3), 1), pieces, F(5, 2))
 

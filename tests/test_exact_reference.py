@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favard.acceptance import _inequality_instance
-from favard.exact import PiecewisePolynomial, Polynomial, _horner, format_rational
+from favard.exact import PiecewisePolynomial, Polynomial, StepFunction, _horner, format_rational
 from favard.sampling import periodic_antiderivatives
 
 
@@ -218,7 +218,8 @@ def test_piece_lookup_matches_reference(pw):
 
 @pytest.mark.parametrize("u", [F(1), F(-1, 3), F(5, 4), F(-1), F(97, 97 - 1)])
 def test_piece_index_rejects_points_outside_the_unit_interval(u):
-    pw = PiecewisePolynomial.step((0, F(1, 3), F(5, 7), 1), (1, -2, 3), F(5, 2))
+    T = F(5, 2)
+    pw = StepFunction([b * T for b in (0, F(1, 3), F(5, 7), 1)], (1, -2, 3), T).as_piecewise()
     with pytest.raises(ValueError):
         pw.piece_index(u)
     with pytest.raises(ValueError):
@@ -297,7 +298,11 @@ def test_one_function_built_two_ways(f, k, c):
         ((pw * k) * (1 / k), pw),
         (pw.zero_mean().plus_constant(pw.mean()), pw),
         (pw * 0, zero),
-        (zero.plus_constant(c), PiecewisePolynomial.step(f.breakpoints, [c] * len(f.pieces), f.period)),
+        (zero.plus_constant(c), PiecewisePolynomial(f.breakpoints, [Polynomial.const(c)] * len(f.pieces), f.period)),
+        (
+            zero.plus_constant(c),
+            StepFunction([b * f.period for b in f.breakpoints], [c] * len(f.pieces), f.period).as_piecewise(),
+        ),
         (
             (pw * k).plus_constant(c).derivative(),
             PiecewisePolynomial(*reference_derivative(reference_plus_constant(reference_mul(f, k), c))),

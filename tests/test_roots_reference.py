@@ -199,6 +199,11 @@ def reference_abs_integral(p, a, b, level, width):
 
 
 QUADRATICS = (Polynomial.of(-2, 0, 1), Polynomial.of(-1, -1, 1))  # u^2 - 2, u^2 - u - 1
+# continued-fraction convergents of each quadratic's roots: of sqrt(2) and -sqrt(2), of phi and 1 - phi
+CONVERGENTS = (
+    (F(7, 5), F(17, 12), F(99, 70), F(577, 408), F(-3, 2), F(-41, 29), F(-239, 169)),
+    (F(13, 8), F(21, 13), F(89, 55), F(-5, 8), F(-8, 13), F(-55, 89)),
+)
 
 denominators = st.one_of(st.integers(0, 12).map(lambda k: 2**k), st.integers(1, 2**12))
 
@@ -210,9 +215,17 @@ def rational_polynomials(draw):
     The bits of the roots' numerators and denominators, counted with
     multiplicity, stay within a budget, which keeps the leading and trailing
     coefficients of the cleared polynomial small enough for trial division.
+    Some draws take a quadratic with a convergent of one of its roots as the
+    first rational root, so that a cell around an irrational root may hold a
+    rational one too.
     """
     budget = 26
     factors = []
+    near = draw(st.sampled_from((None, None, 0, 1)))  # the index of the quadratic, if any
+    if near is not None:
+        r = draw(st.sampled_from(CONVERGENTS[near]))
+        budget -= max(r.numerator.bit_length(), r.denominator.bit_length())
+        factors.append((r, 1))
     for _ in range(draw(st.integers(1, 4))):
         r = F(draw(st.integers(-(2**12), 2**12)), draw(denominators))
         m = draw(st.integers(1, 3))
@@ -226,8 +239,8 @@ def rational_polynomials(draw):
     for r, m in factors:
         for _ in range(m):
             p = p * Polynomial.of(-r, 1)
-    for quad in QUADRATICS:
-        if draw(st.booleans()):
+    for i, quad in enumerate(QUADRATICS):
+        if draw(st.booleans()) or i == near:
             p = p * quad
     return p, [r for r, _ in factors]
 
