@@ -4,7 +4,9 @@ Each criterion is a function returning a :class:`CriterionResult`; the CLI
 ``suite`` subcommand and the test suite both run them. Checks that the
 mathematics makes exact are asserted exactly (bit-identical rationals);
 float tolerances appear only where a float quantity is being certified, and
-every tolerance is pinned here, not configurable.
+every tolerance is pinned here, not configurable. Each criterion imports the
+modules it needs beyond ``constants``, ``exact`` and ``numbers``, which the
+CLI loads anyway, so a run of some criteria loads only what those run.
 """
 
 from __future__ import annotations
@@ -16,15 +18,11 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
-from .bounds import conclusion_table
 from .constants import favard_closed_form, favard_series_numeric, favard_table
 from .exact import Polynomial, StepFunction, _horner
-from .kernels import green_apply, green_solution_polynomial, min_abs_integral
 from .numbers import bernoulli_polynomial
-from .sampling import random_deviation, random_step_numerators, random_weight
-from .solver import contraction_norm, reduce_system, solve_weighted
-from .witness import build_witness, extremal_ratio, verify_witness
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "DEFAULT_SEED"]
 
@@ -90,6 +88,7 @@ def _criterion_limit(seed: int) -> tuple[bool, str]:
 
 
 def _criterion_kernel_minimization(seed: int) -> tuple[bool, str]:
+    from .kernels import min_abs_integral
     for n in range(1, 9):
         ms = min_abs_integral(n)
         expect_coeff = favard_closed_form(n) * 2**n
@@ -105,6 +104,7 @@ def _criterion_kernel_minimization(seed: int) -> tuple[bool, str]:
 
 
 def _criterion_witness(seed: int) -> tuple[bool, str]:
+    from .witness import build_witness, verify_witness
     periods = (Fraction(1), Fraction(5, 2), Fraction(1, 3))
     for n in range(1, 11):
         for T in periods:
@@ -116,6 +116,9 @@ def _criterion_witness(seed: int) -> tuple[bool, str]:
 
 
 def _criterion_dichotomy(seed: int) -> tuple[bool, str]:
+    from .sampling import random_deviation
+    from .solver import reduce_system
+    from .witness import build_witness
     rng = random.Random(seed)
     T = Fraction(1)
     for n in (1, 2, 3, 4):
@@ -134,6 +137,9 @@ def _criterion_dichotomy(seed: int) -> tuple[bool, str]:
 
 
 def _criterion_contraction(seed: int) -> tuple[bool, str]:
+    from .kernels import min_abs_integral
+    from .sampling import random_deviation
+    from .solver import contraction_norm, reduce_system
     rng = random.Random(seed + 1)
     periods = (Fraction(1), Fraction(5, 2), Fraction(1, 3))
     xi_by_n: dict[int, Fraction] = {}
@@ -164,6 +170,7 @@ def _central_difference(u: Polynomial, t: Fraction, h: Fraction, n: int) -> Frac
 
 
 def _criterion_green(seed: int) -> tuple[bool, str]:
+    from .kernels import green_apply, green_solution_polynomial
     rng = random.Random(seed + 2)
     T = Fraction(1)
     f = bernoulli_polynomial(1)
@@ -192,6 +199,8 @@ def _criterion_green(seed: int) -> tuple[bool, str]:
 
 
 def _criterion_weighted(seed: int) -> tuple[bool, str]:
+    from .sampling import random_deviation, random_weight
+    from .solver import solve_weighted
     rng = random.Random(seed + 3)
     T = Fraction(1)
     for i in range(100):
@@ -220,6 +229,7 @@ def _criterion_weighted(seed: int) -> tuple[bool, str]:
 
 
 def _criterion_conclusion_table(seed: int) -> tuple[bool, str]:
+    from .bounds import conclusion_table
     rows = conclusion_table(5)
     flagged = {(r.family, r.n) for r in rows if r.erratum_flag}
     expected = {("L", 3), ("P", 5)}
@@ -237,44 +247,99 @@ def _criterion_conclusion_table(seed: int) -> tuple[bool, str]:
 
 @cache
 def _bernoulli_grid(n: int) -> tuple[tuple[int, ...], int]:
-    """B_{n+1} at r / 64, r = 0..63, as integer Horner sums E[r] listed twice, so that
-    E[(a - s) mod 64] for a = 0..63 is the slice from 64 - s, and the denominator
+    """B_{n+1} at r / 64, r = 0..63, as integer Horner sums E[r], and the denominator
     8 D 64^(n+1) (n+1)! of the inequality-suite x over them, D that of B_{n+1}."""
     nums, D = bernoulli_polynomial(n + 1)._integer_form
-    E = tuple([_horner(nums, r, 64)[0] for r in range(64)])
-    return E + E, 8 * D * 64 ** (n + 1) * math.factorial(n + 1)
+    return tuple([_horner(nums, r, 64)[0] for r in range(64)]), 8 * D * 64 ** (n + 1) * math.factorial(n + 1)
+
+
+# random_step_numerators draws at most 6 pieces with values in [-16, 16]: at most 6 cyclic
+# jumps, each of size at most 32
+_MAX_JUMP_SUM = 6 * 32
+
+
+class _PackedGrid(NamedTuple):
+    """The inequality-suite jump sums of order n as one integer with a w-bit slot per a / 64.
+
+    ``shifts[b]`` is sum_a E[(a - 2b) mod 64] 2^(w a), so a step with cyclic jumps J_k at the
+    cuts b_k / 32 packs to X = sum_k J_k shifts[b_k] = sum_a y_a 2^(w a), where
+    y_a = sum_k J_k E[(a - 2 b_k) mod 64] = -den x(a / 64). w is two bits wider than
+    _MAX_JUMP_SUM max|E|, so every |y_a| < B = 2^(w-2).
+    """
+
+    shifts: tuple[int, ...]
+    den: int
+    width: int
+    ones: int  # 1 in every slot
+
+    def exceeds(self, X: int, U: int) -> bool:
+        """Whether some |y_a| > U >= 0, by two masked tests over all 64 slots at once (Lamport
+        1975, *CACM* 18(8)). With c = H - 1 - U and H = 2^(w-1), X + c ONES has the slots
+        y_a + c and c ONES - X the slots c - y_a. For U < B all lie in [1, 2^w), so neither
+        carries or borrows across slots, and bit w-1 of a slot is set exactly when y_a > U,
+        or y_a < -U, respectively. U >= B is exceeded by no slot."""
+        if U >= 1 << (self.width - 2):
+            return False
+        c = ((1 << (self.width - 1)) - 1 - U) * self.ones
+        return ((X + c) | (c - X)) & (self.ones << (self.width - 1)) != 0
+
+    def slots(self, X: int) -> list[int]:
+        """y_0, ..., y_63 read off X: each slot of X + B ONES is y_a + B, in [0, 2B)."""
+        w, bias = self.width, 1 << (self.width - 2)
+        Y, mask = X + bias * self.ones, (1 << w) - 1
+        return [((Y >> (w * a)) & mask) - bias for a in range(64)]
+
+
+@cache
+def _packed_grid(n: int) -> _PackedGrid:
+    E, den = _bernoulli_grid(n)
+    w = (_MAX_JUMP_SUM * max(map(abs, E))).bit_length() + 2
+    shifts = tuple([sum([E[(a - 2 * b) % 64] << (w * a) for a in range(64)]) for b in range(32)])
+    return _PackedGrid(shifts, den, w, sum([1 << (w * a) for a in range(64)]))
+
+
+def _packed_instance(step: tuple[list[int], list[int]], grid: _PackedGrid) -> tuple[int, int]:
+    """(S, X) for the zero-mean step w of a :func:`random_step_numerators` step: sup|w| = S / 256,
+    and X packs the jump sums of its n-fold zero-mean periodic antiderivative x on ``grid``.
+
+    w is v_k / 8 less its mean on [b_k / 32, b_{k+1} / 32), so S is the largest
+    |32 v_k - sum_j v_j (b_{j+1} - b_j)|. By the periodic Bernoulli kernel,
+    x(u) = -(1/(n+1)!) sum_k J_k PB_{n+1}(u - b_k / 32) / 8 with J_k = v_k - v_{k-1} the
+    cyclic jumps, in which a constant, and so the mean, telescopes to 0. Its values at the
+    points a / 64, which include the breakpoints, are the slots of X over ``grid.den``.
+    """
+    cuts, vals = step
+    total = sum([v * (hi - lo) for v, lo, hi in zip(vals, cuts, cuts[1:])])
+    shifts = grid.shifts
+    X = sum([(v - u) * shifts[b] for b, u, v in zip(cuts, vals[-1:] + vals, vals) if v != u])
+    return max([abs(32 * v - total) for v in vals]), X
 
 
 def _inequality_instance(rng: random.Random, n: int) -> tuple[Fraction, Fraction | None]:
-    """(sup|w|, max|x|) for one random zero-mean step w and its n-fold zero-mean periodic
-    antiderivative x; max|x| is None when w is 0.
-
-    w is v_k / 8 less its mean on [b_k / 32, b_{k+1} / 32), so sup|w| is the largest
-    |32 v_k - sum_j v_j (b_{j+1} - b_j)| / 256. By the periodic Bernoulli kernel,
-    x(u) = -(1/(n+1)!) sum_k J_k PB_{n+1}(u - b_k / 32) / 8 with J_k = v_k - v_{k-1} the
-    cyclic jumps, in which a constant, and so the mean, telescopes to 0. max|x| is taken
-    over the points a / 64, which include the breakpoints: there each term is
-    J_k E[(a - 2 b_k) mod 64] over the one denominator of :func:`_bernoulli_grid`.
-    """
-    cuts, vals = random_step_numerators(rng)
-    total = sum([v * (hi - lo) for v, lo, hi in zip(vals, cuts, cuts[1:])])
-    sup_wn = Fraction(max([abs(32 * v - total) for v in vals]), 256)
-    if sup_wn == 0:
-        return sup_wn, None
-    E, den = _bernoulli_grid(n)
-    jumps = [(b, v - u) for b, u, v in zip(cuts, vals[-1:] + vals, vals) if v != u]
-    terms = [[J * e for e in E[64 - 2 * b : 128 - 2 * b]] for b, J in jumps]
-    return sup_wn, Fraction(max(map(abs, map(sum, zip(*terms)))), den)
+    """(sup|w|, max|x|) over the points a / 64 for the next random step of criterion 11's
+    stream; max|x| is None when w is 0."""
+    from .sampling import random_step_numerators
+    grid = _packed_grid(n)
+    S, X = _packed_instance(random_step_numerators(rng), grid)
+    if S == 0:
+        return Fraction(0), None
+    return Fraction(S, 256), Fraction(max(map(abs, grid.slots(X))), grid.den)
 
 
 def _criterion_inequality_suite(seed: int) -> tuple[bool, str]:
+    from .sampling import random_step_numerators
+    from .witness import build_witness, extremal_ratio
     rng = random.Random(seed + 4)
     for n in range(1, 6):
         K = favard_closed_form(n)
+        grid = _packed_grid(n)
+        # max|x| > K sup|w| is max|y_a| / den > K S / 256, so for integers: some |y_a| > U
+        num, div = K.numerator * grid.den, 256 * K.denominator
         for i in range(500):
-            sup_wn, max_x = _inequality_instance(rng, n)
-            if max_x is not None and max_x > K * sup_wn:
-                return False, f"n={n}, instance {i}: max|x| = {max_x} > K_n sup = {K * sup_wn}"
+            S, X = _packed_instance(random_step_numerators(rng), grid)
+            if grid.exceeds(X, num * S // div):
+                max_x = Fraction(max(map(abs, grid.slots(X))), grid.den)
+                return False, f"n={n}, instance {i}: max|x| = {max_x} > K_n sup = {K * Fraction(S, 256)}"
         witness = build_witness(n, Fraction(1))
         if extremal_ratio(witness) != K:
             return False, f"n={n}: witness ratio {extremal_ratio(witness)} != K_n"

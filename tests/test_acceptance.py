@@ -11,10 +11,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from favard.acceptance import CRITERIA, DEFAULT_SEED, _bernoulli_grid, _central_difference, _inequality_instance
+from favard import acceptance
+from favard.acceptance import (
+    _MAX_JUMP_SUM,
+    CRITERIA,
+    DEFAULT_SEED,
+    _bernoulli_grid,
+    _central_difference,
+    _inequality_instance,
+    _packed_grid,
+    _packed_instance,
+)
 from favard.constants import favard_closed_form
 from favard.exact import Polynomial, StepFunction
-from favard.sampling import periodic_antiderivatives
+from favard.sampling import periodic_antiderivatives, random_step_numerators
 
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[f"{c.index:02d}-{c.name}" for c in CRITERIA])
@@ -91,3 +101,83 @@ def test_inequality_suite_seed_1_attains_the_bound():
         ratios = [m / (K * s) for s, m in [_inequality_instance(rng, n) for _ in range(500)] if m is not None]
         worst.append((max(ratios), ratios.count(max(ratios))))
     assert worst == [(1, 4), (1, 4), (1, 4), (1, 5), (1, 5)]
+
+
+def reference_jump_sums(cuts, vals, E):
+    """The 64 sums y_a = sum_k J_k E[(a - 2 b_k) mod 64] over the cyclic jumps, as lists."""
+    jumps = [(b, v - u) for b, u, v in zip(cuts, vals[-1:] + vals, vals) if v != u]
+    terms = [[J * E[(a - 2 * b) % 64] for a in range(64)] for b, J in jumps]
+    return [sum(column) for column in zip(*terms)] if terms else [0] * 64
+
+
+@st.composite
+def criterion_steps(draw):
+    """Steps in the ranges of random_step_numerators: 1 to 5 interior cuts over 32, values in [-16, 16]."""
+    cuts = [0, *sorted(draw(st.sets(st.integers(1, 31), min_size=1, max_size=5))), 32]
+    return cuts, draw(st.lists(st.integers(-16, 16), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(criterion_steps(), st.integers(1, 5))
+@example(([0, 7, 32], [3, 3]), 2)  # a constant: no jumps
+def test_packed_slots_match_the_jump_sums(step, n):
+    grid = _packed_grid(n)
+    S, X = _packed_instance(step, grid)
+    cuts, vals = step
+    assert grid.slots(X) == reference_jump_sums(cuts, vals, _bernoulli_grid(n)[0])
+    total = sum([v * (hi - lo) for v, lo, hi in zip(vals, cuts, cuts[1:])])
+    assert F(S, 256) == max(abs(F(v, 8) - F(total, 256)) for v in vals)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(criterion_steps(), st.integers(1, 5))
+@example(([0, 16, 32], [16, -16]), 1)
+@example(([0, 7, 32], [3, 3]), 4)  # M = 0
+def test_masked_test_matches_the_maximum(step, n):
+    # the criterion's bound test: some |y_a| > U, at the edges of M = max|y_a| and of the slot range
+    grid = _packed_grid(n)
+    _, X = _packed_instance(step, grid)
+    M, B = max(map(abs, grid.slots(X))), 1 << (grid.width - 2)
+    for U in (M - 1, M, M + 1, 0, B - 1, B, 2 * B):
+        if U >= 0:
+            assert grid.exceeds(X, U) == (M > U), U
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sets(st.integers(1, 31), min_size=5, max_size=5), st.sampled_from([16, -16]), st.integers(1, 5))
+def test_six_jumps_of_32_stay_inside_a_slot(interior, sign, n):
+    # the most any |y_a| can be: six pieces alternating between 16 and -16
+    grid = _packed_grid(n)
+    E = _bernoulli_grid(n)[0]
+    cuts, vals = [0, *sorted(interior), 32], [sign, -sign] * 3
+    _, X = _packed_instance((cuts, vals), grid)
+    slots = grid.slots(X)
+    assert slots == reference_jump_sums(cuts, vals, E)
+    assert max(map(abs, slots)) <= _MAX_JUMP_SUM * max(map(abs, E)) < 1 << (grid.width - 2)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32))
+def test_random_steps_stay_in_the_packed_range(seed):
+    # the slot width assumes at most six cyclic jumps, each of size at most 32
+    rng = random.Random(seed)
+    for _ in range(20):
+        cuts, vals = random_step_numerators(rng)
+        assert sum([abs(v - u) for u, v in zip(vals[-1:] + vals, vals)]) <= _MAX_JUMP_SUM
+
+
+def test_inequality_suite_failure_prints_the_exact_values(monkeypatch):
+    # with K_n lowered to 9/10 of itself the bound U falls below some instance's max|y_a|;
+    # the detail names the first such instance with its exact max|x| and lowered K_n sup
+    lowered = {n: F(9, 10) * favard_closed_form(n) for n in range(1, 6)}
+    monkeypatch.setattr(acceptance, "favard_closed_form", lowered.__getitem__)
+    passed, detail = acceptance._criterion_inequality_suite(DEFAULT_SEED)
+    assert not passed
+    rng = random.Random(DEFAULT_SEED + 4)
+    for n in range(1, 6):
+        for i in range(500):
+            sup, max_x = _inequality_instance(rng, n)
+            if max_x is not None and max_x > lowered[n] * sup:
+                assert detail == f"n={n}, instance {i}: max|x| = {max_x} > K_n sup = {lowered[n] * sup}"
+                return
+    raise AssertionError("no instance exceeds the lowered bound")

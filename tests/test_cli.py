@@ -735,15 +735,21 @@ def test_any_arguments_exit_cleanly(case):
         assert out.getvalue() == ""
 
 
-# one run of each subcommand; suite criterion 9 is one that solves instances, so it loads numpy
+# one run of each subcommand, and of suite with criterion 1 (constants only), 9 (it solves
+# instances) and 11, with every module the run loads that importing the CLI does not
 LOAD_RUNS = {
-    "bounds": ["bounds", "--n", "3", "--L", "1"],
-    "constants": ["constants", "--n-max", "6"],
-    "kernel": ["kernel", "--n", "6", "--min-abs"],
-    "solve": ["solve", str(Path(__file__).parent / "golden" / "instances" / "solve_lipschitz.json")],
-    "suite": ["suite", "--criteria", "9"],
-    "table": ["table", "--n-max", "5"],
-    "witness": ["witness", "--n", "3", "--T", "1"],
+    "bounds": (["bounds", "--n", "3", "--L", "1"], {"bounds"}),
+    "constants": (["constants", "--n-max", "6"], set()),
+    "kernel": (["kernel", "--n", "6", "--min-abs"], {"kernels", "roots"}),
+    "solve": (
+        ["solve", str(Path(__file__).parent / "golden" / "instances" / "solve_lipschitz.json")],
+        {"solver", "numpy"},
+    ),
+    "suite": (["suite", "--criteria", "9"], {"acceptance", "sampling", "solver", "numpy"}),
+    "suite-c1": (["suite", "--criteria", "1"], {"acceptance"}),
+    "suite-c11": (["suite", "--criteria", "11"], {"acceptance", "roots", "sampling", "witness"}),
+    "table": (["table", "--n-max", "5"], {"bounds"}),
+    "witness": (["witness", "--n", "3", "--T", "1"], {"roots", "witness"}),
 }
 
 
@@ -752,20 +758,17 @@ def test_each_command_loads_only_its_modules(command):
     # a fresh interpreter: importing the CLI loads no handler's module, and each command loads its own
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv, loads = LOAD_RUNS[command]
     script = (
         "import json, sys, favard.cli\n"
         "at_import = sorted(sys.modules)\n"
-        f"code = favard.cli.main({LOAD_RUNS[command]!r})\n"
+        f"code = favard.cli.main({argv!r})\n"
         "print(json.dumps([code, at_import, sorted(sys.modules)]), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     code, at_import, after = json.loads(proc.stderr)
     assert code == 0
-    lazy = ["acceptance", "bounds", "kernels", "roots", "sampling", "solver", "witness"]
-    assert not ({f"favard.{m}" for m in lazy} | {"numpy"}) & set(at_import)
-    for name in ("favard.acceptance", "favard.sampling"):
-        assert (name in after) == (command == "suite"), name
-    for name in ("favard.solver", "numpy"):
-        assert (name in after) == (command in ("solve", "suite")), name
-    if command in ("bounds", "table"):
-        assert not {"favard.kernels", "favard.roots"} & set(after)
+    ours = {m for m in after if m in ("favard", "numpy") or m.startswith("favard.")}
+    base = {f"favard.{m}" for m in ("cli", "constants", "exact", "numbers")} | {"favard"}
+    assert ours & set(at_import) == base
+    assert ours - set(at_import) == {m if m == "numpy" else f"favard.{m}" for m in loads}
