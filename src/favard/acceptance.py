@@ -137,12 +137,10 @@ def _criterion_dichotomy(seed: int) -> tuple[bool, str]:
 
 
 def _criterion_contraction(seed: int) -> tuple[bool, str]:
-    from .kernels import min_abs_integral
     from .sampling import random_deviation
     from .solver import contraction_norm, reduce_system
     rng = random.Random(seed + 1)
     periods = (Fraction(1), Fraction(5, 2), Fraction(1, 3))
-    xi_by_n: dict[int, Fraction] = {}
     worst_slack = Fraction(-1)  # below every slack: norm >= 0 and rho < 1
     for _ in range(50):
         n = rng.randint(1, 4)
@@ -150,11 +148,7 @@ def _criterion_contraction(seed: int) -> tuple[bool, str]:
         rho = Fraction(rng.randint(10, 99), 100)
         K = favard_closed_form(n)
         L = rho / (K * T**n)
-        if n not in xi_by_n:
-            xi_by_n[n] = min_abs_integral(n).xi_star
-        tau = random_deviation(rng, T)
-        sys = reduce_system(n, T, L, tau, xi=xi_by_n[n])
-        norm = contraction_norm(sys)
+        norm = contraction_norm(reduce_system(n, T, L, random_deviation(rng, T)))
         if norm > rho:
             return False, f"n={n}, T={T}, rho={rho}: operator norm {float(norm)} exceeds {float(rho)}"
         worst_slack = max(worst_slack, norm - rho)
@@ -245,14 +239,6 @@ def _criterion_conclusion_table(seed: int) -> tuple[bool, str]:
     return True, "L_1..L_5 and P_1..P_5 reproduced; exactly L_3 (192 vs 132) and P_5 (24576/5 vs 24776/5) flagged"
 
 
-@cache
-def _bernoulli_grid(n: int) -> tuple[tuple[int, ...], int]:
-    """B_{n+1} at r / 64, r = 0..63, as integer Horner sums E[r], and the denominator
-    8 D 64^(n+1) (n+1)! of the inequality-suite x over them, D that of B_{n+1}."""
-    nums, D = bernoulli_polynomial(n + 1)._integer_form
-    return tuple([_horner(nums, r, 64)[0] for r in range(64)]), 8 * D * 64 ** (n + 1) * math.factorial(n + 1)
-
-
 # random_step_numerators draws at most 6 pieces with values in [-16, 16]: at most 6 cyclic
 # jumps, each of size at most 32
 _MAX_JUMP_SUM = 6 * 32
@@ -261,10 +247,11 @@ _MAX_JUMP_SUM = 6 * 32
 class _PackedGrid(NamedTuple):
     """The inequality-suite jump sums of order n as one integer with a w-bit slot per a / 64.
 
-    ``shifts[b]`` is sum_a E[(a - 2b) mod 64] 2^(w a), so a step with cyclic jumps J_k at the
-    cuts b_k / 32 packs to X = sum_k J_k shifts[b_k] = sum_a y_a 2^(w a), where
-    y_a = sum_k J_k E[(a - 2 b_k) mod 64] = -den x(a / 64). w is two bits wider than
-    _MAX_JUMP_SUM max|E|, so every |y_a| < B = 2^(w-2).
+    E[r] = D 64^(n+1) B_{n+1}(r / 64) is an integer Horner sum, D the denominator of B_{n+1},
+    and ``shifts[b]`` is sum_a E[(a - 2b) mod 64] 2^(w a), so a step with cyclic jumps J_k at
+    the cuts b_k / 32 packs to X = sum_k J_k shifts[b_k] = sum_a y_a 2^(w a), where
+    y_a = sum_k J_k E[(a - 2 b_k) mod 64] = -den x(a / 64) and den = 8 D 64^(n+1) (n+1)!.
+    w is two bits wider than _MAX_JUMP_SUM max|E|, so every |y_a| < B = 2^(w-2).
     """
 
     shifts: tuple[int, ...]
@@ -292,9 +279,11 @@ class _PackedGrid(NamedTuple):
 
 @cache
 def _packed_grid(n: int) -> _PackedGrid:
-    E, den = _bernoulli_grid(n)
+    nums, D = bernoulli_polynomial(n + 1)._integer_form
+    E = [_horner(nums, r, 64)[0] for r in range(64)]
     w = (_MAX_JUMP_SUM * max(map(abs, E))).bit_length() + 2
     shifts = tuple([sum([E[(a - 2 * b) % 64] << (w * a) for a in range(64)]) for b in range(32)])
+    den = 8 * D * 64 ** (n + 1) * math.factorial(n + 1)
     return _PackedGrid(shifts, den, w, sum([1 << (w * a) for a in range(64)]))
 
 
@@ -313,17 +302,6 @@ def _packed_instance(step: tuple[list[int], list[int]], grid: _PackedGrid) -> tu
     shifts = grid.shifts
     X = sum([(v - u) * shifts[b] for b, u, v in zip(cuts, vals[-1:] + vals, vals) if v != u])
     return max([abs(32 * v - total) for v in vals]), X
-
-
-def _inequality_instance(rng: random.Random, n: int) -> tuple[Fraction, Fraction | None]:
-    """(sup|w|, max|x|) over the points a / 64 for the next random step of criterion 11's
-    stream; max|x| is None when w is 0."""
-    from .sampling import random_step_numerators
-    grid = _packed_grid(n)
-    S, X = _packed_instance(random_step_numerators(rng), grid)
-    if S == 0:
-        return Fraction(0), None
-    return Fraction(S, 256), Fraction(max(map(abs, grid.slots(X))), grid.den)
 
 
 def _criterion_inequality_suite(seed: int) -> tuple[bool, str]:

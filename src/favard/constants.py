@@ -172,7 +172,6 @@ class SeriesApprox:
 
     n: int
     value: float
-    terms_used: int
     tail_bound: float
 
 
@@ -221,5 +220,5 @@ def favard_series_numeric(n: int, rel_tol: float = 1e-10) -> SeriesApprox:
         value = 4.0 / math.pi * partial
         tail_bound = 4.0 / math.pi * err + 1e-15 * abs(value)
         if tail_bound <= rel_tol * abs(value) or K > 10**7:
-            return SeriesApprox(n=n, value=value, terms_used=K, tail_bound=tail_bound)
+            return SeriesApprox(n=n, value=value, tail_bound=tail_bound)
         K *= 2

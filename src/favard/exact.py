@@ -14,8 +14,9 @@ denominator D, and evaluation at a/b is the homogeneous Horner sum
 sum(c_k a^k b^(d-k)) divided once by D b^d. The result is the same canonical
 ``Fraction`` as a Fraction Horner loop would give; ``sign`` reads the sign of
 the same integer sum without building a ``Fraction``, since D b^d > 0. The
-cache is per instance and lazy, so polynomials that are only built
-(quotients, remainders) never pay for it, and it is not part of equality,
+cache is per instance and lazy, so polynomials that are only built (the
+intermediates of ``compose_linear``, the derivative whose coefficients
+``level_split`` bounds) never pay for it, and it is not part of equality,
 hashing or repr.
 
 Piecewise polynomials store nothing but integers and the period: the
@@ -301,10 +302,9 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial([k * c for k, c in enumerate(self.coeffs) if k >= 1])
 
-    def antiderivative(self, constant: RationalLike = 0) -> "Polynomial":
-        out = [to_rational(constant)]
-        out.extend(c / (k + 1) for k, c in enumerate(self.coeffs))
-        return Polynomial(tuple(out))
+    def antiderivative(self) -> "Polynomial":
+        """The antiderivative with constant term 0."""
+        return Polynomial([Fraction(0), *[c / (k + 1) for k, c in enumerate(self.coeffs)]])
 
     def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:
         """Exact definite integral over [a, b]."""
@@ -475,11 +475,8 @@ class PiecewisePolynomial:
         return self._shifted(*to_rational(c).as_integer_ratio())
 
     def zero_mean(self) -> "PiecewisePolynomial":
-        rows, den, total = self._integral
-        out = self._shifted(-total, den)
-        # the integral of f - total / den is the integral of f minus (total / den) u
-        out.__dict__["_integral"] = ([[r[0], r[1] - total, *r[2:]] for r in rows], den, 0)
-        return out
+        _, den, total = self._integral
+        return self._shifted(-total, den)
 
     def __mul__(self, other: RationalLike) -> "PiecewisePolynomial":
         p, q = to_rational(other).as_integer_ratio()

@@ -29,10 +29,9 @@ def _random_cuts(rng: random.Random, max_interior: int, denom: int) -> list[int]
     return sorted(cuts)
 
 
-def random_partition(
-    rng: random.Random, T: Fraction, max_interior: int = 6, denom: int = 64
-) -> tuple[Fraction, ...]:
-    return tuple([T * Fraction(k, denom) for k in _random_cuts(rng, max_interior, denom)])
+def random_partition(rng: random.Random, T: Fraction, max_interior: int = 6) -> tuple[Fraction, ...]:
+    """0, T and 1 to ``max_interior`` random cuts between, on the grid {k T / 64}."""
+    return tuple([T * Fraction(k, 64) for k in _random_cuts(rng, max_interior, 64)])
 
 
 def random_deviation(rng: random.Random, T: Fraction) -> StepFunction:

@@ -19,10 +19,11 @@ exact rationals times powers of T (the pi bookkeeping resolves away). The
 convolution is the n-fold zero-mean periodic antiderivative I^n
 (``exact.periodic_antiderivatives``), which builds whole solutions:
 integral(PB_n((t - s)/T) g(s), s = 0..T) = -n! T^(1-n) I^n[g - mean g](t). The
-free shift xi enters as a rank-one update absorbed by the constant column, so
-verdicts are exactly xi-invariant. The periodic extension convention
-y(z - T) = y(z), tau(z - T) = tau(z) is realized by wrapping all kernel
-arguments modulo T. Where tau lands exactly on a partition breakpoint the
+rows are those of xi = 0: a shift xi adds the rank-one term b 1 m (m the
+zero-mean row), which the constant column absorbs, so no verdict depends on
+it; :func:`contraction_norm` applies it at the median of phi_n. The periodic
+extension convention y(z - T) = y(z), tau(z - T) = tau(z) is realized by
+wrapping all kernel arguments modulo T. Where tau lands exactly on a partition breakpoint the
 right-continuous convention applies.
 
 Weighted problems y^(n) = p(t) (y(tau(t)) + C) with step p >= 0 reduce the
@@ -37,7 +38,7 @@ breakpoints over T as integers on a grid, values over one denominator), and
 evaluate each sample's row on its own grid 1/G (the lcm of the step grids and
 that sample's own), so the PB_{n+1} values are integer Horner sums over one
 common denominator per row. In the same pass over the samples each row takes the factor
-L T^n / (n+1)!, the identity, the -1 column and the xi term, is cleared once
+L T^n / (n+1)!, the identity and the -1 column, is cleared once
 and divided by the gcd of its entries: the system exists only as primitive
 integer rows with a Fraction scale each (see :class:`ReducedSystem`), and
 no matrix of Fractions is ever built. Those rows are no larger than the
@@ -86,6 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -320,11 +322,10 @@ def _step_kernel(
     tau: PiecewisePolynomial,
     weight: PiecewisePolynomial,
     c: Fraction,
-    b: Fraction = Fraction(0),
 ) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
     """Samples s_j (the sorted deviation values) and the primitive rows and scales of
-    [I - A | -1] over [m | 0], where A_ij = -c K_ij - b m_j and m_j is the weight
-    integral over the preimage P_j of s_j, from the stored forms of tau and the weight.
+    [I - A | -1] over [m | 0], where A_ij = -c K_ij and m_j is the weight integral
+    over the preimage P_j of s_j, from the stored forms of tau and the weight.
 
     The cuts c_k are the breakpoints of tau and of the weight together. K_ij
     sums w * (E_k - E_{k+1}) over the pieces [c_k, c_{k+1}) in P_j, with
@@ -341,10 +342,9 @@ def _step_kernel(
     c_k/T = b_k/G, (s - c_k)/T mod 1 = ((a - b_k) mod G)/G and E_k is the
     homogeneous Horner sum of B_{n+1}'s integer numerators there, over
     D G^(n+1) with D their common denominator. So K_i is an integer row over
-    W D G^(n+1), and m_j = T constraint[j] / cden with cden = W G_c. Row i times
-    M = lcm(W D G^(n+1) c.denominator, bq), with b T / cden = bp / bq, is
-    integral; dividing by the gcd of its entries makes it primitive, and its
-    scale is that gcd over M.
+    W D G^(n+1), and m_j = T constraint[j] / (W G_c). Row i times
+    M = W D G^(n+1) c.denominator is integral; dividing by the gcd of its
+    entries makes it primitive, and its scale is that gcd over M.
     """
     tp, tq = T.as_integer_ratio()
     Gc = math.lcm(tau.grid, weight.grid)
@@ -362,7 +362,6 @@ def _step_kernel(
             pieces.append((k, j, w))
     nums, D = bernoulli_polynomial(n + 1)._integer_form
     cp, cq = c.numerator, c.denominator
-    bp, bq = b.numerator * tp, b.denominator * tq * W * Gc
     out = []
     for i, v in enumerate(keys):
         # s/T = v tq / (den tp) in lowest terms a / e
@@ -375,10 +374,8 @@ def _step_kernel(
         row = [0] * len(keys)
         for k, j, w in pieces:
             row[j] += w * (E[k] - E[k + 1])
-        den = W * D * G ** (n + 1) * cq
-        M = math.lcm(den, bq) if bp else den
-        f, g = cp * (M // den), bp * (M // bq)
-        ints = [f * x + g * y for x, y in zip(row, constraint)] if g else [f * x for x in row]
+        M = W * D * G ** (n + 1) * cq
+        ints = [cp * x for x in row]
         ints[i] += M
         out.append(_primitive([*ints, -M], 1, M))
     out.append(_primitive([*constraint, 0], tp, tq * W * Gc))
@@ -395,25 +392,22 @@ def reduce_system(
     T: RationalLike,
     L: RationalLike,
     tau: StepFunction,
-    xi: RationalLike = 0,
 ) -> ReducedSystem:
     """Exact finite reduction of the homogeneous problem y^(n) = L y(tau(.)).
 
-    Kernel entries: A_ij = (L T^n / 2^(n-1)) * integral over the shifted
-    preimage of (p(u) - xi) du, with p the rational kernel coefficient; with
-    xi = 0 this is -(L T^n / n!) * integral(PB_n) over (s_i - P_j)/T mod 1.
-    The optional xi (coefficient of pi^(n-1)) only shifts the constant column
-    and never changes the verdict.
+    Kernel entries: A_ij = (L T^n / 2^(n-1)) * integral of p over the shifted
+    preimage, with p the rational kernel coefficient of phi_n, that is
+    -(L T^n / n!) * integral(PB_n) over (s_i - P_j)/T mod 1. The rows carry no
+    centring shift xi; :func:`contraction_norm` applies the optimal one.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    T, L, xi = to_rational(T), to_rational(L), to_rational(xi)
+    T, L = to_rational(T), to_rational(L)
     _validate_deviation(tau, T)
     if L < 0:
         raise ValueError("L must be >= 0")
     c = L * T**n / math.factorial(n + 1)
-    xi_factor = L * T ** (n - 1) * xi / 2 ** (n - 1)
-    samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), _UNIT, c, xi_factor)
+    samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), _UNIT, c)
     return ReducedSystem(n, T, samples, rows, scales, "lipschitz", tau, L)
 
 
@@ -584,15 +578,30 @@ def reconstruct_solution(
     return (periodic_antiderivatives(z.as_piecewise().zero_mean(), sys.n) * sys.L).plus_constant(constant)
 
 
-def contraction_norm(sys: ReducedSystem) -> Fraction:
-    """Exact operator norm (max absolute row sum) of the reduced kernel matrix. With the optimal
-    centering shift it is bounded by L K_n T^n, the contraction factor of the representation operator.
+@cache
+def _median(n: int) -> Fraction:
+    """xi*(n), the median of phi_n as a coefficient of pi^(n-1), by ``kernels.min_abs_integral``:
+    imported here, so ``solve`` does not load ``kernels``."""
+    from .kernels import min_abs_integral
 
-    Row i of the kernel is A_ij = delta_ij - (p / q) rows[i][j] for j < J, with p / q > 0 the
-    row's scale, so its absolute sum is sum_j |q delta_ij - p rows[i][j]| / q.
+    return min_abs_integral(n).xi_star
+
+
+def contraction_norm(sys: ReducedSystem) -> Fraction:
+    """Exact operator norm (max absolute row sum) of the reduced kernel matrix, centred at the
+    median xi* of phi_n; it is bounded by L K_n T^n, the contraction factor of the representation.
+
+    The rows hold A_ij = delta_ij - (p / q) rows[i][j] for j < J at xi = 0, with p / q > 0 the
+    row's scale. Centring subtracts b m_j, with b = L T^(n-1) xi* / 2^(n-1) and m the zero-mean
+    row (L = 1 for a weighted system, whose m carries p). With b m_j = u rows[J][j] / v, row i's
+    absolute sum is sum_j |q v delta_ij - p v rows[i][j] - q u rows[J][j]| / (q v).
     """
+    L = 1 if sys.L is None else sys.L
+    b = L * sys.T ** (sys.n - 1) * _median(sys.n) / 2 ** (sys.n - 1)
+    (u, v), m = (b * sys.scales[-1]).as_integer_ratio(), sys.rows[-1]
     sums = []
     for i, (row, scale) in enumerate(zip(sys.rows[:-1], sys.scales)):
         p, q = scale.as_integer_ratio()
-        sums.append(Fraction(sum([abs(q * (i == j) - p * x) for j, x in enumerate(row[:-1])]), q))
+        total = sum([abs(q * v * (i == j) - p * v * x - q * u * m[j]) for j, x in enumerate(row[:-1])])
+        sums.append(Fraction(total, q * v))
     return max(sums, default=Fraction(0))

@@ -4,26 +4,27 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
 failure report); the CLI ``suite`` subcommand prints the same matrix.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_exact_reference import packed_inequality_instance
 
 from favard import acceptance
 from favard.acceptance import (
     _MAX_JUMP_SUM,
     CRITERIA,
     DEFAULT_SEED,
-    _bernoulli_grid,
     _central_difference,
-    _inequality_instance,
     _packed_grid,
     _packed_instance,
 )
 from favard.constants import favard_closed_form
 from favard.exact import Polynomial, StepFunction
+from favard.numbers import bernoulli_polynomial
 from favard.sampling import periodic_antiderivatives, random_step_numerators
 
 
@@ -66,6 +67,20 @@ def test_central_difference_inexact_at_degree_n_plus_2():
         assert _central_difference(u, F(1, 3), F(1, 7), n) != d(F(1, 3))
 
 
+def bernoulli_table(n):
+    """E[r] = B_{n+1}(r / 64) den / (8 (n+1)!) for the packed grid's den, by a Fraction Horner
+    loop: x(a / 64) is -1 / (8 (n+1)!) times the jump sum of B_{n+1}, so -den x is the jump sum of E."""
+    coeffs, den = bernoulli_polynomial(n + 1).coeffs, _packed_grid(n).den
+    E = []
+    for r in range(64):
+        value = F(0)
+        for c in reversed(coeffs):
+            value = value * F(r, 64) + c
+        E.append(value * den / (8 * math.factorial(n + 1)))
+    assert all(e.denominator == 1 for e in E)
+    return [int(e) for e in E]
+
+
 @st.composite
 def steps_on_32(draw):
     """Cut numerators over 32 from 0 to 32 and integer values over 8, of any mean."""
@@ -84,7 +99,7 @@ def test_jump_form_matches_the_integrator(step, n):
     cuts, vals = step
     w = StepFunction([F(b, 32) for b in cuts], [F(v, 8) for v in vals], 1).as_piecewise().zero_mean()
     x = periodic_antiderivatives(w, n)
-    E, den = _bernoulli_grid(n)
+    E, den = bernoulli_table(n), _packed_grid(n).den
     for a in range(64):
         jump_sum = sum([(v - u) * E[(a - 2 * b) % 64] for b, u, v in zip(cuts, vals[-1:] + vals, vals)])
         assert x.value_in_unit(F(a, 64)) == F(-jump_sum, den)
@@ -98,7 +113,8 @@ def test_inequality_suite_seed_1_attains_the_bound():
     worst = []
     for n in range(1, 6):
         K = favard_closed_form(n)
-        ratios = [m / (K * s) for s, m in [_inequality_instance(rng, n) for _ in range(500)] if m is not None]
+        instances = [packed_inequality_instance(rng, n) for _ in range(500)]
+        ratios = [m / (K * s) for s, m in instances if m is not None]
         worst.append((max(ratios), ratios.count(max(ratios))))
     assert worst == [(1, 4), (1, 4), (1, 4), (1, 5), (1, 5)]
 
@@ -124,7 +140,7 @@ def test_packed_slots_match_the_jump_sums(step, n):
     grid = _packed_grid(n)
     S, X = _packed_instance(step, grid)
     cuts, vals = step
-    assert grid.slots(X) == reference_jump_sums(cuts, vals, _bernoulli_grid(n)[0])
+    assert grid.slots(X) == reference_jump_sums(cuts, vals, bernoulli_table(n))
     total = sum([v * (hi - lo) for v, lo, hi in zip(vals, cuts, cuts[1:])])
     assert F(S, 256) == max(abs(F(v, 8) - F(total, 256)) for v in vals)
 
@@ -148,7 +164,7 @@ def test_masked_test_matches_the_maximum(step, n):
 def test_six_jumps_of_32_stay_inside_a_slot(interior, sign, n):
     # the most any |y_a| can be: six pieces alternating between 16 and -16
     grid = _packed_grid(n)
-    E = _bernoulli_grid(n)[0]
+    E = bernoulli_table(n)
     cuts, vals = [0, *sorted(interior), 32], [sign, -sign] * 3
     _, X = _packed_instance((cuts, vals), grid)
     slots = grid.slots(X)
@@ -176,7 +192,7 @@ def test_inequality_suite_failure_prints_the_exact_values(monkeypatch):
     rng = random.Random(DEFAULT_SEED + 4)
     for n in range(1, 6):
         for i in range(500):
-            sup, max_x = _inequality_instance(rng, n)
+            sup, max_x = packed_inequality_instance(rng, n)
             if max_x is not None and max_x > lowered[n] * sup:
                 assert detail == f"n={n}, instance {i}: max|x| = {max_x} > K_n sup = {lowered[n] * sup}"
                 return

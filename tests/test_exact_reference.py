@@ -25,9 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from favard.acceptance import _inequality_instance
+from favard.acceptance import _packed_grid, _packed_instance
 from favard.exact import PiecewisePolynomial, Polynomial, StepFunction, _horner, format_rational
-from favard.sampling import periodic_antiderivatives
+from favard.sampling import periodic_antiderivatives, random_step_numerators
 
 
 class Pieces(NamedTuple):
@@ -333,9 +333,19 @@ def reference_inequality_instance(rng, n):
     return sup_wn, max(abs(reference_value_in_unit(x, u)) for u in points)
 
 
+def packed_inequality_instance(rng, n):
+    """(sup|w|, max|x|) over the points a / 64 for the next step of criterion 11's stream, read
+    off the packed jump sums as the criterion reads them; max|x| is None when w is 0."""
+    grid = _packed_grid(n)
+    S, X = _packed_instance(random_step_numerators(rng), grid)
+    if S == 0:
+        return F(0), None
+    return F(S, 256), F(max(map(abs, grid.slots(X))), grid.den)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_inequality_instances_match_reference(seed):
     rng, reference_rng = random.Random(seed + 4), random.Random(seed + 4)
     for n in range(1, 6):
         for _ in range(40):
-            assert _inequality_instance(rng, n) == reference_inequality_instance(reference_rng, n)
+            assert packed_inequality_instance(rng, n) == reference_inequality_instance(reference_rng, n)

@@ -3,14 +3,14 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from test_solver_reference import fraction_matrix
+from test_solver_reference import fraction_matrix, reference_assemble, reference_reduce_system
 
 from favard.constants import favard_closed_form
 from favard.exact import Polynomial
-from favard.kernels import min_abs_integral
 from favard.sampling import random_deviation, random_weight
 from favard.solver import (
     StepFunction,
+    _bareiss,
     contraction_norm,
     fraction_determinant,
     nullspace_vector,
@@ -117,11 +117,12 @@ class TestReduction:
             assert uniqueness_margin(sys).status == "unique"
 
     def test_xi_invariance_exact(self):
+        # the rows carry no shift xi: the reference's rank-one xi term leaves the determinant as is
         rng = random.Random(3)
         tau = random_deviation(rng, F(1))
         base = reduce_system(2, 1, F(16), tau).determinant()
         for xi in (F(1, 3), F(-2, 7), F(5, 48), F(1), F(-3)):
-            assert reduce_system(2, 1, F(16), tau, xi=xi).determinant() == base
+            assert _bareiss(reference_assemble(*reference_reduce_system(2, 1, F(16), tau, xi)[1:]))[0] == base
 
     def test_rejects_deviation_outside_period(self):
         tau = StepFunction((F(0), F(1)), (F(3, 2),), F(1))
@@ -345,18 +346,17 @@ class TestWeighted:
 class TestContraction:
     def test_norm_bounded_by_contraction_factor(self):
         rng = random.Random(61)
-        xi = {n: min_abs_integral(n).xi_star for n in (1, 2, 3)}
         for _ in range(20):
             n = rng.randint(1, 3)
             T = (F(1), F(5, 2), F(1, 3))[rng.randrange(3)]
             rho = F(rng.randint(10, 99), 100)
             L = rho / (favard_closed_form(n) * T**n)
-            sys = reduce_system(n, T, L, random_deviation(rng, T), xi=xi[n])
+            sys = reduce_system(n, T, L, random_deviation(rng, T))
             assert contraction_norm(sys) <= rho
 
     def test_without_centering_norm_can_exceed(self):
-        # the shift is what makes the operator a contraction: for n = 2 (xi* = 1/48)
-        # xi = 0 overshoots the factor on this deviation and xi* does not
+        # the shift is what makes the operator a contraction: for n = 2 (xi* = 1/48) the
+        # uncentred row sums overshoot the factor on this deviation and the centred norm does not
         tau = StepFunction(
             (F(0), F(7, 16), F(39, 64), F(49, 64), F(25, 32), F(1)),
             (F(0), F(7, 8), F(1, 2), F(7, 16), F(3, 16)),
@@ -364,8 +364,7 @@ class TestContraction:
         )
         K = favard_closed_form(2)
         rho = F(99, 100)
-        sys0 = reduce_system(2, 1, rho / K, tau, xi=0)
-        sys_star = reduce_system(2, 1, rho / K, tau, xi=min_abs_integral(2).xi_star)
-        assert contraction_norm(sys0) > rho
-        assert contraction_norm(sys_star) <= rho
+        _, kernel, _ = reference_reduce_system(2, 1, rho / K, tau, F(0))
+        assert max([sum([abs(x) for x in row]) for row in kernel]) > rho
+        assert contraction_norm(reduce_system(2, 1, rho / K, tau)) <= rho
 

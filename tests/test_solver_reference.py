@@ -22,7 +22,10 @@ homogeneous Fraction matrix the reductions once stored, and
 ``fraction_matrix`` rebuilds that matrix from the integer rows and scales
 the reductions store now. ``reference_clear`` is the row clearing
 elimination did on that matrix before the reductions built primitive
-integer rows themselves.
+integer rows themselves. The two reduction references keep the shift xi of the
+kernel, -xi_factor m_j in every row, which the reductions no longer build:
+it is a rank-one term the constant column absorbs, and ``contraction_norm``
+applies it at the median of phi_n.
 """
 
 import math
@@ -35,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favard.constants import favard_closed_form
+from favard.kernels import min_abs_integral
 from favard.numbers import bernoulli_polynomial, eval_periodic
 from favard.solver import (
     MARGIN_OVERFLOW,
@@ -213,16 +217,24 @@ def reference_reduce_system(n, T, L, tau, xi):
     return samples, kernel, constraint
 
 
-def reference_reduce_weighted(n, T, p, tau):
+def reference_reduce_weighted(n, T, p, tau, xi=F(0)):
     cuts = sorted(set(p.breakpoints) | set(tau.breakpoints))
     refined = list(zip(cuts, cuts[1:]))
     pre_vals = sorted(preimages(tau))
     Bn1 = bernoulli_polynomial(n + 1)
     factor = -(T**n) / F(math.factorial(n))
+    xi_factor = T ** (n - 1) * xi / 2 ** (n - 1)
+    constraint = []
+    for v in pre_vals:
+        acc = F(0)
+        for lo, hi in refined:
+            if tau((lo + hi) / 2) == v:
+                acc += p((lo + hi) / 2) * (hi - lo)
+        constraint.append(acc)
     kernel = []
     for s in pre_vals:
         row = []
-        for v in pre_vals:
+        for v, weight in zip(pre_vals, constraint):
             acc = F(0)
             for lo, hi in refined:
                 if tau((lo + hi) / 2) != v:
@@ -231,15 +243,8 @@ def reference_reduce_weighted(n, T, p, tau):
                 if pv == 0:
                     continue
                 acc += pv * wrapped_kernel_integral(Bn1, n, s / T, lo / T, hi / T)
-            row.append(factor * acc)
+            row.append(factor * acc - xi_factor * weight)
         kernel.append(row)
-    constraint = []
-    for v in pre_vals:
-        acc = F(0)
-        for lo, hi in refined:
-            if tau((lo + hi) / 2) == v:
-                acc += p((lo + hi) / 2) * (hi - lo)
-        constraint.append(acc)
     return pre_vals, kernel, constraint
 
 
@@ -470,13 +475,16 @@ class TestReductionsAgainstDoubleLoops:
     @given(step_instances(), st.data())
     def test_reduce_system(self, instance, data):
         n, T, L, xi, tau, _ = instance
-        sys = reduce_system(n, T, L, tau, xi=xi)
-        samples, kernel, constraint = reference_reduce_system(n, T, L, tau, xi)
+        sys = reduce_system(n, T, L, tau)
+        samples, kernel, constraint = reference_reduce_system(n, T, L, tau, F(0))
         assert list(sys.sample_points) == samples
         matrix = fraction_matrix(sys)
         assert matrix == reference_assemble(kernel, constraint)
         assert list(sys.rows) == [reference_clear(row) for row in matrix]
         assert sys.size == len(matrix)
+        # a shift xi of the kernel is a rank-one term the constant column absorbs
+        shifted = reference_assemble(*reference_reduce_system(n, T, L, tau, xi)[1:])
+        assert _bareiss(shifted)[0] == sys.determinant()
         values = data.draw(st.lists(entries, min_size=len(samples), max_size=len(samples)))
         t = data.draw(st.sampled_from(list(tau.breakpoints) + [T / 5, T * F(9, 7), F(-1, 3)]))
         expected = reference_reconstruct(n, T, L, tau, values, F(2, 3), t)
@@ -503,12 +511,14 @@ class TestReductionsAgainstDoubleLoops:
         p = StepFunction([F(0), T * F(4, 31), T * F(17, 31), T], [F(2, 5), F(0), F(9, 7)], T)
         for n in range(1, 5):
             for L, xi in ((F(1), F(0)), (F(5, 2), F(-2, 3))):
-                sys = reduce_system(n, T, L, tau, xi=xi)
-                samples, kernel, constraint = reference_reduce_system(n, T, L, tau, xi)
+                sys = reduce_system(n, T, L, tau)
+                samples, kernel, constraint = reference_reduce_system(n, T, L, tau, F(0))
                 assert list(sys.sample_points) == samples
                 matrix = fraction_matrix(sys)
                 assert matrix == reference_assemble(kernel, constraint)
                 assert list(sys.rows) == [reference_clear(row) for row in matrix]
+                shifted = reference_assemble(*reference_reduce_system(n, T, L, tau, xi)[1:])
+                assert _bareiss(shifted)[0] == sys.determinant()
             sys = reduce_weighted(n, T, p, tau)
             samples, kernel, constraint = reference_reduce_weighted(n, T, p, tau)
             assert list(sys.sample_points) == samples
@@ -539,8 +549,8 @@ class TestIntegerRows:
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(step_instances(EXTREME_PERIODS), st.booleans(), entries)
     def test_floats_and_elimination_match_the_fraction_matrix(self, instance, weighted, C):
-        n, T, L, xi, tau, p = instance
-        sys = reduce_weighted(n, T, p, tau) if weighted else reduce_system(n, T, L, tau, xi=xi)
+        n, T, L, _, tau, p = instance
+        sys = reduce_weighted(n, T, p, tau) if weighted else reduce_system(n, T, L, tau)
         matrix = fraction_matrix(sys)
         expected = floats(matrix)
         margin, svd_matrix = _margin(sys)
@@ -554,25 +564,38 @@ class TestIntegerRows:
         det, kernel = _eliminate(rows, scale)
         assert (det, kernel) == _bareiss(matrix)
         # the forced system, with right-hand side -C T / L in the constraint row only, has the
-        # homogeneous determinant and kernel vector; with xi = 0 its solution is the constant -C/L
+        # homogeneous determinant and kernel vector; its solution is the constant -C/L
         rhs = [F(0)] * (sys.size - 1) + [-C * T / L]
         forced_det, solution, forced_kernel = reference_bareiss(matrix, rhs)
         assert (forced_det, forced_kernel) == (det, kernel)
-        if det and not weighted and xi == 0:
+        if det and not weighted:
             assert solution == [-C / L] * sys.size
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(step_instances(EXTREME_PERIODS), st.booleans())
     def test_rows_are_primitive_and_contraction_norm_is_the_reference_row_sum(self, instance, weighted):
-        n, T, L, xi, tau, p = instance
-        sys = reduce_weighted(n, T, p, tau) if weighted else reduce_system(n, T, L, tau, xi=xi)
+        n, T, L, _, tau, p = instance
+        sys = reduce_weighted(n, T, p, tau) if weighted else reduce_system(n, T, L, tau)
         assert all(math.gcd(*row) in (0, 1) for row in sys.rows)
         assert all(isinstance(s, F) and s > 0 for s in sys.scales)
-        # the kernel A = I - M[:J, :J] of the Fraction matrix, summed row by row
+        # the kernel A = I - M[:J, :J] of the Fraction matrix is the reference's at xi = 0 ...
         matrix = fraction_matrix(sys)
         J = sys.size - 1
         kernel = [[int(i == j) - matrix[i][j] for j in range(J)] for i in range(J)]
-        assert contraction_norm(sys) == max([sum([abs(x) for x in row], F(0)) for row in kernel])
+        reference = reference_reduce_weighted if weighted else reference_reduce_system
+        args = (n, T, p, tau) if weighted else (n, T, L, tau)
+        assert kernel == reference(*args, F(0))[1]
+        # ... and the norm is the reference's largest absolute row sum at the median xi*(n)
+        centred = reference(*args, min_abs_integral(n).xi_star)[1]
+        assert contraction_norm(sys) == max([sum([abs(x) for x in row], F(0)) for row in centred])
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(step_instances())
+    def test_constant_weight_has_the_lipschitz_norm(self, instance):
+        # a weight p = L carries L in its zero-mean row, so both kinds centre by the same term
+        n, T, L, _, tau, _ = instance
+        weighted = reduce_weighted(n, T, StepFunction.constant(L, T), tau)
+        assert contraction_norm(weighted) == contraction_norm(reduce_system(n, T, L, tau))
 
 
 def test_preimages_merge_equal_values():
