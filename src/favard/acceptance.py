@@ -279,11 +279,11 @@ class _PackedGrid(NamedTuple):
 
 @cache
 def _packed_grid(n: int) -> _PackedGrid:
-    nums, D = bernoulli_polynomial(n + 1)._integer_form
-    E = [_horner(nums, r, 64)[0] for r in range(64)]
+    B = bernoulli_polynomial(n + 1)
+    E = [_horner(B.nums, r, 64)[0] for r in range(64)]
     w = (_MAX_JUMP_SUM * max(map(abs, E))).bit_length() + 2
     shifts = tuple([sum([E[(a - 2 * b) % 64] << (w * a) for a in range(64)]) for b in range(32)])
-    den = 8 * D * 64 ** (n + 1) * math.factorial(n + 1)
+    den = 8 * B.den * 64 ** (n + 1) * math.factorial(n + 1)
     return _PackedGrid(shifts, den, w, sum([1 << (w * a) for a in range(64)]))
 
 

@@ -1,6 +1,6 @@
 """Exact arithmetic substrate: rational polynomials and periodic piecewise polynomials.
 
-Rationals are ``fractions.Fraction`` throughout: arbitrary precision and always
+Rationals at the interface are ``fractions.Fraction``: arbitrary precision and always
 canonical (positive denominator, reduced), so equality tests are exact.
 Piecewise polynomials live on a partition of [0, 1] in the scaled variable
 u = t / period and wrap periodically: evaluation reduces the argument modulo
@@ -8,16 +8,13 @@ the period first, which makes every instance a T-periodic function on the
 whole line. Breakpoints follow the right-continuous convention (the piece to
 the right owns its left endpoint), matching fractional-part semantics.
 
-Polynomial evaluation runs in integers: on its first call a polynomial
-caches its coefficients as integer numerators over their least common
-denominator D, and evaluation at a/b is the homogeneous Horner sum
-sum(c_k a^k b^(d-k)) divided once by D b^d. The result is the same canonical
-``Fraction`` as a Fraction Horner loop would give; ``sign`` reads the sign of
-the same integer sum without building a ``Fraction``, since D b^d > 0. The
-cache is per instance and lazy, so polynomials that are only built (the
-intermediates of ``compose_linear``, the derivative whose coefficients
-``level_split`` bounds) never pay for it, and it is not part of equality,
-hashing or repr.
+A ``Polynomial`` stores one canonical integer form: numerators over one
+positive denominator, with no trailing zero numerator and no common factor,
+so equal polynomials have equal fields. Evaluation at a/b is the homogeneous
+Horner sum sum(c_k a^k b^(d-k)) divided once by den b^d, and ``sign`` reads the
+sign of the same sum without building a ``Fraction``. Sums, products,
+derivatives, antiderivatives and compositions act on the numerators and
+canonicalise once; ``coeffs`` is a ``Fraction`` view built on first read.
 
 Piecewise polynomials store nothing but integers and the period: the
 breakpoints as numerators N over their lcm L (u = a/b lies in piece
@@ -52,6 +49,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -168,13 +166,6 @@ def frac_part(x: Fraction) -> Fraction:
     return x - math.floor(x)
 
 
-def _normalize(coeffs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    cs = [to_rational(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
 def _horner(nums: Sequence[int], a: int, b: int) -> tuple[int, int]:
     """Homogeneous Horner at a/b: (sum of nums[k] a^k b^(d-k), b^d)."""
     acc = nums[-1]
@@ -211,120 +202,129 @@ def _cumulative(rows: Sequence[Sequence[int]], den: int, N: Sequence[int], L: in
     return out, den * M * L**w, run
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Polynomial:
     """Univariate polynomial with exact rational coefficients, lowest degree first.
 
-    The zero polynomial stores an empty coefficient tuple; any trailing zero
-    coefficients are stripped at construction so dataclass equality is
-    function equality.
+    The one stored form is integer: coefficient k is nums[k] / den, with den > 0, no
+    trailing zero numerator (0 is () over 1) and no prime dividing den and every
+    numerator. The form is canonical, so dataclass equality and hashing are function
+    equality; ``coeffs`` is a ``Fraction`` view built on first read.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs))
+    def __init__(self, coeffs: Iterable[RationalLike]) -> None:
+        ratios = [to_rational(c).as_integer_ratio() for c in coeffs]
+        den = math.lcm(*[q for _, q in ratios])
+        self._fill([p * (den // q) for p, q in ratios], den)
+
+    def _fill(self, nums: Sequence[int], den: int) -> "Polynomial":
+        """Store the canonical form of nums / den (den > 0): trailing zeros dropped, the common gcd divided out."""
+        w = len(nums)
+        while w and not nums[w - 1]:
+            w -= 1
+        nums = nums[:w]
+        g = math.gcd(den, *nums)
+        self.__dict__.update(nums=tuple([c // g for c in nums]), den=den // g)
+        return self
 
     @classmethod
     def of(cls, *coeffs: RationalLike) -> "Polynomial":
-        return cls([to_rational(c) for c in coeffs])
+        return cls(coeffs)
 
     @classmethod
     def const(cls, c: RationalLike) -> "Polynomial":
-        return cls((to_rational(c),))
+        return cls((c,))
 
     @classmethod
     def zero(cls) -> "Polynomial":
         return cls(())
 
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(c, self.den) for c in self.nums])
+
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """Integer numerators over the least common denominator D of the coefficients."""
-        D = 1
-        for c in self.coeffs:
-            D = math.lcm(D, c.denominator)
-        return tuple([c.numerator * (D // c.denominator) for c in self.coeffs]), D
+        return not self.nums
 
     def __call__(self, x: RationalLike) -> Fraction:
-        nums, D = self._integer_form
-        if not nums:
-            return Fraction(0)
-        acc, bpow = _horner(nums, *to_rational(x).as_integer_ratio())
-        return Fraction(acc, D * bpow)
+        acc, bpow = _horner(self.nums or (0,), *to_rational(x).as_integer_ratio())
+        return Fraction(acc, self.den * bpow)
 
     def sign(self, x: RationalLike) -> int:
-        """Sign of p(x) as -1, 0 or 1, read off the integer Horner sum (D b^d > 0)."""
-        nums, _ = self._integer_form
-        if not nums:
-            return 0
-        acc, _ = _horner(nums, *to_rational(x).as_integer_ratio())
+        """Sign of p(x) as -1, 0 or 1, read off the integer Horner sum (den b^d > 0)."""
+        acc, _ = _horner(self.nums or (0,), *to_rational(x).as_integer_ratio())
         return (acc > 0) - (acc < 0)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(tuple(out))
+        den = math.lcm(self.den, other.den)
+        a, b = [[c * (den // p.den) for c in p.nums] for p in (self, other)]
+        return _polynomial([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return _polynomial([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial | RationalLike") -> "Polynomial":
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
+            out = [0] * (len(self.nums) + len(other.nums) - 1)  # empty when either is 0
+            for i, a in enumerate(self.nums):
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-            return Polynomial(tuple(out))
-        c = to_rational(other)
-        return Polynomial([c * a for a in self.coeffs])
+            return _polynomial(out, self.den * other.den)
+        p, q = to_rational(other).as_integer_ratio()
+        return _polynomial([p * c for c in self.nums], self.den * q)
 
     def __rmul__(self, other: RationalLike) -> "Polynomial":
         return self * other
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coeffs) if k >= 1])
+        return _polynomial([k * c for k, c in enumerate(self.nums) if k >= 1], self.den)
 
     def antiderivative(self) -> "Polynomial":
-        """The antiderivative with constant term 0."""
-        return Polynomial([Fraction(0), *[c / (k + 1) for k, c in enumerate(self.coeffs)]])
+        """The antiderivative with constant term 0: nums[k] M / (k + 1) over den M, M = lcm(1..w)."""
+        M = math.lcm(*range(1, len(self.nums) + 1))
+        return _polynomial([0, *[c * (M // (k + 1)) for k, c in enumerate(self.nums)]], self.den * M)
 
     def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:
-        """Exact definite integral over [a, b]."""
+        """Exact definite integral over [a, b], one Horner sum of the antiderivative at each end."""
         F = self.antiderivative()
-        return F(b) - F(a)
+        (fa, pa), (fb, pb) = [_horner(F.nums or (0,), *to_rational(x).as_integer_ratio()) for x in (a, b)]
+        return Fraction(fb * pa - fa * pb, F.den * pa * pb)
 
     def compose_linear(self, c0: RationalLike, c1: RationalLike) -> "Polynomial":
-        """Exact composition p(c0 + c1 * u)."""
-        arg = Polynomial.of(c0, c1)
-        acc = Polynomial.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * arg + Polynomial.const(c)
-        return acc
+        """Exact composition p(c0 + c1 * u): with c0 + c1 u = (A + B u) / Q, the homogeneous
+        Horner sum of nums at A + B u over Q, divided by den Q^d."""
+        (p0, q0), (p1, q1) = to_rational(c0).as_integer_ratio(), to_rational(c1).as_integer_ratio()
+        Q = math.lcm(q0, q1)
+        A, B = p0 * (Q // q0), p1 * (Q // q1)
+        acc: list[int] = []
+        for k, c in enumerate(reversed(self.nums)):
+            acc = [A * x + B * y for x, y in zip([*acc, 0], [0, *acc])]
+            acc[0] += c * Q**k
+        return _polynomial(acc, self.den * Q ** max(self.degree, 0))
 
     def coefficient_bound(self) -> Fraction:
         """Sum of |coefficients|: bounds |p| and serves as a Lipschitz bound on [0, 1]."""
-        return sum((abs(c) for c in self.coeffs), Fraction(0))
+        return Fraction(sum(map(abs, self.nums)), self.den)
 
     def to_strings(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
+
+
+def _polynomial(nums: Sequence[int], den: int) -> Polynomial:
+    """The polynomial sum(nums[k] u^k) / den, den > 0, in canonical form."""
+    return object.__new__(Polynomial)._fill(nums, den)
 
 
 def _partition(
@@ -380,10 +380,9 @@ class PiecewisePolynomial:
         period: RationalLike,
     ) -> None:
         knots, grid, period = _partition(breakpoints, len(pieces), period)
-        forms = [p._integer_form for p in pieces]
-        den = math.lcm(*[D for _, D in forms])
-        width = max(1, *[len(nums) for nums, _ in forms])
-        rows = [[c * (den // D) for c in nums] + [0] * (width - len(nums)) for nums, D in forms]
+        den = math.lcm(*[p.den for p in pieces])
+        width = max(1, *[len(p.nums) for p in pieces])
+        rows = [[c * (den // p.den) for c in p.nums] + [0] * (width - len(p.nums)) for p in pieces]
         self._fill(knots, grid, rows, den, period)
 
     def _fill(self, knots: tuple[int, ...], grid: int, rows: list, den: int, period: Fraction) -> "PiecewisePolynomial":
@@ -407,7 +406,7 @@ class PiecewisePolynomial:
 
     @cached_property
     def pieces(self) -> tuple[Polynomial, ...]:
-        return tuple([Polynomial([Fraction(c, self.den) for c in row]) for row in self.rows])
+        return tuple([_polynomial(row, self.den) for row in self.rows])
 
     def piece_index(self, u: Fraction) -> int:
         """Index of the piece owning u in [0, 1), right-continuous at breakpoints."""

@@ -120,7 +120,7 @@ def _square_free_sequence(p: Polynomial) -> tuple[list[int], list[list[int]]]:
     is the exact quotient by the gcd given a positive lead, primitive by Gauss's lemma.
     Either way s is a positive multiple of the quotient over Q.
     """
-    s = _primitive(list(p._integer_form[0]))
+    s = _primitive(list(p.nums))
     seq = sturm_sequence(s)
     g = seq[-1]
     if len(g) > 1:

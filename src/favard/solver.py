@@ -141,7 +141,7 @@ class ReducedSystem:
     rows: tuple[tuple[int, ...], ...]
     scales: tuple[Fraction, ...]
     kind: str  # "lipschitz" | "weighted"
-    tau: "StepFunction | None" = None
+    tau: StepFunction
     L: Fraction | None = None
 
     @property
@@ -360,7 +360,7 @@ def _step_kernel(
         if w:
             constraint[j] += w * (N[k + 1] - N[k])
             pieces.append((k, j, w))
-    nums, D = bernoulli_polynomial(n + 1)._integer_form
+    B = bernoulli_polynomial(n + 1)
     cp, cq = c.numerator, c.denominator
     out = []
     for i, v in enumerate(keys):
@@ -370,11 +370,11 @@ def _step_kernel(
         a, e = a // h, e // h
         G = math.lcm(Gc, e)
         a, m = a * (G // e), G // Gc
-        E = [_horner(nums, (a - x * m) % G, G)[0] for x in N]
+        E = [_horner(B.nums, (a - x * m) % G, G)[0] for x in N]
         row = [0] * len(keys)
         for k, j, w in pieces:
             row[j] += w * (E[k] - E[k + 1])
-        M = W * D * G ** (n + 1) * cq
+        M = W * B.den * G ** (n + 1) * cq
         ints = [cp * x for x in row]
         ints[i] += M
         out.append(_primitive([*ints, -M], 1, M))
@@ -571,7 +571,7 @@ def reconstruct_solution(
 
     I^n does not use the reduction's rows, so y(s_j) = samples[j] checks them.
     """
-    if sys.kind != "lipschitz" or sys.L is None or sys.tau is None:
+    if sys.kind != "lipschitz" or sys.L is None:
         raise ValueError("reconstruction applies to the Lipschitz reduction")
     by_value = dict(zip(sys.sample_points, samples))
     z = StepFunction(sys.tau.breakpoints, [by_value[v] for v in sys.tau.values], sys.T)

@@ -13,6 +13,11 @@ same hash, the function the public constructor builds from that triple.
 ``max_abs_in_unit`` and ``max_abs_on_grid`` are the exact integer maxima the
 inequality suite took before it read x off the Bernoulli kernel; the tests
 keep them, checked here against the pointwise maximum.
+
+``Polynomial`` likewise stores only integer numerators over one denominator.
+The ``reference_poly_*`` functions are the bodies its operations had when it
+stored ``Fraction`` coefficients, on coefficient tuples, lowest degree first,
+with trailing zeros stripped.
 """
 
 import math
@@ -28,6 +33,84 @@ from hypothesis import strategies as st
 from favard.acceptance import _packed_grid, _packed_instance
 from favard.exact import PiecewisePolynomial, Polynomial, StepFunction, _horner, format_rational
 from favard.sampling import periodic_antiderivatives, random_step_numerators
+from test_exact import eval_points, rationals, reference_horner
+
+
+def reference_poly_strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def reference_poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return reference_poly_strip(out)
+
+
+def reference_poly_neg(a):
+    return tuple([-c for c in a])
+
+
+def reference_poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return reference_poly_strip(out)
+
+
+def reference_poly_scale(a, c):
+    return reference_poly_strip([c * x for x in a])
+
+
+def reference_poly_derivative(a):
+    return tuple([k * c for k, c in enumerate(a) if k >= 1])
+
+
+def reference_poly_antiderivative(a):
+    return reference_poly_strip([F(0), *[c / (k + 1) for k, c in enumerate(a)]])
+
+
+def reference_poly_integrate(a, x0, x1):
+    P = reference_poly_antiderivative(a)
+    return reference_horner(P, x1) - reference_horner(P, x0)
+
+
+def reference_poly_compose_linear(a, c0, c1):
+    arg = reference_poly_strip([c0, c1])
+    acc = ()
+    for c in reversed(a):
+        acc = reference_poly_add(reference_poly_mul(acc, arg), reference_poly_strip([c]))
+    return acc
+
+
+def reference_poly_coefficient_bound(a):
+    return sum((abs(c) for c in a), F(0))
+
+
+def reference_pieces(pw):
+    """The pieces view as it was built: Fraction coefficients row / den."""
+    return tuple([reference_poly_strip([F(c, pw.den) for c in row]) for row in pw.rows])
+
+
+def assert_canonical(p):
+    """p holds the one canonical integer form, and the constructor gives it back from the view."""
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert Polynomial(p.coeffs) == p
+
+
+def assert_poly_matches(p, ref):
+    assert_canonical(p)
+    built = Polynomial(ref)
+    assert p.coeffs == ref and p == built and hash(p) == hash(built)
 
 
 class Pieces(NamedTuple):
@@ -349,3 +432,56 @@ def test_inequality_instances_match_reference(seed):
     for n in range(1, 6):
         for _ in range(40):
             assert packed_inequality_instance(rng, n) == reference_inequality_instance(reference_rng, n)
+
+
+# coefficient lists with zeros inside and at the top, so stripping and the zero polynomial are drawn
+poly_coefficients = st.lists(st.one_of(rationals, st.just(F(0))), max_size=8)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(poly_coefficients, poly_coefficients, rationals, rationals, eval_points)
+def test_polynomial_matches_reference(a, b, c0, c1, x):
+    p, q = Polynomial(a), Polynomial(b)
+    a, b = reference_poly_strip(a), reference_poly_strip(b)
+    assert_poly_matches(p, a)
+    assert_poly_matches(q, b)
+    assert_poly_matches(p + q, reference_poly_add(a, b))
+    assert_poly_matches(-p, reference_poly_neg(a))
+    assert_poly_matches(p - q, reference_poly_add(a, reference_poly_neg(b)))
+    assert_poly_matches(p * q, reference_poly_mul(a, b))
+    assert_poly_matches(p * x, reference_poly_scale(a, F(x)))
+    assert_poly_matches(x * p, reference_poly_scale(a, F(x)))
+    assert_poly_matches(p.derivative(), reference_poly_derivative(a))
+    assert_poly_matches(p.antiderivative(), reference_poly_antiderivative(a))
+    assert_poly_matches(p.compose_linear(c0, c1), reference_poly_compose_linear(a, c0, c1))
+    assert_poly_matches(p.compose_linear(x, 0), reference_poly_compose_linear(a, F(x), F(0)))
+    assert p.integrate(c0, c1) == reference_poly_integrate(a, c0, c1)
+    assert p.integrate(x, x) == 0
+    assert p.coefficient_bound() == reference_poly_coefficient_bound(a)
+    value = reference_horner(a, F(x))
+    assert type(p(x)) is F and p(x) == value
+    assert p.sign(x) == (value > 0) - (value < 0)
+
+
+def test_one_polynomial_built_two_ways():
+    pairs = [
+        (Polynomial.of(F(2, 4), F(3, 3)), Polynomial.of(F(1, 2), 1)),
+        (Polynomial.of(0, "0", F(0, 7)), Polynomial.zero()),
+        (Polynomial.of(F(6, 4), 0, 0), Polynomial.const("3/2")),
+        (Polynomial.of(1, 2) * F(1, 3) + Polynomial.of(0, F(-2, 3)), Polynomial.const(F(1, 3))),
+    ]
+    for p, q in pairs:
+        assert p == q and hash(p) == hash(q) and (p.nums, p.den) == (q.nums, q.den)
+    assert (Polynomial.zero().nums, Polynomial.zero().den) == ((), 1)
+    p = Polynomial.of(F(1, 2), F(-1, 3), F(5, 4))
+    assert (p.nums, p.den) == ((6, -4, 15), 12)
+    assert repr(p) == "Polynomial(nums=(6, -4, 15), den=12)"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(fraction_pieces(), coefficients)
+def test_pieces_view_matches_reference(f, c):
+    pw = PiecewisePolynomial(*f)
+    for g in (pw, pw.plus_constant(c), pw.derivative(), pw.zero_mean().antiderivative()):
+        for piece, ref in zip(g.pieces, reference_pieces(g), strict=True):
+            assert_poly_matches(piece, ref)
