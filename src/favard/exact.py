@@ -31,7 +31,9 @@ Step functions in the period variable t are :class:`StepFunction`, the one
 step type: breakpoints 0 = c_0 < ... < c_K = T, one value per interval
 [c_{k-1}, c_k), right-continuous, wrapping with period T. Its constructor
 builds, in integers, its one computed form: the step ``PiecewisePolynomial``
-on the unit partition c_k / T. ``_partition`` is the one check of a partition.
+on the unit partition c_k / T, canonical as built (one column, reduced value
+ratios over their lcm), so it skips ``_fill``. ``_partition`` is the one check
+of a partition.
 
 Tuples are built from list comprehensions, not generators: CPython grows a
 ``tuple(<generator>)`` by resizing, which fills the tuple free lists of
@@ -508,8 +510,11 @@ class StepFunction:
         ratios = [v.as_integer_ratio() for v in vals]
         knots, grid, period = _partition(bps, len(ratios), self.period, over_period=True)
         den = math.lcm(*[q for _, q in ratios])
-        rows = [[p * (den // q)] for p, q in ratios]
-        form = object.__new__(PiecewisePolynomial)._fill(knots, grid, rows, den, period)
+        # canonical as built: where r^e is the power of a prime r in den, r^e divides some q,
+        # and that p (den // q) is prime to r
+        rows = tuple([(p * (den // q),) for p, q in ratios])
+        form = object.__new__(PiecewisePolynomial)
+        form.__dict__.update(knots=knots, grid=grid, rows=rows, den=den, period=period)
         self.__dict__.update(breakpoints=bps, values=vals, period=period, _form=form)
 
     @classmethod

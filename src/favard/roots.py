@@ -314,7 +314,11 @@ def level_split(
     segments, encs = sign_segments(q, a, b, width)
     below = sum((hi - lo for lo, hi, s in segments if s < 0), Fraction(0))
     slack = sum((e.width for e in encs), Fraction(0))
-    total = sum((s * q.integrate(lo, hi) for lo, hi, s in segments), Fraction(0))
+    F = q.antiderivative()  # one for all segments: q.integrate builds one per call
+    total = Fraction(0)
+    for lo, hi, s in segments:
+        (fa, pa), (fb, pb) = [_horner(F.nums, *x.as_integer_ratio()) for x in (lo, hi)]
+        total += Fraction(s * (fb * pa - fa * pb), F.den * pa * pb)
     lip = q.derivative().coefficient_bound()
     # |q| <= lip * width on an enclosure of length width
     err = sum((lip * e.width * e.width for e in encs if not e.exact), Fraction(0))

@@ -37,13 +37,15 @@ reductions read each step's one stored form (``StepFunction.as_piecewise``:
 breakpoints over T as integers on a grid, values over one denominator), and
 evaluate each sample's row on its own grid 1/G (the lcm of the step grids and
 that sample's own), so the PB_{n+1} values are integer Horner sums over one
-common denominator per row. In the same pass over the samples each row takes the factor
-L T^n / (n+1)!, the identity and the -1 column, is cleared once
-and divided by the gcd of its entries: the system exists only as primitive
-integer rows with a Fraction scale each (see :class:`ReducedSystem`), and
-no matrix of Fractions is ever built. Those rows are no larger than the
-ones elimination used to clear from the rational matrix, and the exact
-contraction norm sums them directly.
+common denominator per row: B_{n+1}'s numerators times the powers of G make
+one coefficient list per distinct G in a call, and each value is a plain
+Horner sum of it at an integer point of the grid. In the same pass over the
+samples each row takes the factor L T^n / (n+1)!, the identity and the -1
+column, is cleared once and divided by the gcd of its entries: the system
+exists only as primitive integer rows with a Fraction scale each (see
+:class:`ReducedSystem`), and no matrix of Fractions is ever built. Those
+rows are no larger than the ones elimination used to clear from the rational
+matrix, and the exact contraction norm sums them directly.
 
 Every verdict comes from one rank-revealing integer elimination of those
 rows over the reduced Schur complement (see :func:`_eliminate`): the rows
@@ -95,7 +97,6 @@ from .exact import (
     PiecewisePolynomial,
     RationalLike,
     StepFunction,
-    _horner,
     format_rational,
     periodic_antiderivatives,
     to_rational,
@@ -341,8 +342,10 @@ def _step_kernel(
     denominators of different samples never multiply. With s/T = a/G and
     c_k/T = b_k/G, (s - c_k)/T mod 1 = ((a - b_k) mod G)/G and E_k is the
     homogeneous Horner sum of B_{n+1}'s integer numerators there, over
-    D G^(n+1) with D their common denominator. So K_i is an integer row over
-    W D G^(n+1), and m_j = T constraint[j] / (W G_c). Row i times
+    D G^(n+1) with D their common denominator, that is the plain Horner sum
+    at (a - b_k) mod G of the numerators of u^t times G^(n+1-t): one list per
+    distinct G in the call, as rows often share their G. So K_i is an integer
+    row over W D G^(n+1), and m_j = T constraint[j] / (W G_c). Row i times
     M = W D G^(n+1) c.denominator is integral; dividing by the gcd of its
     entries makes it primitive, and its scale is that gcd over M.
     """
@@ -362,6 +365,7 @@ def _step_kernel(
             pieces.append((k, j, w))
     B = bernoulli_polynomial(n + 1)
     cp, cq = c.numerator, c.denominator
+    by_grid: dict[int, list[int]] = {}
     out = []
     for i, v in enumerate(keys):
         # s/T = v tq / (den tp) in lowest terms a / e
@@ -370,7 +374,15 @@ def _step_kernel(
         a, e = a // h, e // h
         G = math.lcm(Gc, e)
         a, m = a * (G // e), G // Gc
-        E = [_horner(B.nums, (a - x * m) % G, G)[0] for x in N]
+        coef = by_grid.get(G)
+        if coef is None:  # highest degree first
+            coef = by_grid[G] = [x * G ** (n + 1 - k) for k, x in enumerate(B.nums)][::-1]
+        E = []
+        for x in N:
+            y, acc = (a - x * m) % G, 0
+            for d in coef:
+                acc = acc * y + d
+            E.append(acc)
         row = [0] * len(keys)
         for k, j, w in pieces:
             row[j] += w * (E[k] - E[k + 1])
@@ -406,7 +418,8 @@ def reduce_system(
     _validate_deviation(tau, T)
     if L < 0:
         raise ValueError("L must be >= 0")
-    c = L * T**n / math.factorial(n + 1)
+    (lp, lq), (tp, tq) = L.as_integer_ratio(), T.as_integer_ratio()
+    c = Fraction(lp * tp**n, lq * tq**n * math.factorial(n + 1))
     samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), _UNIT, c)
     return ReducedSystem(n, T, samples, rows, scales, "lipschitz", tau, L)
 
@@ -434,7 +447,8 @@ def reduce_weighted(
     for i, (v,) in enumerate(weight.rows):
         if v < 0:
             raise ValueError(f"p.values[{i}] = {p.values[i]} is negative")
-    c = T**n / math.factorial(n + 1)
+    tp, tq = T.as_integer_ratio()
+    c = Fraction(tp**n, tq**n * math.factorial(n + 1))
     samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), weight, c)
     return ReducedSystem(n, T, samples, rows, scales, "weighted", tau)
 

@@ -324,3 +324,18 @@ class TestStepFunction:
         pieces = (Polynomial.const(1), Polynomial.const(-3))
         assert s.as_piecewise() == PiecewisePolynomial((0, F(1, 3), 1), pieces, F(5, 2))
 
+    @settings(max_examples=300, derandomize=True)
+    @given(st.data())
+    def test_as_piecewise_is_the_general_form(self, data):
+        # the step form is built canonical, without the general constructor's reduction:
+        # zero, negative and repeated values, and values over coprime denominators
+        T = data.draw(st.sampled_from((F(1), F(5, 2), F(1, 3), F(7, 12))))
+        cuts = sorted(data.draw(st.sets(st.integers(1, 59), max_size=7)))
+        bps = [F(0)] + [T * F(c, 60) for c in cuts] + [T]
+        pool = data.draw(st.lists(st.fractions(-50, 50, max_denominator=36), min_size=1, max_size=3))
+        vals = data.draw(st.lists(st.sampled_from([F(0), *pool]), min_size=len(bps) - 1, max_size=len(bps) - 1))
+        form = StepFunction(bps, vals, T).as_piecewise()
+        general = PiecewisePolynomial([b / T for b in bps], [Polynomial.const(v) for v in vals], T)
+        assert (form.knots, form.grid, form.rows, form.den) == (general.knots, general.grid, general.rows, general.den)
+        assert form == general and hash(form) == hash(general)
+

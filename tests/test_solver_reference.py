@@ -16,7 +16,9 @@ elimination became rank-revealing. ``reference_reduce_system``,
 per-(sample, value, interval) double loops the reductions used before each
 breakpoint was evaluated once per sample; ``reconstruct_solution`` now
 integrates with periodic antiderivatives instead, so ``reference_reconstruct``
-checks it by a different route. ``preimages`` is the value -> intervals map
+checks it by a different route. ``reference_step_kernel`` is the integer
+kernel before it built B_{n+1}'s coefficients once per sample grid: one
+``_horner`` call per (sample, cut). ``preimages`` is the value -> intervals map
 those loops walk. ``reference_assemble`` is the layout of the full
 homogeneous Fraction matrix the reductions once stored, and
 ``fraction_matrix`` rebuilds that matrix from the integer rows and scales
@@ -38,6 +40,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favard.constants import favard_closed_form
+from favard.exact import _horner
 from favard.kernels import min_abs_integral
 from favard.numbers import bernoulli_polynomial, eval_periodic
 from favard.solver import (
@@ -48,6 +51,10 @@ from favard.solver import (
     _eliminate,
     _integer_system,
     _margin,
+    _on_pieces,
+    _primitive,
+    _step_kernel,
+    _UNIT,
     contraction_norm,
     fraction_determinant,
     nullspace_vector,
@@ -525,6 +532,92 @@ class TestReductionsAgainstDoubleLoops:
             matrix = fraction_matrix(sys)
             assert matrix == reference_assemble(kernel, constraint)
             assert list(sys.rows) == [reference_clear(row) for row in matrix]
+
+
+def reference_step_kernel(n, T, tau, weight, c):
+    """``_step_kernel`` as it was before it built B_{n+1}'s coefficients once per grid G:
+    one ``_horner`` call per (sample, cut), raising G to each power again in every call."""
+    tp, tq = T.as_integer_ratio()
+    Gc = math.lcm(tau.grid, weight.grid)
+    tau_knots, weight_knots = [[k * (Gc // f.grid) for k in f.knots] for f in (tau, weight)]
+    N = sorted(set(tau_knots).union(weight_knots))
+    keys = sorted({r[0] for r in tau.rows})
+    col = {v: j for j, v in enumerate(keys)}
+    W = weight.den
+    constraint = [0] * len(keys)
+    pieces = []
+    cols = _on_pieces(tau_knots, [col[r[0]] for r in tau.rows], N)
+    for k, (j, w) in enumerate(zip(cols, _on_pieces(weight_knots, [r[0] for r in weight.rows], N))):
+        if w:
+            constraint[j] += w * (N[k + 1] - N[k])
+            pieces.append((k, j, w))
+    B = bernoulli_polynomial(n + 1)
+    cp, cq = c.numerator, c.denominator
+    out = []
+    for i, v in enumerate(keys):
+        a, e = v * tq, tau.den * tp
+        h = math.gcd(a, e)
+        a, e = a // h, e // h
+        G = math.lcm(Gc, e)
+        a, m = a * (G // e), G // Gc
+        E = [_horner(B.nums, (a - x * m) % G, G)[0] for x in N]
+        row = [0] * len(keys)
+        for k, j, w in pieces:
+            row[j] += w * (E[k] - E[k + 1])
+        M = W * B.den * G ** (n + 1) * cq
+        ints = [cp * x for x in row]
+        ints[i] += M
+        out.append(_primitive([*ints, -M], 1, M))
+    out.append(_primitive([*constraint, 0], tp, tq * W * Gc))
+    rows, scales = zip(*out)
+    return tuple([F(v, tau.den) for v in keys]), rows, scales
+
+
+@st.composite
+def multigrid_instances(draw):
+    """(n, T, c, tau, p) with n up to 6, T not an integer, tau's values on the grids T k / d for
+    several d, so the samples' grids G differ from row to row and some rows share one, and p
+    a nonnegative step weight with zero pieces; c > 0 is the factor of either reduction."""
+    n = draw(st.integers(1, 6))
+    T = draw(st.sampled_from([F(5, 3), F(7, 2), F(2, 9), F(11, 4)]))
+    cuts = sorted(draw(st.sets(st.integers(1, 47), min_size=1, max_size=7)))
+    bps = [F(0)] + [T * F(k, 48) for k in cuts] + [T]
+    grids = st.sampled_from([1, 2, 3, 5, 7, 12, 64])
+    on_grids = st.builds(lambda d, k: T * F(k % (d + 1), d), grids, st.integers(0, 64))
+    vals = draw(st.lists(on_grids, min_size=len(bps) - 1, max_size=len(bps) - 1))
+    p_cuts = sorted(draw(st.sets(st.integers(1, 19), max_size=4)))
+    p_bps = [F(0)] + [T * F(k, 20) for k in p_cuts] + [T]
+    weights = st.sampled_from([F(0), F(1, 2), F(3), F(7, 5), F(13, 6)])
+    p_vals = draw(st.lists(weights, min_size=len(p_bps) - 1, max_size=len(p_bps) - 1))
+    c = draw(st.fractions(min_value=F(1, 10**6), max_value=1000, max_denominator=10**6))
+    return n, T, c, StepFunction(bps, vals, T), StepFunction(p_bps, p_vals, T)
+
+
+class TestStepKernelAgainstPerCutHorner:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(multigrid_instances(), st.booleans())
+    def test_samples_rows_and_scales(self, instance, weighted):
+        n, T, c, tau, p = instance
+        weight = p.as_piecewise() if weighted else _UNIT
+        expected = reference_step_kernel(n, T, tau.as_piecewise(), weight, c)
+        assert _step_kernel(n, T, tau.as_piecewise(), weight, c) == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_both_reductions_at_every_order(self, n):
+        T = F(7, 3)
+        bps = [F(0)] + [T * F(k, 29) for k in (2, 5, 9, 13, 14, 20, 27)] + [T]
+        # s / T on the grids 1/11, 1/13, 1/2, 1/64, 1 and 1/13 again
+        tau = StepFunction(bps, [T * F(1, 11), T * F(2, 13), T / 2, T * F(3, 64), T, F(0), T * F(5, 13), T / 2], T)
+        p = StepFunction([F(0), T * F(4, 31), T * F(17, 31), T], [F(2, 5), F(0), F(9, 7)], T)
+        for L in (F(1), F(5, 2), F(1, 9)):
+            sys = reduce_system(n, T, L, tau)
+            c = L * T**n / math.factorial(n + 1)
+            expected = reference_step_kernel(n, T, tau.as_piecewise(), _UNIT, c)
+            assert (sys.sample_points, sys.rows, sys.scales) == expected
+        sys = reduce_weighted(n, T, p, tau)
+        c = T**n / math.factorial(n + 1)
+        expected = reference_step_kernel(n, T, tau.as_piecewise(), p.as_piecewise(), c)
+        assert (sys.sample_points, sys.rows, sys.scales) == expected
 
 
 # ------------------------------------------------------------ integer rows
