@@ -29,11 +29,11 @@ read, and Fractions are built for results only.
 
 Step functions in the period variable t are :class:`StepFunction`, the one
 step type: breakpoints 0 = c_0 < ... < c_K = T, one value per interval
-[c_{k-1}, c_k), right-continuous, wrapping with period T. Its constructor
-builds, in integers, its one computed form: the step ``PiecewisePolynomial``
-on the unit partition c_k / T, canonical as built (one column, reduced value
-ratios over their lcm), so it skips ``_fill``. ``_partition`` is the one check
-of a partition.
+[c_{k-1}, c_k), right-continuous, wrapping with period T. It stores only its
+integer form, the step ``PiecewisePolynomial`` on the unit partition c_k / T,
+which its constructor builds without ``PiecewisePolynomial._fill``, and
+``_step`` builds straight from cut and value numerators; its breakpoints and
+values are views. ``_partition`` is the one check of a partition, in integers.
 
 Tuples are built from list comprehensions, not generators: CPython grows a
 ``tuple(<generator>)`` by resizing, which fills the tuple free lists of
@@ -330,26 +330,21 @@ def _polynomial(nums: Sequence[int], den: int) -> Polynomial:
 
 
 def _partition(
-    breakpoints: Sequence[RationalLike], count: int, period: RationalLike, over_period: bool = False
+    period: RationalLike, P: Sequence[int], end: int, count: int, label: str = "1"
 ) -> tuple[tuple[int, ...], int, Fraction]:
-    """(knots, grid, period) for ``count`` pieces: the period, checked positive first, and the
-    breakpoints, checked to run strictly up from 0 to the end (1, or the period if ``over_period``),
-    over the end as integer numerators over their least common denominator, in integers."""
+    """(knots, grid, period) for ``count`` pieces: the period, checked positive first, and the integer
+    breakpoints P, checked to run strictly up from 0 to ``end`` (``label``), over end in lowest terms."""
     period = to_rational(period)
     if period <= 0:
         raise ValueError("period must be positive")
-    ratios = [to_rational(b).as_integer_ratio() for b in breakpoints]
-    ep, eq = period.as_integer_ratio() if over_period else (1, 1)
-    Q = math.lcm(*[q for _, q in ratios])
-    P = [p * (Q // q) for p, q in ratios]
-    if len(P) < 2 or P[0] != 0 or P[-1] * eq != ep * Q:
-        raise ValueError(f"breakpoints must run from 0 to {'T' if over_period else 1}")
+    if len(P) < 2 or P[0] != 0 or P[-1] != end:
+        raise ValueError(f"breakpoints must run from 0 to {label}")
     if any([a >= b for a, b in zip(P, P[1:])]):
         raise ValueError("breakpoints must be strictly increasing")
     if count != len(P) - 1:
         raise ValueError("need one piece per interval")
-    g = math.gcd(*P)  # breakpoint k over the end is P[k] / P[-1]
-    return tuple([a // g for a in P]), P[-1] // g, period
+    g = math.gcd(*P)
+    return tuple([a // g for a in P]), end // g, period
 
 
 @dataclass(frozen=True, init=False)
@@ -381,7 +376,9 @@ class PiecewisePolynomial:
         pieces: Sequence[Polynomial],
         period: RationalLike,
     ) -> None:
-        knots, grid, period = _partition(breakpoints, len(pieces), period)
+        ratios = [to_rational(b).as_integer_ratio() for b in breakpoints]
+        Q = math.lcm(*[q for _, q in ratios])
+        knots, grid, period = _partition(period, [p * (Q // q) for p, q in ratios], Q, len(pieces))
         den = math.lcm(*[p.den for p in pieces])
         width = max(1, *[len(p.nums) for p in pieces])
         rows = [[c * (den // p.den) for c in p.nums] + [0] * (width - len(p.nums)) for p in pieces]
@@ -493,33 +490,50 @@ class PiecewisePolynomial:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class StepFunction:
-    """T-periodic step function: rational breakpoints 0 = c_0 < ... < c_K = T,
-    one rational value per interval [c_{k-1}, c_k), right-continuous. Evaluation,
-    ``integral`` and ``as_piecewise`` read the integer form the constructor builds
-    once; fields, equality and hashing are the Fractions'."""
+    """T-periodic step function: rational breakpoints 0 = c_0 < ... < c_K = T, one rational
+    value per interval [c_{k-1}, c_k), right-continuous. The one stored form is the canonical
+    integer step ``PiecewisePolynomial`` on the unit partition c_k / T, so equality and hashing
+    are those of the breakpoints, values and period; these are views built on first read."""
 
-    breakpoints: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    period: Fraction
+    _form: PiecewisePolynomial
 
-    def __post_init__(self) -> None:
-        bps = tuple([to_rational(b) for b in self.breakpoints])
-        vals = tuple([to_rational(v) for v in self.values])
-        ratios = [v.as_integer_ratio() for v in vals]
-        knots, grid, period = _partition(bps, len(ratios), self.period, over_period=True)
-        den = math.lcm(*[q for _, q in ratios])
-        # canonical as built: where r^e is the power of a prime r in den, r^e divides some q,
-        # and that p (den // q) is prime to r
-        rows = tuple([(p * (den // q),) for p, q in ratios])
+    def __init__(self, breakpoints: Iterable[RationalLike], values: Iterable[RationalLike], period: RationalLike):
+        bps = [to_rational(b).as_integer_ratio() for b in breakpoints]
+        vals = [to_rational(v).as_integer_ratio() for v in values]
+        period = to_rational(period)
+        (tp, tq), Q, den = period.as_integer_ratio(), math.lcm(*[q for _, q in bps]), math.lcm(*[q for _, q in vals])
+        # c_k / T = (c_k Q) tq / (Q tp)
+        self._fill([p * (Q // q) * tq for p, q in bps], Q * tp, [p * (den // q) for p, q in vals], den, period)
+
+    def _fill(self, cuts: Sequence[int], grid: int, nums: Sequence[int], den: int, period: Fraction) -> "StepFunction":
+        """Check and store nums[k] / den (den > 0) on [cuts[k] T / grid, cuts[k+1] T / grid), reduced."""
+        knots, grid, period = _partition(period, cuts, grid, len(nums), "T")
+        g = math.gcd(den, *nums)
         form = object.__new__(PiecewisePolynomial)
-        form.__dict__.update(knots=knots, grid=grid, rows=rows, den=den, period=period)
-        self.__dict__.update(breakpoints=bps, values=vals, period=period, _form=form)
+        form.__dict__.update(knots=knots, grid=grid, rows=tuple([(v // g,) for v in nums]), den=den // g, period=period)
+        self.__dict__["_form"] = form
+        return self
 
     @classmethod
     def constant(cls, value: RationalLike, period: RationalLike) -> "StepFunction":
         return cls((0, period), (value,), period)
+
+    @property
+    def period(self) -> Fraction:
+        return self._form.period
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return tuple([b * self.period for b in self._form.breakpoints])
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(v, self._form.den) for (v,) in self._form.rows])
+
+    def __repr__(self) -> str:
+        return f"StepFunction(breakpoints={self.breakpoints!r}, values={self.values!r}, period={self.period!r})"
 
     def __call__(self, t: RationalLike) -> Fraction:
         return self._form(t)
@@ -530,6 +544,11 @@ class StepFunction:
 
     def integral(self) -> Fraction:
         return self._form.mean() * self.period
+
+
+def _step(cuts: Sequence[int], grid: int, nums: Sequence[int], den: int, period: Fraction) -> StepFunction:
+    """The step nums[k] / den (den > 0) on [cuts[k] T / grid, cuts[k+1] T / grid), checked, with no Fraction."""
+    return object.__new__(StepFunction)._fill(cuts, grid, nums, den, period)
 
 
 def periodic_antiderivatives(pw: PiecewisePolynomial, n: int) -> PiecewisePolynomial:

@@ -4,10 +4,11 @@ Everything takes an explicit ``random.Random`` so suites are reproducible
 from a seed. Denominators stay small powers of two to keep exact arithmetic
 fast downstream.
 
-Each rational is built once from integer numerators (k T / 64 is
-``Fraction(k tp, 64 tq)`` for T = tp / tq) and a weight's mass is an integer
-sum; the ``rng`` calls and their order, and so every seed's steps, are those
-of the Fraction-product forms in ``tests/test_sampling_reference.py``.
+Steps are built straight from their integer cut and value numerators
+(``exact._step``; k T / 16 is k tp over 16 tq for T = tp / tq), with no
+Fraction, and a weight's mass is an integer sum; the ``rng`` calls and their
+order, and so every seed's steps, are those of the Fraction-product forms in
+``tests/test_sampling_reference.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exact import StepFunction, periodic_antiderivatives
+from .exact import StepFunction, _step, periodic_antiderivatives
 
 __all__ = [
     "random_partition",
@@ -34,21 +35,17 @@ def _random_cuts(rng: random.Random, max_interior: int, denom: int) -> list[int]
     return sorted(cuts)
 
 
-def _on_grid(ks: list[int], T: Fraction, denom: int) -> tuple[Fraction, ...]:
-    """k T / denom for each k in ``ks``."""
-    tp, tq = T.as_integer_ratio()
-    return tuple([Fraction(k * tp, denom * tq) for k in ks])
-
-
 def random_partition(rng: random.Random, T: Fraction, max_interior: int = 6) -> tuple[Fraction, ...]:
     """0, T and 1 to ``max_interior`` random cuts between, on the grid {k T / 64}."""
-    return _on_grid(_random_cuts(rng, max_interior, 64), T, 64)
+    tp, tq = T.as_integer_ratio()
+    return tuple([Fraction(k * tp, 64 * tq) for k in _random_cuts(rng, max_interior, 64)])
 
 
 def random_deviation(rng: random.Random, T: Fraction) -> StepFunction:
     """Random step deviation with values on the grid {k T / 16} in [0, T]."""
-    bps = random_partition(rng, T)
-    return StepFunction(bps, _on_grid([rng.randint(0, 16) for _ in bps[1:]], T, 16), T)
+    cuts = _random_cuts(rng, 6, 64)
+    tp, tq = T.as_integer_ratio()
+    return _step(cuts, 64, [rng.randint(0, 16) * tp for _ in cuts[1:]], 16 * tq, T)
 
 
 def random_weight(rng: random.Random, T: Fraction, total: Fraction) -> StepFunction:
@@ -57,8 +54,7 @@ def random_weight(rng: random.Random, T: Fraction, total: Fraction) -> StepFunct
     raw = [rng.randint(1, 8) for _ in cuts[1:]]
     mass = sum([r * (hi - lo) for r, lo, hi in zip(raw, cuts, cuts[1:])])  # raw's integral is mass T / 64
     (sp, sq), (tp, tq) = total.as_integer_ratio(), T.as_integer_ratio()
-    vals = tuple([Fraction(r * sp * 64 * tq, sq * mass * tp) for r in raw])
-    return StepFunction(_on_grid(cuts, T, 64), vals, T)
+    return _step(cuts, 64, [r * sp * 64 * tq for r in raw], sq * mass * tp, T)
 
 
 def random_step_numerators(rng: random.Random) -> tuple[list[int], list[int]]:

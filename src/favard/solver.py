@@ -39,13 +39,12 @@ evaluate each sample's row on its own grid 1/G (the lcm of the step grids and
 that sample's own), so the PB_{n+1} values are integer Horner sums over one
 common denominator per row: B_{n+1}'s numerators times the powers of G make
 one coefficient list per distinct G in a call, and each value is a plain
-Horner sum of it at an integer point of the grid. In the same pass over the
-samples each row takes the factor L T^n / (n+1)!, the identity and the -1
-column, is cleared once and divided by the gcd of its entries: the system
-exists only as primitive integer rows with a Fraction scale each (see
-:class:`ReducedSystem`), and no matrix of Fractions is ever built. Those
-rows are no larger than the ones elimination used to clear from the rational
-matrix, and the exact contraction norm sums them directly.
+Horner sum of it at an integer point of the grid. The system is stored as its
+pencil in L, integer kernel rows over their own denominators, the integer
+zero-mean row and the factor c = L T^n / (n+1)! as an integer pair (see
+:class:`ReducedSystem`). Each verdict builds the primitive integer rows and
+their scales, as integer pairs, once from the pencil, and no matrix of
+Fractions is ever built. The exact contraction norm sums the pencil directly.
 
 Every verdict comes from one rank-revealing integer elimination of those
 rows over the reduced Schur complement (see :func:`_eliminate`): the rows
@@ -88,8 +87,8 @@ instance is single-threaded and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -128,29 +127,68 @@ NEAR_SINGULAR_BAND = 1e-10
 class ReducedSystem:
     """Finite exact system equivalent to the periodic problem for step data.
 
-    The (J+1) x (J+1) homogeneous system in (y(s_1)..y(s_J), C_1) is stored as
-    primitive integer ``rows`` (each with content 1) and their ``scales``, each a
-    positive reduced Fraction: row i of the system is scales[i] times rows[i].
-    Rows 0..J-1 encode v_i - sum_j A_ij v_j - C_1 = 0 and the last row is the
-    zero-mean constraint on y^(n). This is the only form of the system: the
-    verdicts eliminate the rows and :func:`contraction_norm` sums them.
+    The (J+1) x (J+1) homogeneous system M = [I + c K | -1 ; m | 0] in (y(s_1)..y(s_J), C_1)
+    encodes v_i - sum_j A_ij v_j - C_1 = 0 with A = -c K in rows 0..J-1 and the zero-mean
+    constraint on y^(n) in the last. It is stored as its pencil, in integers: the L-free kernel
+    K_ij = K[i][j] / K_den[i], the row m_j = m[j] / m_den and c = c[0] / c[1] = L T^n / (n+1)!
+    (L = 1 if weighted). ``rows`` (primitive integer rows), ``scales`` (row i of M is scales[i]
+    times rows[i]) and ``sample_points`` (the sorted values of tau) are views built on first read.
     """
 
     n: int
     T: Fraction
-    sample_points: tuple[Fraction, ...]
-    rows: tuple[tuple[int, ...], ...]
-    scales: tuple[Fraction, ...]
     kind: str  # "lipschitz" | "weighted"
     tau: StepFunction
-    L: Fraction | None = None
+    L: Fraction | None
+    K: tuple[tuple[int, ...], ...]
+    K_den: tuple[int, ...]
+    m: tuple[int, ...]
+    m_den: int
+    c: tuple[int, int]
 
     @property
     def size(self) -> int:
-        return len(self.sample_points) + 1
+        return len(self.K) + 1
+
+    @cached_property
+    def sample_points(self) -> tuple[Fraction, ...]:
+        form = self.tau.as_piecewise()
+        return tuple([Fraction(v, form.den) for v in sorted({r[0] for r in form.rows})])
+
+    def _integer_rows(self) -> tuple[list[list[int]], list[tuple[int, int]]]:
+        """Fresh primitive integer rows of M and the scale p / q of each as a pair (p, q)."""
+        (cp, cq), rows, factors = self.c, [], []
+        for i, (row, d) in enumerate(zip(self.K, self.K_den)):
+            q = d * cq
+            g = math.gcd(q, cp * math.gcd(*row))  # the content of cp K_i + q e_i and -q
+            ints = [cp * x // g for x in row]
+            ints[i] += q // g
+            ints.append(-q // g)
+            rows.append(ints)
+            factors.append((1, q // g))
+        g = math.gcd(*self.m) or self.m_den  # a zero row keeps scale 1
+        rows.append([*[x // g for x in self.m], 0])
+        factors.append((g, self.m_den))
+        return rows, factors
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple([tuple(row) for row in self._integer_rows()[0]])
+
+    @cached_property
+    def scales(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(p, q) for p, q in self._integer_rows()[1]])
 
     def determinant(self) -> Fraction:
-        return _eliminate(*_integer_system(self))[0]
+        rows, factors = self._integer_rows()
+        return _eliminate(rows, _scale(factors))[0]
+
+    def at(self, L: RationalLike) -> "ReducedSystem":
+        """The Lipschitz system at another L >= 0: K and m do not depend on L, so only c changes."""
+        if self.kind != "lipschitz":
+            raise ValueError("only a Lipschitz system has a parameter L")
+        L = to_rational(L)
+        return replace(self, L=L, c=_factor(self.n, self.T, L))
 
 
 @dataclass(frozen=True)
@@ -178,19 +216,9 @@ class SolveReport:
         return out
 
 
-def _primitive(row: list[int], p: int, q: int) -> tuple[tuple[int, ...], Fraction]:
-    """p / q times ``row`` as a primitive integer row and its scale; a zero row keeps scale 1."""
-    g = math.gcd(*row)
-    if g == 0:
-        return tuple(row), Fraction(1)
-    return tuple([x // g for x in row]), Fraction(p * g, q)
-
-
-def _integer_system(sys: ReducedSystem) -> tuple[list[list[int]], Fraction]:
-    """Fresh integer rows of the system and the product of their scales, reduced once,
-    not after every factor."""
-    rows, scales = [list(row) for row in sys.rows], sys.scales
-    return rows, Fraction(math.prod([s.numerator for s in scales]), math.prod([s.denominator for s in scales]))
+def _scale(factors: list[tuple[int, int]]) -> Fraction:
+    """The product of the row scales p / q, reduced once."""
+    return Fraction(math.prod([p for p, _ in factors]), math.prod([q for _, q in factors]))
 
 
 def _eliminate(rows: list[list[int]], scale: Fraction) -> tuple[Fraction, list[Fraction] | None]:
@@ -322,11 +350,10 @@ def _step_kernel(
     T: Fraction,
     tau: PiecewisePolynomial,
     weight: PiecewisePolynomial,
-    c: Fraction,
-) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...], tuple[Fraction, ...]]:
-    """Samples s_j (the sorted deviation values) and the primitive rows and scales of
-    [I - A | -1] over [m | 0], where A_ij = -c K_ij and m_j is the weight integral
-    over the preimage P_j of s_j, from the stored forms of tau and the weight.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...], int]:
+    """The pencil (K, K_den, m, m_den) of :class:`ReducedSystem` from the stored forms of tau
+    and the weight: the L-free kernel K over the sorted deviation values s_j, and m_j, the
+    weight integral over the preimage P_j of s_j.
 
     The cuts c_k are the breakpoints of tau and of the weight together. K_ij
     sums w * (E_k - E_{k+1}) over the pieces [c_k, c_{k+1}) in P_j, with
@@ -345,9 +372,7 @@ def _step_kernel(
     D G^(n+1) with D their common denominator, that is the plain Horner sum
     at (a - b_k) mod G of the numerators of u^t times G^(n+1-t): one list per
     distinct G in the call, as rows often share their G. So K_i is an integer
-    row over W D G^(n+1), and m_j = T constraint[j] / (W G_c). Row i times
-    M = W D G^(n+1) c.denominator is integral; dividing by the gcd of its
-    entries makes it primitive, and its scale is that gcd over M.
+    row over W D G^(n+1), and m_j = T constraint[j] / (W G_c).
     """
     tp, tq = T.as_integer_ratio()
     Gc = math.lcm(tau.grid, weight.grid)
@@ -364,19 +389,18 @@ def _step_kernel(
             constraint[j] += w * (N[k + 1] - N[k])
             pieces.append((k, j, w))
     B = bernoulli_polynomial(n + 1)
-    cp, cq = c.numerator, c.denominator
-    by_grid: dict[int, list[int]] = {}
-    out = []
-    for i, v in enumerate(keys):
+    by_grid: dict[int, tuple[list[int], int]] = {}
+    K, K_den = [], []
+    for v in keys:
         # s/T = v tq / (den tp) in lowest terms a / e
         a, e = v * tq, tau.den * tp
         h = math.gcd(a, e)
         a, e = a // h, e // h
         G = math.lcm(Gc, e)
         a, m = a * (G // e), G // Gc
-        coef = by_grid.get(G)
-        if coef is None:  # highest degree first
-            coef = by_grid[G] = [x * G ** (n + 1 - k) for k, x in enumerate(B.nums)][::-1]
+        if G not in by_grid:  # coefficients highest degree first, and the row's denominator
+            by_grid[G] = [x * G ** (n + 1 - k) for k, x in enumerate(B.nums)][::-1], W * B.den * G ** (n + 1)
+        coef, den = by_grid[G]
         E = []
         for x in N:
             y, acc = (a - x * m) % G, 0
@@ -386,17 +410,23 @@ def _step_kernel(
         row = [0] * len(keys)
         for k, j, w in pieces:
             row[j] += w * (E[k] - E[k + 1])
-        M = W * B.den * G ** (n + 1) * cq
-        ints = [cp * x for x in row]
-        ints[i] += M
-        out.append(_primitive([*ints, -M], 1, M))
-    out.append(_primitive([*constraint, 0], tp, tq * W * Gc))
-    rows, scales = zip(*out)
-    return tuple([Fraction(v, tau.den) for v in keys]), rows, scales
+        K.append(tuple(row))
+        K_den.append(den)
+    return tuple(K), tuple(K_den), tuple([tp * x for x in constraint]), tq * W * Gc
 
 
 # the weight of the Lipschitz reduction: 1 on the whole period
 _UNIT = StepFunction.constant(1, 1).as_piecewise()
+
+
+def _factor(n: int, T: Fraction, L: RationalLike) -> tuple[int, int]:
+    """c = L T^n / (n+1)! in lowest terms; L < 0 raises ValueError."""
+    if L < 0:
+        raise ValueError("L must be >= 0")
+    (lp, lq), (tp, tq) = L.as_integer_ratio(), T.as_integer_ratio()
+    p, q = lp * tp**n, lq * tq**n * math.factorial(n + 1)
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def reduce_system(
@@ -416,12 +446,7 @@ def reduce_system(
         raise ValueError("n must be >= 1")
     T, L = to_rational(T), to_rational(L)
     _validate_deviation(tau, T)
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    (lp, lq), (tp, tq) = L.as_integer_ratio(), T.as_integer_ratio()
-    c = Fraction(lp * tp**n, lq * tq**n * math.factorial(n + 1))
-    samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), _UNIT, c)
-    return ReducedSystem(n, T, samples, rows, scales, "lipschitz", tau, L)
+    return ReducedSystem(n, T, "lipschitz", tau, L, *_step_kernel(n, T, tau.as_piecewise(), _UNIT), _factor(n, T, L))
 
 
 def reduce_weighted(
@@ -447,17 +472,15 @@ def reduce_weighted(
     for i, (v,) in enumerate(weight.rows):
         if v < 0:
             raise ValueError(f"p.values[{i}] = {p.values[i]} is negative")
-    tp, tq = T.as_integer_ratio()
-    c = Fraction(tp**n, tq**n * math.factorial(n + 1))
-    samples, rows, scales = _step_kernel(n, T, tau.as_piecewise(), weight, c)
-    return ReducedSystem(n, T, samples, rows, scales, "weighted", tau)
+    return ReducedSystem(n, T, "weighted", tau, None, *_step_kernel(n, T, tau.as_piecewise(), weight), _factor(n, T, 1))
 
 
 MARGIN_OVERFLOW = "reduced matrix entry exceeds the float64 range"
 
 
-def _margin(sys: ReducedSystem) -> tuple[float | None, np.ndarray | None]:
-    """Smallest singular value of the float matrix, and the matrix; (None, None) on overflow.
+def _margin(rows: list[list[int]], factors: list[tuple[int, int]]) -> tuple[float | None, np.ndarray | None]:
+    """Smallest singular value of the float matrix whose row i is p / q times rows[i], with
+    (p, q) = factors[i], and the matrix; (None, None) on overflow.
 
     Each entry p x / q is one correctly rounded int / int division, the double
     ``float`` gives for the same rational as a Fraction, overflowing alike.
@@ -466,8 +489,7 @@ def _margin(sys: ReducedSystem) -> tuple[float | None, np.ndarray | None]:
     import numpy as np
 
     try:
-        ratios = [s.as_integer_ratio() for s in sys.scales]
-        matrix = np.array([[p * x / q for x in row] for row, (p, q) in zip(sys.rows, ratios)], dtype=np.float64)
+        matrix = np.array([[p * x / q for x in row] for row, (p, q) in zip(rows, factors)], dtype=np.float64)
     except OverflowError:
         return None, None
     return float(np.linalg.svd(matrix, compute_uv=False)[-1]), matrix
@@ -482,9 +504,9 @@ def _near_singular(sys: ReducedSystem, margin: float | None, matrix: np.ndarray 
     if margin is None or margin >= NEAR_SINGULAR_BAND * float(np.linalg.norm(matrix)):
         return False
     scaled = matrix.copy()
-    (p, q), (tp, tq) = sys.scales[-1].as_integer_ratio(), sys.T.as_integer_ratio()
+    tp, tq = sys.T.as_integer_ratio()
     try:
-        scaled[-1] = [p * x * tq / (q * tp) for x in sys.rows[-1]]
+        scaled[-1] = [x * tq / (sys.m_den * tp) for x in (*sys.m, 0)]
     except OverflowError:
         return True
     return bool(np.linalg.svd(scaled, compute_uv=False)[-1] < NEAR_SINGULAR_BAND * np.linalg.norm(scaled))
@@ -506,8 +528,9 @@ def _report(sys: ReducedSystem, constant: Fraction | None, provenance: dict) -> 
     if sys.L == 0:
         degenerate = {"route": "degenerate_L0", "kind": "lipschitz"}
         return SolveReport(status="nontrivial_kernel", margin=0.0, determinant=Fraction(0), provenance=degenerate)
-    det, kernel = _eliminate(*_integer_system(sys))
-    margin, matrix = _margin(sys)
+    rows, factors = sys._integer_rows()
+    margin, matrix = _margin(rows, factors)  # before the elimination changes the rows
+    det, kernel = _eliminate(rows, _scale(factors))
     if margin is None:
         provenance["margin_unavailable"] = MARGIN_OVERFLOW
     if det == 0:
@@ -605,17 +628,16 @@ def contraction_norm(sys: ReducedSystem) -> Fraction:
     """Exact operator norm (max absolute row sum) of the reduced kernel matrix, centred at the
     median xi* of phi_n; it is bounded by L K_n T^n, the contraction factor of the representation.
 
-    The rows hold A_ij = delta_ij - (p / q) rows[i][j] for j < J at xi = 0, with p / q > 0 the
-    row's scale. Centring subtracts b m_j, with b = L T^(n-1) xi* / 2^(n-1) and m the zero-mean
-    row (L = 1 for a weighted system, whose m carries p). With b m_j = u rows[J][j] / v, row i's
-    absolute sum is sum_j |q v delta_ij - p v rows[i][j] - q u rows[J][j]| / (q v).
+    Read off the pencil: A_ij = -(cp / cq) K[i][j] / d_i at xi = 0, with c = cp / cq and
+    d_i = K_den[i]. Centring subtracts b m_j, with b = L T^(n-1) xi* / 2^(n-1) and m the
+    zero-mean row (L = 1 for a weighted system, whose m carries p). With b m_j = u m[j] / v,
+    row i's absolute sum is sum_j |cp v K[i][j] + cq d_i u m[j]| / (cq d_i v).
     """
     L = 1 if sys.L is None else sys.L
     b = L * sys.T ** (sys.n - 1) * _median(sys.n) / 2 ** (sys.n - 1)
-    (u, v), m = (b * sys.scales[-1]).as_integer_ratio(), sys.rows[-1]
+    (u, v), (cp, cq) = (b / sys.m_den).as_integer_ratio(), sys.c
     sums = []
-    for i, (row, scale) in enumerate(zip(sys.rows[:-1], sys.scales)):
-        p, q = scale.as_integer_ratio()
-        total = sum([abs(q * v * (i == j) - p * v * x - q * u * m[j]) for j, x in enumerate(row[:-1])])
-        sums.append(Fraction(total, q * v))
+    for row, d in zip(sys.K, sys.K_den):
+        total = sum([abs(cp * v * x + cq * d * u * y) for x, y in zip(row, sys.m)])
+        sums.append(Fraction(total, cq * d * v))
     return max(sums, default=Fraction(0))

@@ -54,7 +54,7 @@ def test_central_difference_exact_to_degree_n_plus_1(n, data):
     d = u
     for _ in range(n):
         d = d.derivative()
-    assert _central_difference(u, t, h, n) == d(t)
+    assert _central_difference(u, d, t, h, n)
 
 
 def test_central_difference_inexact_at_degree_n_plus_2():
@@ -64,7 +64,7 @@ def test_central_difference_inexact_at_degree_n_plus_2():
         d = u
         for _ in range(n):
             d = d.derivative()
-        assert _central_difference(u, F(1, 3), F(1, 7), n) != d(F(1, 3))
+        assert not _central_difference(u, d, F(1, 3), F(1, 7), n)
 
 
 def bernoulli_table(n):

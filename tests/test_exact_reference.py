@@ -14,6 +14,12 @@ same hash, the function the public constructor builds from that triple.
 inequality suite took before it read x off the Bernoulli kernel; the tests
 keep them, checked here against the pointwise maximum.
 
+``StepFunction`` stores only its integer step form, and ``exact._step``
+builds one from cut and value numerators. ``ReferenceStepFunction`` is the
+dataclass it was, with Fraction fields and the form derived from them; a step
+matches it when its views, form and ``repr`` are the reference's, and
+equality and hashing follow the reference fields.
+
 ``Polynomial`` likewise stores only integer numerators over one denominator.
 The ``reference_poly_*`` functions are the bodies its operations had when it
 stored ``Fraction`` coefficients, on coefficient tuples, lowest degree first,
@@ -23,6 +29,7 @@ with trailing zeros stripped.
 import math
 import random
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import NamedTuple
 
@@ -31,7 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favard.acceptance import _packed_grid, _packed_instance
-from favard.exact import PiecewisePolynomial, Polynomial, StepFunction, _horner, format_rational
+from favard.exact import PiecewisePolynomial, Polynomial, StepFunction, _horner, _step, format_rational
 from favard.sampling import periodic_antiderivatives, random_step_numerators
 from test_exact import eval_points, rationals, reference_horner
 
@@ -485,3 +492,126 @@ def test_pieces_view_matches_reference(f, c):
     for g in (pw, pw.plus_constant(c), pw.derivative(), pw.zero_mean().antiderivative()):
         for piece, ref in zip(g.pieces, reference_pieces(g), strict=True):
             assert_poly_matches(piece, ref)
+
+
+# ------------------------------------------------------------ step functions
+
+
+def reference_partition(breakpoints, count, period):
+    """``exact._partition`` as it was for a step: the period, then the Fraction breakpoints
+    over their lcm, checked to run from 0 to T."""
+    period = F(period)
+    if period <= 0:
+        raise ValueError("period must be positive")
+    ratios = [F(b).as_integer_ratio() for b in breakpoints]
+    ep, eq = period.as_integer_ratio()
+    Q = math.lcm(*[q for _, q in ratios])
+    P = [p * (Q // q) for p, q in ratios]
+    if len(P) < 2 or P[0] != 0 or P[-1] * eq != ep * Q:
+        raise ValueError("breakpoints must run from 0 to T")
+    if any([a >= b for a, b in zip(P, P[1:])]):
+        raise ValueError("breakpoints must be strictly increasing")
+    if count != len(P) - 1:
+        raise ValueError("need one piece per interval")
+    g = math.gcd(*P)
+    return tuple([a // g for a in P]), P[-1] // g, period
+
+
+@dataclass(frozen=True)
+class ReferenceStepFunction:
+    """``StepFunction`` as it was when its fields were the Fraction breakpoints, values and
+    period, and its integer form a derived attribute."""
+
+    breakpoints: tuple
+    values: tuple
+    period: F
+
+    def __post_init__(self):
+        bps = tuple([F(b) for b in self.breakpoints])
+        vals = tuple([F(v) for v in self.values])
+        ratios = [v.as_integer_ratio() for v in vals]
+        knots, grid, period = reference_partition(bps, len(ratios), self.period)
+        den = math.lcm(*[q for _, q in ratios])
+        rows = tuple([(p * (den // q),) for p, q in ratios])
+        form = object.__new__(PiecewisePolynomial)
+        form.__dict__.update(knots=knots, grid=grid, rows=rows, den=den, period=period)
+        self.__dict__.update(breakpoints=bps, values=vals, period=period, _form=form)
+
+
+def old_repr(ref):
+    return repr(ref).replace("ReferenceStepFunction", "StepFunction", 1)
+
+
+@st.composite
+def step_numerators(draw):
+    """(cuts, grid, nums, den, T): a step's cuts over its grid and its values over den, zero,
+    negative, repeated and with common factors, on a period that may be any positive rational."""
+    T = draw(st.one_of(st.sampled_from([F(1), F(5, 2), F(1, 3)]), st.fractions(F(1, 1000), 1000, max_denominator=1000)))
+    grid = draw(st.integers(1, 96))
+    cuts = [0, *sorted(draw(st.sets(st.integers(1, grid - 1), max_size=6))), grid] if grid > 1 else [0, 1]
+    den = draw(st.integers(1, 60))
+    nums = draw(st.lists(st.sampled_from([0, 1, -2, 6, 15, den, -3 * den, 90]), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    return cuts, grid, nums, den, T
+
+
+def as_fractions(cuts, grid, nums, den, T):
+    return [T * F(c, grid) for c in cuts], [F(v, den) for v in nums], T
+
+
+class TestStepFunctionAgainstReference:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(step_numerators())
+    def test_step_from_integers_is_the_step_from_fractions(self, case):
+        built, step = _step(*case), StepFunction(*as_fractions(*case))
+        ref = ReferenceStepFunction(*as_fractions(*case))
+        assert built == step and hash(built) == hash(step)
+        for s in (built, step):
+            assert (s.breakpoints, s.values, s.period) == (ref.breakpoints, ref.values, ref.period)
+            assert s.as_piecewise() == ref._form and s.as_piecewise().rows == ref._form.rows
+            assert repr(s) == old_repr(ref)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(step_numerators(), step_numerators(), st.integers(2, 9))
+    def test_equality_and_hash_are_the_reference_fields(self, a, b, k):
+        cuts, grid, nums, den, T = a
+        x, ref = StepFunction(*as_fractions(*a)), ReferenceStepFunction(*as_fractions(*a))
+        # the same step from other integers: cuts, grid, values and den all times k
+        same = _step([k * c for c in cuts], k * grid, [k * v for v in nums], k * den, T)
+        assert x == same and hash(x) == hash(same)
+        # b, and a with b's values: equal to a exactly when the reference says so
+        resized = (cuts, grid, [b[2][i % len(b[2])] for i in range(len(nums))], b[3], T)
+        for other in (b, resized):
+            y = StepFunction(*as_fractions(*other))
+            assert (x == y) == (ref == ReferenceStepFunction(*as_fractions(*other)))
+            assert x != y or hash(x) == hash(y)
+
+    def test_pinned_repr(self):
+        s = _step([0, 1, 4], 4, [3, -2], 6, F(5, 2))
+        assert repr(s) == (
+            "StepFunction(breakpoints=(Fraction(0, 1), Fraction(5, 8), Fraction(5, 2)), "
+            "values=(Fraction(1, 2), Fraction(-1, 3)), period=Fraction(5, 2))"
+        )
+        assert s == StepFunction((0, F(5, 8), F(5, 2)), (F(1, 2), F(-1, 3)), F(5, 2))
+
+    @pytest.mark.parametrize(
+        "cuts, grid, nums, period, message",
+        [
+            ([0, 1, 3], 4, [1, 2], F(2), "breakpoints must run from 0 to T"),
+            ([1, 2, 4], 4, [1, 2], F(2), "breakpoints must run from 0 to T"),
+            ([0], 4, [], F(2), "breakpoints must run from 0 to T"),
+            ([0, 3, 2, 4], 4, [1, 2, 3], F(2), "breakpoints must be strictly increasing"),
+            ([0, 2, 2, 4], 4, [1, 2, 3], F(2), "breakpoints must be strictly increasing"),
+            ([0, 2, 4], 4, [1], F(2), "need one piece per interval"),
+            ([0, 2, 4], 4, [1, 2], F(0), "period must be positive"),
+            ([0, 2, 4], 4, [1, 2], F(-3), "period must be positive"),
+        ],
+    )
+    def test_the_same_value_errors(self, cuts, grid, nums, period, message):
+        # the integer builder, the constructor and the reference reject the same steps alike
+        bps = [F(c, grid) * abs(period) for c in cuts]
+        vals = [F(v, 7) for v in nums]
+        for build in (lambda: _step(cuts, grid, nums, 7, period), lambda: StepFunction(bps, vals, period)):
+            with pytest.raises(ValueError, match=message):
+                build()
+        with pytest.raises(ValueError, match=message):
+            ReferenceStepFunction(bps, vals, period)

@@ -33,6 +33,7 @@ CASES = {
     "bounds_weight_text": ["bounds", "--n", "3", "--weight", "--T", "5/2"],
     "suite_c4_c6": ["suite", "--criteria", "4,6", "--format", "json"],
     "suite_c7_c11": ["suite", "--criteria", "7,11", "--format", "json"],
+    "suite_c8_c9": ["suite", "--criteria", "8,9", "--format", "json"],
     "kernel_samples_n3": ["kernel", "--n", "3", "--samples", "8"],
     "table_json": ["table", "--n-max", "6", "--format", "json"],
     "table_text": ["table", "--n-max", "6"],

@@ -18,21 +18,27 @@ breakpoint was evaluated once per sample; ``reconstruct_solution`` now
 integrates with periodic antiderivatives instead, so ``reference_reconstruct``
 checks it by a different route. ``reference_step_kernel`` is the integer
 kernel before it built B_{n+1}'s coefficients once per sample grid: one
-``_horner`` call per (sample, cut). ``preimages`` is the value -> intervals map
-those loops walk. ``reference_assemble`` is the layout of the full
-homogeneous Fraction matrix the reductions once stored, and
-``fraction_matrix`` rebuilds that matrix from the integer rows and scales
-the reductions store now. ``reference_clear`` is the row clearing
-elimination did on that matrix before the reductions built primitive
-integer rows themselves. The two reduction references keep the shift xi of the
+``_horner`` call per (sample, cut), each row made primitive with a
+``Fraction`` scale by ``reference_primitive``, as the kernel did before the
+reduced system stored its L-free pencil and built its rows as views.
+``preimages`` is the value -> intervals map those loops walk.
+``reference_assemble`` is the layout of the full homogeneous Fraction matrix
+the reductions once stored, and ``fraction_matrix`` rebuilds that matrix
+from the integer rows and scales the reduced system builds from its pencil.
+``reference_clear`` is the row clearing elimination did on that matrix
+before the reductions built primitive integer rows themselves. The two reduction references keep the shift xi of the
 kernel, -xi_factor m_j in every row, which the reductions no longer build:
 it is a rank-one term the constant column absorbs, and ``contraction_norm``
 applies it at the median of phi_n.
 """
 
+import importlib
+import json
 import math
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,12 +55,12 @@ from favard.solver import (
     StepFunction,
     _bareiss,
     _eliminate,
-    _integer_system,
     _margin,
     _on_pieces,
-    _primitive,
+    _scale,
     _step_kernel,
     _UNIT,
+    ReducedSystem,
     contraction_norm,
     fraction_determinant,
     nullspace_vector,
@@ -178,7 +184,7 @@ def reference_solve_periodic(n, T, L, tau, C):
     sys = reduce_system(n, T, L, tau)
     rhs = [F(0)] * (sys.size - 1) + [-C * F(T) / L]
     det, solution, kernel = reference_bareiss(fraction_matrix(sys), rhs)
-    margin, _ = _margin(sys)
+    margin, _ = _margin(*sys._integer_rows())
     provenance = {"route": "exact_reduction", "kind": "lipschitz", "homogeneous": False}
     if margin is None:
         provenance["margin_unavailable"] = MARGIN_OVERFLOW
@@ -447,7 +453,8 @@ class TestEliminationWithSharedFactors:
         rng.shuffle(values)
         L = F(rng.randint(4, 15), 16) / (favard_closed_form(4) * T**4)
         sys = reduce_system(4, T, L, StepFunction(tuple(bps), tuple(values), T))
-        det, kernel = _eliminate(*_integer_system(sys))
+        rows, factors = sys._integer_rows()
+        det, kernel = _eliminate(rows, _scale(factors))
         assert det == reference_bareiss(fraction_matrix(sys), [F(0)] * sys.size)[0] != 0
         assert kernel is None
 
@@ -534,6 +541,14 @@ class TestReductionsAgainstDoubleLoops:
             assert list(sys.rows) == [reference_clear(row) for row in matrix]
 
 
+def reference_primitive(row, p, q):
+    """p / q times ``row`` as a primitive integer row and its scale; a zero row keeps scale 1."""
+    g = math.gcd(*row)
+    if g == 0:
+        return tuple(row), F(1)
+    return tuple([x // g for x in row]), F(p * g, q)
+
+
 def reference_step_kernel(n, T, tau, weight, c):
     """``_step_kernel`` as it was before it built B_{n+1}'s coefficients once per grid G:
     one ``_horner`` call per (sample, cut), raising G to each power again in every call."""
@@ -567,8 +582,8 @@ def reference_step_kernel(n, T, tau, weight, c):
         M = W * B.den * G ** (n + 1) * cq
         ints = [cp * x for x in row]
         ints[i] += M
-        out.append(_primitive([*ints, -M], 1, M))
-    out.append(_primitive([*constraint, 0], tp, tq * W * Gc))
+        out.append(reference_primitive([*ints, -M], 1, M))
+    out.append(reference_primitive([*constraint, 0], tp, tq * W * Gc))
     rows, scales = zip(*out)
     return tuple([F(v, tau.den) for v in keys]), rows, scales
 
@@ -600,7 +615,11 @@ class TestStepKernelAgainstPerCutHorner:
         n, T, c, tau, p = instance
         weight = p.as_piecewise() if weighted else _UNIT
         expected = reference_step_kernel(n, T, tau.as_piecewise(), weight, c)
-        assert _step_kernel(n, T, tau.as_piecewise(), weight, c) == expected
+        # the pencil of either reduction, at the factor c
+        kind, L = ("weighted", None) if weighted else ("lipschitz", F(1))
+        pencil = _step_kernel(n, T, tau.as_piecewise(), weight)
+        sys = ReducedSystem(n, T, kind, tau, L, *pencil, c.as_integer_ratio())
+        assert (sys.sample_points, sys.rows, sys.scales) == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_both_reductions_at_every_order(self, n):
@@ -646,13 +665,14 @@ class TestIntegerRows:
         sys = reduce_weighted(n, T, p, tau) if weighted else reduce_system(n, T, L, tau)
         matrix = fraction_matrix(sys)
         expected = floats(matrix)
-        margin, svd_matrix = _margin(sys)
+        margin, svd_matrix = _margin(*sys._integer_rows())
         if expected is None:
             assert margin is None and svd_matrix is None
         else:
             assert hexes(svd_matrix.tolist()) == hexes(expected)
             assert margin == float(np.linalg.svd(np.array(expected), compute_uv=False)[-1])
-        rows, scale = _integer_system(sys)
+        rows, factors = sys._integer_rows()
+        scale = _scale(factors)
         assert scale == math.prod(sys.scales)
         det, kernel = _eliminate(rows, scale)
         assert (det, kernel) == _bareiss(matrix)
@@ -726,3 +746,66 @@ class TestForcedSolveAgainstAugmentedElimination:
                 report = solve_periodic(n, T, L, tau, C)
                 assert report.status == "nontrivial_kernel"
                 assert report == reference_solve_periodic(n, T, L, tau, C)
+
+
+# ------------------------------------------------------------ the pencil
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN_INSTANCES = Path(__file__).resolve().parent / "golden" / "instances"
+
+
+def payload_system(payload):
+    """The reduced system of a ``solve`` instance JSON and the reference kernel's
+    (samples, rows, scales) for it."""
+    n, T = payload["n"], F(payload["T"])
+
+    def step(data):
+        return StepFunction([F(b) for b in data["breakpoints"]], [F(v) for v in data["values"]], T)
+
+    tau = step(payload["tau"])
+    if payload["kind"] == "weighted":
+        p = step(payload["p"])
+        c = T**n / math.factorial(n + 1)
+        return reduce_weighted(n, T, p, tau), reference_step_kernel(n, T, tau.as_piecewise(), p.as_piecewise(), c)
+    L = F(payload["L"])
+    c = L * T**n / math.factorial(n + 1)
+    return reduce_system(n, T, L, tau), reference_step_kernel(n, T, tau.as_piecewise(), _UNIT, c)
+
+
+def solve_payloads():
+    sys.path.insert(0, str(BENCH))
+    try:
+        inputs = importlib.import_module("inputs")
+    finally:
+        sys.path.remove(str(BENCH))
+    golden = {path.stem: json.loads(path.read_text()) for path in sorted(GOLDEN_INSTANCES.glob("*.json"))}
+    return {**golden, **{inst.name: inst.payload for inst in inputs.solve_inputs(1)}}
+
+
+class TestPencil:
+    def test_views_match_the_reference_on_benchmark_and_golden_instances(self):
+        # every instance of the seed-1 solve workload and every golden solve instance
+        payloads = solve_payloads()
+        assert len(payloads) > 7
+        for name, payload in payloads.items():
+            system, expected = payload_system(payload)
+            assert (system.sample_points, system.rows, system.scales) == expected, name
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        step_instances(EXTREME_PERIODS),
+        st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=50, max_denominator=40)),
+        st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=50, max_denominator=40)),
+    )
+    def test_at_L_is_the_reduction_at_L(self, instance, L, L0):
+        n, T, _, _, tau, _ = instance
+        expected, moved = reduce_system(n, T, L, tau), reduce_system(n, T, L0, tau).at(L)
+        assert moved == expected and moved.L == L
+        assert (moved.rows, moved.scales, moved.sample_points) == (expected.rows, expected.scales, expected.sample_points)
+
+    def test_at_L_rejects_negative_L_and_weighted_systems(self):
+        tau = StepFunction((F(0), F(1, 2), F(1)), (F(1, 3), F(1)), F(1))
+        with pytest.raises(ValueError, match="L must be >= 0"):
+            reduce_system(2, F(1), F(1), tau).at(F(-1, 2))
+        with pytest.raises(ValueError, match="only a Lipschitz system"):
+            reduce_weighted(2, F(1), StepFunction.constant(2, 1), tau).at(F(1))
