@@ -543,7 +543,11 @@ class StepFunction:
         return self._form
 
     def integral(self) -> Fraction:
-        return self._form.mean() * self.period
+        """The sum of each value times its width: one Fraction over den * grid, times T."""
+        f = self._form
+        total = sum([v * (b - a) for (v,), a, b in zip(f.rows, f.knots, f.knots[1:])])
+        tp, tq = self.period.as_integer_ratio()
+        return Fraction(total * tp, f.den * f.grid * tq)
 
 
 def _step(cuts: Sequence[int], grid: int, nums: Sequence[int], den: int, period: Fraction) -> StepFunction:

@@ -47,7 +47,9 @@ their scales, as integer pairs, once from the pencil, and no matrix of
 Fractions is ever built. The exact contraction norm sums the pencil directly.
 
 Every verdict comes from one rank-revealing integer elimination of those
-rows over the reduced Schur complement (see :func:`_eliminate`): the rows
+rows over the reduced Schur complement (see :func:`_eliminate`), each column
+pivoting on its entry of fewest bits, which keeps the later minors small and
+changes neither the pivot columns nor the determinant nor the kernel: the rows
 below the pivots hold the complement as integers over one denominator d, and
 the leading minor P of the row-permuted matrix, Bareiss' (1968) pivot, is
 tracked beside them. By Sylvester's identity every entry of the next
@@ -216,21 +218,33 @@ class SolveReport:
         return out
 
 
-def _scale(factors: list[tuple[int, int]]) -> Fraction:
-    """The product of the row scales p / q, reduced once."""
-    return Fraction(math.prod([p for p, _ in factors]), math.prod([q for _, q in factors]))
+def _scale(factors: list[tuple[int, int]]) -> tuple[int, int]:
+    """The product of the row scales p / q as one pair (p, q), unreduced."""
+    return math.prod([p for p, _ in factors]), math.prod([q for _, q in factors])
 
 
-def _eliminate(rows: list[list[int]], scale: Fraction) -> tuple[Fraction, list[Fraction] | None]:
+def _eliminate(rows: list[list[int]], scale: tuple[int, int]) -> tuple[Fraction, list[Fraction] | None]:
     """(determinant, kernel vector) of the square matrix whose row i is s_i times
     ``rows[i]``, from one elimination pass over the integer rows (changed in place).
 
-    ``scale`` is the product of the row scales s_i. After k pivots the rows
-    below them hold the Schur complement S of the leading k x k minor P of the
-    row-permuted matrix as integers X over one denominator d, S = X / d, and
-    the pass tracks u = P / d, an integer, as d divides P. A column with no
-    pivot is skipped, so the pass ends in row echelon form and reveals the
-    rank. A pivot p = X_r,col gives the next complement Z / q with
+    ``scale`` is the product of the row scales s_i as a pair (p, q), so the
+    determinant is one Fraction reduced once. Each column pivots on its
+    nonzero entry of fewest bits among the rows not yet pivoted, the lowest
+    such row on a tie; a column with no nonzero entry there has no pivot and
+    is skipped, so the pass ends in row echelon form and reveals the rank.
+    The entries below the pivots are minors of the rows already chosen (see
+    below), so a small early pivot keeps every later entry small. Which row
+    a column pivots on never changes the column rank profile: column k gets
+    a pivot exactly when it is not a combination of the columns before it,
+    whatever the row order. So the pivot columns, the first free column,
+    the kernel vector and the determinant, its sign kept by the row swaps,
+    are those of any other row choice; columns are never permuted, as that
+    would change which variable is free.
+
+    After k pivots the rows below them hold the Schur complement S of the
+    leading k x k minor P of the row-permuted matrix as integers X over one
+    denominator d, S = X / d, and the pass tracks u = P / d, an integer, as
+    d divides P. A pivot p = X_r,col gives the next complement Z / q with
     Z = p X_ij - X_i,col X_r,j and q = d p, and the next leading minor is
     P' = P p / d = u p. By Sylvester's identity every entry of the next
     complement is M / P' with M an integer minor (the entry Bareiss' pass
@@ -256,11 +270,20 @@ def _eliminate(rows: list[list[int]], scale: Fraction) -> tuple[Fraction, list[F
     sign = 1
     den = 1
     ratio = 1
+    free = None
     pivots: list[int] = []
     for col in range(m):
         r = len(pivots)
-        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        pivot, bits = None, math.inf
+        for i in range(r, m):
+            b = rows[i][col].bit_length()  # 0 for a zero entry
+            if 0 < b < bits:
+                pivot, bits = i, b
+                if b == 1:
+                    break
         if pivot is None:
+            if free is None:
+                free = col
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
@@ -288,9 +311,8 @@ def _eliminate(rows: list[list[int]], scale: Fraction) -> tuple[Fraction, list[F
                 den //= c
                 ratio *= c
     minor = ratio * den
-    free = next((c for c in range(m) if c not in pivots), None)
     if free is None:
-        return sign * minor * scale, None
+        return Fraction(sign * minor * scale[0], scale[1]), None
     y = [0] * m
     y[free] = minor
     for row, col in reversed(list(zip(rows, pivots))):
@@ -312,7 +334,7 @@ def _bareiss(
         d = math.lcm(*[x.denominator for x in row])
         den *= d
         rows.append([x.numerator * (d // x.denominator) for x in row])
-    return _eliminate(rows, Fraction(1, den))
+    return _eliminate(rows, (1, den))
 
 
 def fraction_determinant(matrix: "list[list[Fraction]] | tuple[tuple[Fraction, ...], ...]") -> Fraction:

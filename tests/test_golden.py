@@ -53,6 +53,7 @@ CASES = {
         "solve",
         str(GOLDEN / "instances" / "solve_lipschitz_forced_large.json"),
     ],
+    "solve_lipschitz_large": ["solve", str(GOLDEN / "instances" / "solve_lipschitz_large.json")],
     "solve_witness_singular": ["solve", str(GOLDEN / "instances" / "solve_witness_singular.json")],
     "solve_lipschitz_forced_singular": [
         "solve",

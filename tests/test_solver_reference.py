@@ -9,8 +9,10 @@ forced solve that ran it with -C T / L in the constraint row before the
 solver reported the constant solution -C/L from the homogeneous
 determinant; with a zero right-hand side it is also the plain Bareiss pass,
 dividing by the previous pivot at every step, that ``_eliminate`` ran before
-it eliminated over the reduced Schur complement. ``gauss_jordan_kernel`` is
-the Fraction Gauss-Jordan kernel vector singular systems used before the
+it eliminated over the reduced Schur complement. ``reference_eliminate`` is
+that elimination as it was when each column pivoted on its first nonzero
+entry, before it took the entry of fewest bits. ``gauss_jordan_kernel`` is the
+Fraction Gauss-Jordan kernel vector singular systems used before the
 elimination became rank-revealing. ``reference_reduce_system``,
 ``reference_reduce_weighted`` and ``reference_reconstruct`` are the
 per-(sample, value, interval) double loops the reductions used before each
@@ -175,6 +177,57 @@ def reference_bareiss(matrix, rhs):
     if free is None:
         return sign * prev * F(1, den), x, None
     return F(0), None, x
+
+
+def reference_eliminate(rows, scale):
+    """(determinant, kernel vector) of the matrix whose row i is s_i times ``rows[i]``
+    (changed in place), ``scale`` the product of the s_i as a Fraction: the elimination over
+    the reduced Schur complement as it was when each column pivoted on its first nonzero
+    entry, the lowest row not yet pivoted."""
+    m = len(rows)
+    sign = 1
+    den = 1
+    ratio = 1
+    pivots = []
+    for col in range(m):
+        r = len(pivots)
+        pivot = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        pk = top[col]
+        e = math.gcd(den, ratio)
+        g, ratio, den = den // e, ratio // e, pk * e
+        below = rows[r + 1 :]
+        for row in below:
+            f = row[col]
+            for j in range(col + 1, m):
+                row[j] = (row[j] * pk - f * top[j]) // g
+            row[col] = 0
+        pivots.append(col)
+        if len(below) >= 16 and col + 1 < m:
+            c = math.gcd(den, below[0][col + 1], below[-1][-1])
+            for row in below:
+                if c.bit_length() <= 64:
+                    break
+                c = math.gcd(c, *row[col + 1 :])
+            else:
+                for row in below:
+                    row[col + 1 :] = [x // c for x in row[col + 1 :]]
+                den //= c
+                ratio *= c
+    minor = ratio * den
+    free = next((c for c in range(m) if c not in pivots), None)
+    if free is None:
+        return sign * minor * scale, None
+    y = [0] * m
+    y[free] = minor
+    for row, col in reversed(list(zip(rows, pivots))):
+        y[col] = -sum(row[j] * y[j] for j in range(col + 1, m)) // row[col]
+    return F(0), [F(v, minor) for v in y]
 
 
 def reference_solve_periodic(n, T, L, tau, C):
@@ -438,6 +491,8 @@ class TestEliminationWithSharedFactors:
         m = len(a)
         expected = (gauss_jordan(a, [F(0)] * m)[0], gauss_jordan_kernel(a))
         assert _bareiss(a) == reference_bareiss(a, [F(0)] * m)[::2] == expected
+        rows = [[x.numerator for x in row] for row in a]
+        assert reference_eliminate(rows, F(1)) == expected
 
     def test_large_reduced_system(self):
         # y^(4) = L y(tau) at J = 64, built as the benchmark's large instance: tau takes 64
@@ -457,6 +512,58 @@ class TestEliminationWithSharedFactors:
         det, kernel = _eliminate(rows, _scale(factors))
         assert det == reference_bareiss(fraction_matrix(sys), [F(0)] * sys.size)[0] != 0
         assert kernel is None
+
+
+wide = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**64), 2**64))
+
+
+@st.composite
+def integer_systems(draw):
+    """(rows, (p, q)): an m x m integer matrix, m = 0..20, and a scale p / q with p != 0.
+    Either full rank with entries of up to 64 bits, or U V of rank r < m with each row then
+    multiplied by its own factor of up to 64 bits, so the rows' entries differ in size;
+    sometimes a column is zero, and sometimes the top-left k x k block is zero, so the first
+    k columns pivot below row k - 1 (and k > m / 2 makes the matrix singular)."""
+    m = draw(st.integers(0, 20))
+    if m and draw(st.booleans()):
+        factors = draw(st.lists(st.integers(1, 2**64), min_size=m, max_size=m))
+        a = [[f * x for x in row] for f, row in zip(factors, low_rank(draw, m, draw(st.integers(0, m - 1))))]
+    else:
+        a = [draw(st.lists(wide, min_size=m, max_size=m)) for _ in range(m)]
+    if m and draw(st.booleans()):
+        col = draw(st.integers(0, m - 1))
+        for row in a:
+            row[col] = 0
+    if m >= 2 and draw(st.booleans()):
+        k = draw(st.integers(1, m - 1))
+        for row in a[:k]:
+            row[:k] = [0] * k
+    return a, (draw(st.integers(-50, 50).filter(bool)), draw(st.integers(1, 50)))
+
+
+class TestSmallestPivotAgainstFirstNonzero:
+    """``_eliminate`` pivots on the entry of fewest bits in each column, ``reference_eliminate``
+    on the first nonzero one: the row order differs, the pivot columns, determinant and kernel
+    vector do not."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(integer_systems())
+    def test_determinant_and_kernel_match(self, system):
+        a, (p, q) = system
+        det, kernel = _eliminate([list(row) for row in a], (p, q))
+        assert (det, kernel) == reference_eliminate([list(row) for row in a], F(p, q))
+        if kernel is not None:
+            assert all(sum(x * v for x, v in zip(row, kernel)) == 0 for row in a)
+
+    def test_benchmark_and_golden_instances(self):
+        # every instance of the seed-1 solve workload and every golden solve instance
+        singular = 0
+        for name, payload in solve_payloads().items():
+            rows, factors = payload_reduction(payload)._integer_rows()
+            expected = reference_eliminate([list(row) for row in rows], F(*_scale(factors)))
+            assert _eliminate(rows, _scale(factors)) == expected, name
+            singular += expected[0] == 0
+        assert singular > 50
 
 
 # ------------------------------------------------------------ reductions
@@ -673,7 +780,7 @@ class TestIntegerRows:
             assert margin == float(np.linalg.svd(np.array(expected), compute_uv=False)[-1])
         rows, factors = sys._integer_rows()
         scale = _scale(factors)
-        assert scale == math.prod(sys.scales)
+        assert F(*scale) == math.prod(sys.scales)
         det, kernel = _eliminate(rows, scale)
         assert (det, kernel) == _bareiss(matrix)
         # the forced system, with right-hand side -C T / L in the constraint row only, has the
@@ -754,22 +861,29 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN_INSTANCES = Path(__file__).resolve().parent / "golden" / "instances"
 
 
-def payload_system(payload):
-    """The reduced system of a ``solve`` instance JSON and the reference kernel's
-    (samples, rows, scales) for it."""
+def payload_steps(payload):
+    """(n, T, tau, p) of a ``solve`` instance JSON, with p None for a Lipschitz instance."""
     n, T = payload["n"], F(payload["T"])
 
     def step(data):
         return StepFunction([F(b) for b in data["breakpoints"]], [F(v) for v in data["values"]], T)
 
-    tau = step(payload["tau"])
-    if payload["kind"] == "weighted":
-        p = step(payload["p"])
-        c = T**n / math.factorial(n + 1)
-        return reduce_weighted(n, T, p, tau), reference_step_kernel(n, T, tau.as_piecewise(), p.as_piecewise(), c)
-    L = F(payload["L"])
+    return n, T, step(payload["tau"]), step(payload["p"]) if payload["kind"] == "weighted" else None
+
+
+def payload_reduction(payload):
+    """The reduced system of a ``solve`` instance JSON."""
+    n, T, tau, p = payload_steps(payload)
+    return reduce_system(n, T, F(payload["L"]), tau) if p is None else reduce_weighted(n, T, p, tau)
+
+
+def payload_system(payload):
+    """The reduced system of a ``solve`` instance JSON and the reference kernel's
+    (samples, rows, scales) for it."""
+    n, T, tau, p = payload_steps(payload)
+    L, weight = (F(payload["L"]), _UNIT) if p is None else (F(1), p.as_piecewise())
     c = L * T**n / math.factorial(n + 1)
-    return reduce_system(n, T, L, tau), reference_step_kernel(n, T, tau.as_piecewise(), _UNIT, c)
+    return payload_reduction(payload), reference_step_kernel(n, T, tau.as_piecewise(), weight, c)
 
 
 def solve_payloads():
