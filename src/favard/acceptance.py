@@ -159,9 +159,9 @@ def _central_difference(u: Polynomial, f: Polynomial, t: Fraction, h: Fraction, 
     """Whether the n-th central difference of u at t with step h is f(t) h^n, in integers: with t = a / b,
     h = c / e, u at (2ae + (n - 2k) bc) / (2be) and f at t are homogeneous Horner sums of their numerators."""
     (a, b), (c, e) = t.as_integer_ratio(), h.as_integer_ratio()
-    U = [_horner(u.nums or (0,), 2 * a * e + (n - 2 * k) * b * c, 2 * b * e) for k in range(n + 1)]
+    U = [_horner(u.nums, 2 * a * e + (n - 2 * k) * b * c, 2 * b * e) for k in range(n + 1)]
     total = sum([(-1) ** k * comb(n, k) * x for k, (x, _) in enumerate(U)])
-    F, fpow = _horner(f.nums or (0,), a, b)
+    F, fpow = _horner(f.nums, a, b)
     return total * f.den * fpow * e**n == F * c**n * u.den * U[0][1]
 
 

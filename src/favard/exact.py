@@ -8,24 +8,24 @@ the period first, which makes every instance a T-periodic function on the
 whole line. Breakpoints follow the right-continuous convention (the piece to
 the right owns its left endpoint), matching fractional-part semantics.
 
+Each operation on integer coefficient lists (lowest degree first) with more
+than one caller has one body here: ``_horner``, the homogeneous Horner sum
+sum(c_k a^k b^(d-k)) and b^d at a/b ((0, 1) for the empty list), ``_sign``,
+``_difference`` (F(y) - F(x)), ``_derivative`` and ``_cumulative``.
+
 A ``Polynomial`` stores one canonical integer form: numerators over one
 positive denominator, with no trailing zero numerator and no common factor,
-so equal polynomials have equal fields. Evaluation at a/b is the homogeneous
-Horner sum sum(c_k a^k b^(d-k)) divided once by den b^d, and ``sign`` reads the
-sign of the same sum without building a ``Fraction``. Sums, products,
-derivatives, antiderivatives and compositions act on the numerators and
-canonicalise once; ``coeffs`` is a ``Fraction`` view built on first read.
+so equal polynomials have equal fields. Its arithmetic acts on the numerators
+and canonicalises once; ``coeffs`` is a ``Fraction`` view built on first read.
 
 Piecewise polynomials store nothing but integers and the period: the
 breakpoints as numerators N over their lcm L (u = a/b lies in piece
 bisect_right(N, a L // b) - 1), and the pieces as coefficient rows of one
 width over one denominator, in a canonical form, so equal functions have
-equal fields. Evaluation is a homogeneous Horner sum of a row; ``mean``,
-``antiderivative`` and each order of ``periodic_antiderivatives`` are one
-pass of ``_cumulative`` over the rows, with Horner sums at the breakpoints
-A/L; sums, products with a constant and derivatives act on the rows. The
-``Fraction`` breakpoints and ``Polynomial`` pieces are views built on first
-read, and Fractions are built for results only.
+equal fields. ``mean``, ``antiderivative`` and each order of
+``periodic_antiderivatives`` are one pass of ``_cumulative`` over the rows.
+The ``Fraction`` breakpoints and ``Polynomial`` pieces are views built on
+first read, and Fractions are built for results only.
 
 Step functions in the period variable t are :class:`StepFunction`, the one
 step type: breakpoints 0 = c_0 < ... < c_K = T, one value per interval
@@ -169,13 +169,30 @@ def frac_part(x: Fraction) -> Fraction:
 
 
 def _horner(nums: Sequence[int], a: int, b: int) -> tuple[int, int]:
-    """Homogeneous Horner at a/b: (sum of nums[k] a^k b^(d-k), b^d)."""
-    acc = nums[-1]
+    """Homogeneous Horner at a/b: (sum of nums[k] a^k b^(d-k), b^d); (0, 1) for the empty form."""
+    acc = nums[-1] if nums else 0
     bpow = 1
     for c in reversed(nums[:-1]):
         bpow *= b
         acc = acc * a + c * bpow
     return acc, bpow
+
+
+def _sign(nums: Sequence[int], a: int, b: int) -> int:
+    """Sign of sum(nums[k] (a/b)^k), b > 0, as -1, 0 or 1: that of the Horner sum, as b^d > 0."""
+    acc, _ = _horner(nums, a, b)
+    return (acc > 0) - (acc < 0)
+
+
+def _difference(nums: Sequence[int], den: int, x: Fraction, y: Fraction) -> Fraction:
+    """sum(nums[k] u^k) / den (den != 0) at y less its value at x, from one Horner sum at each end."""
+    (fx, px), (fy, py) = [_horner(nums, *t.as_integer_ratio()) for t in (x, y)]
+    return Fraction(fy * px - fx * py, den * px * py)
+
+
+def _derivative(nums: Sequence[int]) -> list[int]:
+    """The coefficients of the derivative of sum(nums[k] u^k); [] for a constant."""
+    return [k * c for k, c in enumerate(nums)][1:]
 
 
 def _cumulative(rows: Sequence[Sequence[int]], den: int, N: Sequence[int], L: int) -> tuple[list[list[int]], int, int]:
@@ -258,13 +275,12 @@ class Polynomial:
         return not self.nums
 
     def __call__(self, x: RationalLike) -> Fraction:
-        acc, bpow = _horner(self.nums or (0,), *to_rational(x).as_integer_ratio())
+        acc, bpow = _horner(self.nums, *to_rational(x).as_integer_ratio())
         return Fraction(acc, self.den * bpow)
 
     def sign(self, x: RationalLike) -> int:
-        """Sign of p(x) as -1, 0 or 1, read off the integer Horner sum (den b^d > 0)."""
-        acc, _ = _horner(self.nums or (0,), *to_rational(x).as_integer_ratio())
-        return (acc > 0) - (acc < 0)
+        """Sign of p(x) as -1, 0 or 1, read off the integer Horner sum (den > 0)."""
+        return _sign(self.nums, *to_rational(x).as_integer_ratio())
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         den = math.lcm(self.den, other.den)
@@ -287,22 +303,20 @@ class Polynomial:
         p, q = to_rational(other).as_integer_ratio()
         return _polynomial([p * c for c in self.nums], self.den * q)
 
-    def __rmul__(self, other: RationalLike) -> "Polynomial":
-        return self * other
+    __rmul__ = __mul__
 
     def derivative(self) -> "Polynomial":
-        return _polynomial([k * c for k, c in enumerate(self.nums) if k >= 1], self.den)
+        return _polynomial(_derivative(self.nums), self.den)
 
     def antiderivative(self) -> "Polynomial":
-        """The antiderivative with constant term 0: nums[k] M / (k + 1) over den M, M = lcm(1..w)."""
-        M = math.lcm(*range(1, len(self.nums) + 1))
-        return _polynomial([0, *[c * (M // (k + 1)) for k, c in enumerate(self.nums)]], self.den * M)
+        """The antiderivative with constant term 0: :func:`_cumulative` of the one piece on [0, 1)."""
+        (row,), den, _ = _cumulative([self.nums], self.den, (0, 1), 1)
+        return _polynomial(row, den)
 
     def integrate(self, a: RationalLike, b: RationalLike) -> Fraction:
-        """Exact definite integral over [a, b], one Horner sum of the antiderivative at each end."""
+        """Exact definite integral over [a, b]: the antiderivative's :func:`_difference` from a to b."""
         F = self.antiderivative()
-        (fa, pa), (fb, pb) = [_horner(F.nums or (0,), *to_rational(x).as_integer_ratio()) for x in (a, b)]
-        return Fraction(fb * pa - fa * pb, F.den * pa * pb)
+        return _difference(F.nums, F.den, to_rational(a), to_rational(b))
 
     def compose_linear(self, c0: RationalLike, c1: RationalLike) -> "Polynomial":
         """Exact composition p(c0 + c1 * u): with c0 + c1 u = (A + B u) / Q, the homogeneous
@@ -439,7 +453,7 @@ class PiecewisePolynomial:
     def derivative(self) -> "PiecewisePolynomial":
         """Piecewise derivative with respect to t (chain rule through u = t/T)."""
         p, q = self.period.as_integer_ratio()
-        return self._make([[k * r[k] * q for k in range(1, len(r))] or [0] for r in self.rows], self.den * p)
+        return self._make([[q * c for c in _derivative(r)] or [0] for r in self.rows], self.den * p)
 
     @cached_property
     def _integral(self) -> tuple[list[list[int]], int, int]:

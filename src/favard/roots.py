@@ -8,9 +8,9 @@ times a positive integer, a product of the divisor's |leading coefficient|
 over gcds, and divided by its content. Every member is therefore a positive
 multiple of the one Euclid's algorithm over Q gives, and every Sturm count
 is the same. The sequence of p itself ends in gcd(p, p'), so a square-free
-p needs no other. The members stay integer coefficient lists; the sign of
-one at a rational point is the sign of its homogeneous integer Horner sum
-(``exact._horner``), and no Fraction is built.
+p needs no other. The members stay integer coefficient lists, worked on by
+``exact``'s shared helpers: ``_derivative``, and ``_horner`` and ``_sign`` for
+the sign at a rational point, with no Fraction built.
 
 Bisection computes the Sturm variation count of each endpoint once and
 splits (a, b] until each cell (lo, hi] holds one root of the square-free
@@ -31,7 +31,7 @@ root is bisected once. Consumers therefore receive exact roots whenever
 they exist and arbitrarily narrow, disjoint rational enclosures otherwise,
 which keeps downstream measures and integrals exact or rigorously bounded.
 ``level_split`` reads both the measure below a level and the integral of
-the distance to it from one sign partition.
+the distance to it (``exact._difference`` per segment) from one sign partition.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Polynomial, _horner, to_rational
+from .exact import Polynomial, _derivative, _difference, _horner, _sign, to_rational
 
 __all__ = [
     "sturm_sequence",
@@ -60,10 +60,6 @@ def _primitive(c: list[int]) -> list[int]:
     """c over its content, the positive gcd of its entries; [] stays []."""
     g = math.gcd(*c)
     return [x // g for x in c] if g > 1 else c
-
-
-def _derivative(c: list[int]) -> list[int]:
-    return [k * x for k, x in enumerate(c)][1:]
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
@@ -129,11 +125,6 @@ def _square_free_sequence(p: Polynomial) -> tuple[list[int], list[list[int]]]:
     return s, seq
 
 
-def _sign(c: list[int], x: Fraction) -> int:
-    acc, _ = _horner(c, x.numerator, x.denominator)
-    return (acc > 0) - (acc < 0)
-
-
 def _variations(seq: list[list[int]], x: Fraction) -> tuple[int, int]:
     """(sign changes along seq at x, zeros skipped; sign of seq[0] at x)."""
     a, b = x.numerator, x.denominator
@@ -187,11 +178,11 @@ def _bisect(s: list[int], seq: list[list[int]], a: Fraction, b: Fraction, width:
                     tested = True
                     r = ((lo + hi) / 2).limit_denominator(lead)
                     # when the root here is irrational, r may be another root of s outside (lo, hi)
-                    if lo < r < hi and _sign(s, r) == 0:
+                    if lo < r < hi and _sign(s, *r.as_integer_ratio()) == 0:
                         cell = r, r
                 else:
                     mid = (lo + hi) / 2
-                    sm = _sign(s, mid)
+                    sm = _sign(s, *mid.as_integer_ratio())
                     if sm == 0 or sm == sh:
                         hi, sh = mid, sm
                     else:
@@ -282,12 +273,10 @@ def sign_segments(
     encs = isolate_roots(p, a, b, width)
     segments: list[tuple[Fraction, Fraction, int]] = []
     cursor = a
-    for enc in encs:
-        if enc.low > cursor:
-            segments.append((cursor, enc.low, p.sign((cursor + enc.low) / 2)))
-        cursor = enc.high
-    if cursor < b:
-        segments.append((cursor, b, p.sign((cursor + b) / 2)))
+    for low, high in [*[(e.low, e.high) for e in encs], (b, b)]:  # (b, b) closes the last gap
+        if low > cursor:
+            segments.append((cursor, low, p.sign((cursor + low) / 2)))
+        cursor = high
     return segments, encs
 
 
@@ -315,10 +304,7 @@ def level_split(
     below = sum((hi - lo for lo, hi, s in segments if s < 0), Fraction(0))
     slack = sum((e.width for e in encs), Fraction(0))
     F = q.antiderivative()  # one for all segments: q.integrate builds one per call
-    total = Fraction(0)
-    for lo, hi, s in segments:
-        (fa, pa), (fb, pb) = [_horner(F.nums, *x.as_integer_ratio()) for x in (lo, hi)]
-        total += Fraction(s * (fb * pa - fa * pb), F.den * pa * pb)
+    total = sum((_difference(F.nums, s * F.den, lo, hi) for lo, hi, s in segments), Fraction(0))  # q / s = |q|
     lip = q.derivative().coefficient_bound()
     # |q| <= lip * width on an enclosure of length width
     err = sum((lip * e.width * e.width for e in encs if not e.exact), Fraction(0))

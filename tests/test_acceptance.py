@@ -57,6 +57,13 @@ def test_central_difference_exact_to_degree_n_plus_1(n, data):
     assert _central_difference(u, d, t, h, n)
 
 
+def test_central_difference_of_zero():
+    # the zero form reaches the shared Horner sum empty: both sides are 0 at every order
+    zero = Polynomial.zero()
+    assert all([_central_difference(zero, zero, F(2, 9), F(1, 5), n) for n in range(1, 6)])
+    assert not _central_difference(zero, Polynomial.const(1), F(2, 9), F(1, 5), 2)
+
+
 def test_central_difference_inexact_at_degree_n_plus_2():
     # one degree more and the error term h^2 u^(n+2) n / 24 appears, so the check is not vacuous
     for n in range(1, 6):

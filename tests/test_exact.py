@@ -13,6 +13,10 @@ from favard.exact import (
     PiecewisePolynomial,
     Polynomial,
     StepFunction,
+    _derivative,
+    _difference,
+    _horner,
+    _sign,
     format_rational,
     frac_part,
     to_float,
@@ -131,6 +135,16 @@ def reference_horner(coeffs, x):
     return acc
 
 
+def test_shared_helpers_take_the_zero_form():
+    # the empty coefficient list is the zero polynomial at every shared helper
+    assert _horner((), 3, 7) == (0, 1)
+    assert _horner([], -5, 1) == (0, 1)
+    assert _sign((), 3, 7) == 0
+    assert _derivative(()) == []
+    assert _derivative((5,)) == []  # a constant's derivative is the zero form
+    assert _difference((), 9, F(-1, 3), F(7, 2)) == 0
+
+
 class TestPolynomial:
     @settings(max_examples=400, derandomize=True)
     @given(st.lists(rationals, max_size=13), eval_points)
@@ -191,6 +205,12 @@ class TestPolynomial:
         assert p.derivative() == Polynomial.of(-1, 2)
         assert p.integrate(F(1, 4), F(1, 2)) == F(-1, 64)
 
+    def test_zero_polynomial_calculus(self):
+        zero = Polynomial.zero()
+        assert zero.antiderivative() == zero
+        assert zero.derivative() == zero
+        assert zero.integrate(F(-3, 4), 5) == 0
+
     def test_compose_linear(self):
         p = Polynomial.of(0, 0, 1)  # u^2
         shifted = p.compose_linear(F(1, 2), 1)
@@ -213,6 +233,13 @@ class TestPiecewisePolynomial:
         assert h(F(1, 2)) == -1  # right piece owns its left endpoint
         assert h(F(499, 1000)) == 1
         assert h(1) == 1  # wraps to the first piece
+
+    def test_derivative_of_constant_pieces_is_zero(self):
+        # each piece's derivative is the empty form; the rows keep width one
+        d = PiecewisePolynomial((0, F(1, 3), 1), (Polynomial.const(F(2, 5)), Polynomial.const(-7)), F(5, 2)).derivative()
+        assert d.rows == ((0,), (0,)) and d.den == 1
+        assert d.pieces == (Polynomial.zero(), Polynomial.zero())
+        assert [d(t) for t in (0, F(1, 3), 2)] == [0, 0, 0]
 
     def test_left_limit(self):
         h = self.make_step()

@@ -8,6 +8,7 @@ A change that alters any of these bytes changes the CLI contract and must
 re-record the file on purpose.
 """
 
+import shlex
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from favard.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tier1.yml"
 
 CASES = {
     "constants": ["constants", "--n-max", "12", "--format", "json"],
@@ -63,6 +65,18 @@ CASES = {
 
 
 MIN_ABS_ORDERS = range(1, 41)
+
+
+def test_ci_checks_every_case_in_a_fresh_process():
+    # the workflow's console-script step runs `check <name> <argv>` per case; each case needs one,
+    # with the argv of CASES ($golden is the golden directory)
+    checks = {}
+    for line in WORKFLOW.read_text().splitlines():
+        if line.split()[:1] == ["check"]:
+            words = shlex.split(line)
+            checks[words[1]] = [w.replace("$golden", str(GOLDEN)) for w in words[2:]]
+    assert sorted(set(CASES) - set(checks)) == []
+    assert checks == {name: CASES[name] for name in checks}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

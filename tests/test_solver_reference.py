@@ -555,6 +555,19 @@ class TestSmallestPivotAgainstFirstNonzero:
         if kernel is not None:
             assert all(sum(x * v for x, v in zip(row, kernel)) == 0 for row in a)
 
+    def test_pivot_is_the_entry_of_fewest_bits(self):
+        # the rows are changed in place, so the pivot row shows: 1 has fewer bits than 2^70 + 1,
+        # where the first nonzero entry and the largest entry would both keep row 0 in place
+        rows = [[2**70 + 1, 1], [1, 1]]
+        assert _eliminate(rows, (1, 1)) == (2**70, None)  # the sign is kept through the swap
+        assert rows[0] == [1, 1]
+
+    def test_pivot_tie_goes_to_the_lowest_row(self):
+        # 3 and 2 both have two bits: row 0 stays the pivot row
+        rows = [[3, 1], [2, 1]]
+        assert _eliminate(rows, (1, 1)) == (1, None)
+        assert rows[0] == [3, 1]
+
     def test_benchmark_and_golden_instances(self):
         # every instance of the seed-1 solve workload and every golden solve instance
         singular = 0
