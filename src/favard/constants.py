@@ -71,8 +71,6 @@ def favard_recurrence(n_max: int) -> list[Fraction]:
 
 def _series_div(a: list[Fraction], b: list[Fraction], terms: int) -> list[Fraction]:
     """Coefficients of a/b by triangular back-substitution; requires b[0] != 0."""
-    if b[0] == 0:
-        raise ZeroDivisionError("series division needs a unit constant term")
     out = [Fraction(0)] * terms
     for k in range(terms):
         acc = a[k] if k < len(a) else Fraction(0)

@@ -3,7 +3,6 @@ import csv
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
@@ -754,10 +753,8 @@ LOAD_RUNS = {
 
 
 @pytest.mark.parametrize("command", sorted(LOAD_RUNS))
-def test_each_command_loads_only_its_modules(command):
+def test_each_command_loads_only_its_modules(command, src_env):
     # a fresh interpreter: importing the CLI loads no handler's module, and each command loads its own
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv, loads = LOAD_RUNS[command]
     script = (
         "import json, sys, favard.cli\n"
@@ -765,7 +762,7 @@ def test_each_command_loads_only_its_modules(command):
         f"code = favard.cli.main({argv!r})\n"
         "print(json.dumps([code, at_import, sorted(sys.modules)]), file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, check=True)
     code, at_import, after = json.loads(proc.stderr)
     assert code == 0
     ours = {m for m in after if m in ("favard", "numpy") or m.startswith("favard.")}

@@ -7,11 +7,9 @@ checked against that.
 """
 
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -59,10 +57,8 @@ def test_unknown_name_raises_attribute_error():
         favard.no_such_name
 
 
-def test_bare_import_loads_no_submodule():
+def test_bare_import_loads_no_submodule(src_env):
     # names load on first access: a fresh interpreter's `import favard` imports nothing below it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = "import sys, favard; print(sorted(m for m in sys.modules if m.startswith('favard.')))"
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
