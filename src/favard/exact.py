@@ -205,8 +205,11 @@ def _cumulative(rows: Sequence[Sequence[int]], den: int, N: Sequence[int], L: in
     """
     w = len(rows[0])
     M = math.lcm(*range(1, w + 1))
-    scale = [M // (k + 1) * L ** (w - 1 - k) for k in range(w)]
-    up = [L ** (k + 1) for k in range(w)]
+    power = [1]  # power[k] = L^k
+    for _ in range(w):
+        power.append(power[-1] * L)
+    scale = [M // (k + 1) * power[w - 1 - k] for k in range(w)]
+    up = power[1:]
     out = []
     run = 0
     for row, a, b in zip(rows, N, N[1:]):
@@ -218,7 +221,7 @@ def _cumulative(rows: Sequence[Sequence[int]], den: int, N: Sequence[int], L: in
         Pa *= a
         out.append([run - Pa, *[c * u for c, u in zip(P, up)]])
         run += b * Pb - Pa
-    return out, den * M * L**w, run
+    return out, den * M * power[w], run
 
 
 @dataclass(frozen=True, init=False)
@@ -555,13 +558,6 @@ class StepFunction:
     def as_piecewise(self) -> PiecewisePolynomial:
         """The same function as constant pieces on the unit partition c_k / T."""
         return self._form
-
-    def integral(self) -> Fraction:
-        """The sum of each value times its width: one Fraction over den * grid, times T."""
-        f = self._form
-        total = sum([v * (b - a) for (v,), a, b in zip(f.rows, f.knots, f.knots[1:])])
-        tp, tq = self.period.as_integer_ratio()
-        return Fraction(total * tp, f.den * f.grid * tq)
 
 
 def _step(cuts: Sequence[int], grid: int, nums: Sequence[int], den: int, period: Fraction) -> StepFunction:

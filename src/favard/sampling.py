@@ -19,7 +19,6 @@ from fractions import Fraction
 from .exact import StepFunction, _step, periodic_antiderivatives
 
 __all__ = [
-    "random_partition",
     "random_deviation",
     "random_weight",
     "random_step_numerators",
@@ -33,12 +32,6 @@ def _random_cuts(rng: random.Random, max_interior: int, denom: int) -> list[int]
     for _ in range(rng.randint(1, max_interior)):
         cuts.add(rng.randint(1, denom - 1))
     return sorted(cuts)
-
-
-def random_partition(rng: random.Random, T: Fraction, max_interior: int = 6) -> tuple[Fraction, ...]:
-    """0, T and 1 to ``max_interior`` random cuts between, on the grid {k T / 64}."""
-    tp, tq = T.as_integer_ratio()
-    return tuple([Fraction(k * tp, 64 * tq) for k in _random_cuts(rng, max_interior, 64)])
 
 
 def random_deviation(rng: random.Random, T: Fraction) -> StepFunction:

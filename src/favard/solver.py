@@ -133,13 +133,13 @@ class ReducedSystem:
     encodes v_i - sum_j A_ij v_j - C_1 = 0 with A = -c K in rows 0..J-1 and the zero-mean
     constraint on y^(n) in the last. It is stored as its pencil, in integers: the L-free kernel
     K_ij = K[i][j] / K_den[i], the row m_j = m[j] / m_den and c = c[0] / c[1] = L T^n / (n+1)!
-    (L = 1 if weighted). ``rows`` (primitive integer rows), ``scales`` (row i of M is scales[i]
-    times rows[i]) and ``sample_points`` (the sorted values of tau) are views built on first read.
+    (L = 1 if weighted, where L is None: ``kind`` is read off L). ``rows`` (primitive integer
+    rows), ``scales`` (row i of M is scales[i] times rows[i]) and ``sample_points`` (the sorted
+    values of tau) are views built on first read.
     """
 
     n: int
     T: Fraction
-    kind: str  # "lipschitz" | "weighted"
     tau: StepFunction
     L: Fraction | None
     K: tuple[tuple[int, ...], ...]
@@ -147,6 +147,10 @@ class ReducedSystem:
     m: tuple[int, ...]
     m_den: int
     c: tuple[int, int]
+
+    @property
+    def kind(self) -> str:
+        return "weighted" if self.L is None else "lipschitz"
 
     @property
     def size(self) -> int:
@@ -187,7 +191,7 @@ class ReducedSystem:
 
     def at(self, L: RationalLike) -> "ReducedSystem":
         """The Lipschitz system at another L >= 0: K and m do not depend on L, so only c changes."""
-        if self.kind != "lipschitz":
+        if self.L is None:
             raise ValueError("only a Lipschitz system has a parameter L")
         L = to_rational(L)
         return replace(self, L=L, c=_factor(self.n, self.T, L))
@@ -468,7 +472,7 @@ def reduce_system(
         raise ValueError("n must be >= 1")
     T, L = to_rational(T), to_rational(L)
     _validate_deviation(tau, T)
-    return ReducedSystem(n, T, "lipschitz", tau, L, *_step_kernel(n, T, tau.as_piecewise(), _UNIT), _factor(n, T, L))
+    return ReducedSystem(n, T, tau, L, *_step_kernel(n, T, tau.as_piecewise(), _UNIT), _factor(n, T, L))
 
 
 def reduce_weighted(
@@ -494,7 +498,7 @@ def reduce_weighted(
     for i, (v,) in enumerate(weight.rows):
         if v < 0:
             raise ValueError(f"p.values[{i}] = {p.values[i]} is negative")
-    return ReducedSystem(n, T, "weighted", tau, None, *_step_kernel(n, T, tau.as_piecewise(), weight), _factor(n, T, 1))
+    return ReducedSystem(n, T, tau, None, *_step_kernel(n, T, tau.as_piecewise(), weight), _factor(n, T, 1))
 
 
 MARGIN_OVERFLOW = "reduced matrix entry exceeds the float64 range"
@@ -613,10 +617,11 @@ def solve_weighted(
     p: StepFunction,
     tau: StepFunction,
 ) -> SolveReport:
-    """Singularity verdict for the homogeneous weighted problem y^(n) = p(t) y(tau(t))."""
+    """Singularity verdict for the homogeneous weighted problem y^(n) = p(t) y(tau(t)); its evidence
+    ``weight_l1`` = ||p||_L1 is read off the zero-mean row, sum(m) / m_den (m_j integrates p on P_j)."""
     sys = reduce_weighted(n, T, p, tau)
     report = uniqueness_margin(sys)
-    report.provenance["weight_l1"] = format_rational(p.integral())
+    report.provenance["weight_l1"] = format_rational(Fraction(sum(sys.m), sys.m_den))
     return report
 
 
@@ -630,7 +635,7 @@ def reconstruct_solution(
 
     I^n does not use the reduction's rows, so y(s_j) = samples[j] checks them.
     """
-    if sys.kind != "lipschitz" or sys.L is None:
+    if sys.L is None:
         raise ValueError("reconstruction applies to the Lipschitz reduction")
     by_value = dict(zip(sys.sample_points, samples))
     z = StepFunction(sys.tau.breakpoints, [by_value[v] for v in sys.tau.values], sys.T)

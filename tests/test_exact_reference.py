@@ -18,9 +18,7 @@ keep them, checked here against the pointwise maximum.
 builds one from cut and value numerators. ``ReferenceStepFunction`` is the
 dataclass it was, with Fraction fields and the form derived from them; a step
 matches it when its views, form and ``repr`` are the reference's, and
-equality and hashing follow the reference fields. ``StepFunction.integral``
-sums its values times their widths in integers; before, it was the mean of
-its piecewise form (through ``exact._cumulative``) times the period.
+equality and hashing follow the reference fields.
 
 ``Polynomial`` likewise stores only integer numerators over one denominator.
 The ``reference_poly_*`` functions are the bodies its operations had when it
@@ -586,14 +584,6 @@ class TestStepFunctionAgainstReference:
             y = StepFunction(*as_fractions(*other))
             assert (x == y) == (ref == ReferenceStepFunction(*as_fractions(*other)))
             assert x != y or hash(x) == hash(y)
-
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(step_numerators())
-    def test_integral_is_the_mean_times_the_period(self, case):
-        # the integral as it was, the piecewise mean times T, and the reference's value-width sum
-        s, ref = _step(*case), ReferenceStepFunction(*as_fractions(*case))
-        expected = s.as_piecewise().mean() * s.period
-        assert s.integral() == expected == sum([v * (b - a) for v, a, b in zip(ref.values, ref.breakpoints, ref.breakpoints[1:])])
 
     def test_pinned_repr(self):
         s = _step([0, 1, 4], 4, [3, -2], 6, F(5, 2))

@@ -34,7 +34,6 @@ class TestStepFunction:
         assert s(0) == 2
         assert s(F(1, 3)) == 5  # right-continuous
         assert s(F(4, 3)) == 5
-        assert s.integral() == 2 * F(1, 3) + 5 * F(2, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

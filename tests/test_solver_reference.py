@@ -34,6 +34,7 @@ it is a rank-one term the constant column absorbs, and ``contraction_norm``
 applies it at the median of phi_n.
 """
 
+import dataclasses
 import importlib
 import json
 import math
@@ -48,7 +49,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from favard.constants import favard_closed_form
-from favard.exact import _horner
+from favard.exact import _horner, format_rational
 from favard.kernels import min_abs_integral
 from favard.numbers import bernoulli_polynomial, eval_periodic
 from favard.solver import (
@@ -70,8 +71,10 @@ from favard.solver import (
     reduce_system,
     reduce_weighted,
     solve_periodic,
+    solve_weighted,
 )
 from favard.witness import build_witness
+from test_sampling_reference import reference_l1
 
 
 def gauss_jordan(matrix, rhs):
@@ -736,9 +739,8 @@ class TestStepKernelAgainstPerCutHorner:
         weight = p.as_piecewise() if weighted else _UNIT
         expected = reference_step_kernel(n, T, tau.as_piecewise(), weight, c)
         # the pencil of either reduction, at the factor c
-        kind, L = ("weighted", None) if weighted else ("lipschitz", F(1))
         pencil = _step_kernel(n, T, tau.as_piecewise(), weight)
-        sys = ReducedSystem(n, T, kind, tau, L, *pencil, c.as_integer_ratio())
+        sys = ReducedSystem(n, T, tau, None if weighted else F(1), *pencil, c.as_integer_ratio())
         assert (sys.sample_points, sys.rows, sys.scales) == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -936,3 +938,35 @@ class TestPencil:
             reduce_system(2, F(1), F(1), tau).at(F(-1, 2))
         with pytest.raises(ValueError, match="only a Lipschitz system"):
             reduce_weighted(2, F(1), StepFunction.constant(2, 1), tau).at(F(1))
+
+    def test_kind_is_read_off_L(self):
+        # no stored kind can disagree with L, and both readers of the predicate refuse a weighted system
+        assert "kind" not in {f.name for f in dataclasses.fields(ReducedSystem)}
+        tau = StepFunction((F(0), F(1, 2), F(1)), (F(1, 3), F(1)), F(1))
+        lipschitz, weighted = reduce_system(2, F(1), F(1), tau), reduce_weighted(2, F(1), StepFunction.constant(2, 1), tau)
+        assert (lipschitz.kind, weighted.kind) == ("lipschitz", "weighted")
+        with pytest.raises(ValueError, match="reconstruction applies to the Lipschitz reduction"):
+            reconstruct_solution(weighted, (F(0), F(0)), F(0))
+
+
+@st.composite
+def weighted_instances(draw):
+    """(n, T, p, tau) with n = 1..6, T in {1, 5/2, 1/3, 7}, p a nonnegative step on a grid of
+    T/24 with zero pieces (at times only those) and tau on a grid of T/16 with values T k / 8."""
+    n = draw(st.integers(1, 6))
+    T = draw(st.sampled_from([F(1), F(5, 2), F(1, 3), F(7)]))
+
+    def step(grid, most, values):
+        bps = [F(0)] + [T * F(k, grid) for k in sorted(draw(st.sets(st.integers(1, grid - 1), max_size=most)))] + [T]
+        return StepFunction(bps, draw(st.lists(values, min_size=len(bps) - 1, max_size=len(bps) - 1)), T)
+
+    p = step(24, 6, st.sampled_from([F(0), F(0), F(1, 3), F(2), F(7, 5), F(13, 8)]))
+    return n, T, p, step(16, 5, st.builds(lambda k: T * F(k, 8), st.integers(0, 8)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(weighted_instances())
+def test_weight_l1_is_the_value_width_sum(instance):
+    # read off the zero-mean row, weight_l1 is ||p||_L1, the sum of each value times its width
+    n, T, p, tau = instance
+    assert solve_weighted(n, T, p, tau).provenance["weight_l1"] == format_rational(reference_l1(p))
